@@ -19,14 +19,27 @@ instances tractable without changing the semantics:
   subformula per binding of its free variables, so that e.g. the expensive
   antecedent of ``forall x ( phi(x) -> z in x )`` is evaluated once per
   ``x`` rather than once per output candidate ``z``.
+
+Every evaluation first compiles its formula, once, into nested closures
+(:class:`_Compiler`).  Everything that is fixed per formula node is
+resolved then: the kind of each term, the predicate instance of each atom,
+each quantifier's sorted free variables and enumeration-counter key, and
+the quantifier strategy and memoisation setting.  Variables live in the
+slots of one environment list, and each occurrence is resolved lexically
+to its binder's slot.  The closures enumerate the same constructive
+domains in the same order as the formula's tree semantics prescribes, so
+every answer, budget error and statistics counter is the one a
+node-by-node walk of the formula gives.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.errors import EvaluationError
+from repro.errors import BudgetExceededError, EvaluationError
 from repro.calculus.formulas import (
     And,
     Equals,
@@ -44,7 +57,6 @@ from repro.calculus.terms import Constant, CoordinateTerm, Term, VariableTerm
 from repro.objects.constructive import constructive_domain, iter_constructive_domain
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import ComplexValue, SetValue, TupleValue
-from repro.types.type_system import ComplexType
 from repro.utils.iteration import bounded
 
 
@@ -109,11 +121,7 @@ class EvaluationStatistics:
     def note_binding(self, budget: int | None) -> None:
         self.bindings_tried += 1
         if budget is not None and self.bindings_tried > budget:
-            from repro.errors import BudgetExceededError
-
-            raise BudgetExceededError(
-                f"query evaluation exceeded the binding budget of {budget}", budget=budget
-            )
+            raise _budget_exceeded(budget)
 
 
 @dataclass(frozen=True)
@@ -126,70 +134,9 @@ class EvaluationResult:
 
 
 #: Placeholder for a free variable not bound in the probing assignment —
-#: keeps quantifier-memo keys positional (one slot per sorted free
-#: variable) without building (name, value) pairs per probe.
+#: keeps quantifier-memo keys positional (one entry per sorted free
+#: variable).  Environment slot 0 always holds it.
 _UNBOUND = object()
-
-
-class _EvaluationContext:
-    """State shared across one evaluation: database, universe, caches."""
-
-    def __init__(
-        self,
-        database: DatabaseInstance,
-        universe_atoms: frozenset[object],
-        settings: EvaluationSettings,
-        statistics: EvaluationStatistics,
-    ) -> None:
-        self.database = database
-        self.universe_atoms = universe_atoms
-        self.settings = settings
-        self.statistics = statistics
-        self._quantifier_cache: dict[tuple, bool] = {}
-        self._free_variable_cache: dict[int, frozenset[str]] = {}
-        self._sorted_free_variable_cache: dict[int, tuple[str, ...]] = {}
-
-    def free_variables(self, formula: Formula) -> frozenset[str]:
-        key = id(formula)
-        cached = self._free_variable_cache.get(key)
-        if cached is None:
-            cached = formula.free_variables()
-            self._free_variable_cache[key] = cached
-        return cached
-
-    def sorted_free_variables(self, formula: Formula) -> tuple[str, ...]:
-        """The formula's free-variable names in sorted order — constant per
-        node, so computed once instead of re-sorting per memo probe."""
-        key = id(formula)
-        cached = self._sorted_free_variable_cache.get(key)
-        if cached is None:
-            cached = tuple(sorted(self.free_variables(formula)))
-            self._sorted_free_variable_cache[key] = cached
-        return cached
-
-    def cached_quantifier(self, formula: Formula, assignment: dict[str, ComplexValue]):
-        """Return (hit, value, key) for a quantifier formula under *assignment*."""
-        if not self.settings.memoize_quantifiers:
-            return False, False, None
-        relevant = tuple(
-            assignment.get(name, _UNBOUND)
-            for name in self.sorted_free_variables(formula)
-        )
-        # Keyed by id(formula), like the free-variable cache: formula nodes
-        # are immutable and owned by the query for the context's lifetime,
-        # and structural hashing would re-walk the subformula tree on every
-        # lookup.  Value hashes inside *relevant* are cached by the
-        # interner.
-        key = (id(formula), relevant)
-        if key in self._quantifier_cache:
-            self.statistics.memo_hits += 1
-            return True, self._quantifier_cache[key], key
-        self.statistics.memo_misses += 1
-        return False, False, key
-
-    def store_quantifier(self, key, value: bool) -> None:
-        if key is not None:
-            self._quantifier_cache[key] = value
 
 
 def evaluation_universe(
@@ -231,14 +178,17 @@ def evaluate_query_detailed(
     else:
         output_atoms = universe
 
-    context = _EvaluationContext(database, universe, settings, stats)
+    holds, env, slots = _compile(
+        query.formula, (query.target_variable,), database, universe, settings, stats
+    )
+    target = slots[query.target_variable]
     answers: list[ComplexValue] = []
     candidates = iter_constructive_domain(query.target_type, output_atoms)
     for candidate in bounded(candidates, settings.binding_budget, what="output candidates"):
         stats.output_candidates += 1
         stats.note_binding(settings.binding_budget)
-        assignment = {query.target_variable: candidate}
-        if _satisfies(context, query.formula, assignment):
+        env[target] = candidate
+        if holds():
             answers.append(candidate)
     stats.answers = len(answers)
     return EvaluationResult(
@@ -260,11 +210,10 @@ def check_membership(
     (deciding ``o ∈ Q[d]``).
     """
     settings = settings or EvaluationSettings()
-    stats = EvaluationStatistics()
     universe = evaluation_universe(query, database, settings)
-    context = _EvaluationContext(database, universe, settings, stats)
-    assignment = {query.target_variable: candidate}
-    return _satisfies(context, query.formula, assignment)
+    return satisfies(
+        database, query.formula, {query.target_variable: candidate}, universe, settings
+    )
 
 
 def satisfies(
@@ -279,156 +228,282 @@ def satisfies(
 
     *assignment* must bind every free variable of *formula* to a value.
     This is the public, stateless entry point; repeated related checks are
-    faster through :func:`evaluate_query_detailed`, which shares caches.
+    faster through :func:`evaluate_query_detailed`, which compiles the
+    formula once and shares the quantifier memo across candidates.
     """
     settings = settings or EvaluationSettings()
     statistics = statistics or EvaluationStatistics()
-    context = _EvaluationContext(database, universe_atoms, settings, statistics)
-    return _satisfies(context, formula, assignment)
-
-
-def _satisfies(
-    context: _EvaluationContext, formula: Formula, assignment: dict[str, ComplexValue]
-) -> bool:
-    context.statistics.satisfaction_calls += 1
-    # Dispatch on the concrete formula class (one dict lookup) instead of an
-    # isinstance chain: this interpreter loop runs once per connective per
-    # candidate binding, millions of times on quantifier-heavy queries.
-    handler = _FORMULA_HANDLERS.get(formula.__class__)
-    if handler is None:
-        raise EvaluationError(f"unknown formula class {type(formula).__name__}")
-    return handler(context, formula, assignment)
-
-
-def _satisfies_equals(context, formula, assignment) -> bool:
-    return _term_value(formula.left, assignment) == _term_value(formula.right, assignment)
-
-
-def _satisfies_membership(context, formula, assignment) -> bool:
-    container = _term_value(formula.container, assignment)
-    if not isinstance(container, SetValue):
-        raise EvaluationError(
-            f"membership {formula} evaluated a non-set container value {container}"
-        )
-    element = _term_value(formula.element, assignment)
-    return container.contains(element)
-
-
-def _satisfies_predicate(context, formula, assignment) -> bool:
-    value = _term_value(formula.argument, assignment)
-    instance = context.database.instance(formula.predicate_name)
-    return value in instance
-
-
-def _satisfies_not(context, formula, assignment) -> bool:
-    return not _satisfies(context, formula.operand, assignment)
-
-
-def _satisfies_and(context, formula, assignment) -> bool:
-    return _satisfies(context, formula.left, assignment) and _satisfies(
-        context, formula.right, assignment
+    holds, env, slots = _compile(
+        formula, assignment, database, universe_atoms, settings, statistics
     )
+    for name, slot in slots.items():
+        env[slot] = assignment[name]
+    return holds()
 
 
-def _satisfies_or(context, formula, assignment) -> bool:
-    return _satisfies(context, formula.left, assignment) or _satisfies(
-        context, formula.right, assignment
-    )
+def _compile(
+    formula: Formula,
+    bound: Iterable[str],
+    database: DatabaseInstance,
+    universe_atoms: frozenset[object],
+    settings: EvaluationSettings,
+    statistics: EvaluationStatistics,
+) -> tuple[Callable[[], bool], list, dict[str, int]]:
+    """Lower *formula* into a zero-argument closure deciding it.
+
+    Returns ``(holds, env, slots)``: the caller stores the value of each
+    name in *bound* in ``env[slots[name]]`` and then calls ``holds()``.
+    """
+    compiler = _Compiler(database, universe_atoms, settings, statistics)
+    scope: dict[str, int] = {}
+    for name in bound:
+        scope = compiler.bind(scope, name)
+    return compiler.formula(formula, scope), compiler.env, scope
 
 
-def _satisfies_implies(context, formula, assignment) -> bool:
-    if not _satisfies(context, formula.left, assignment):
-        return True
-    return _satisfies(context, formula.right, assignment)
+class _Compiler:
+    """Lowers one formula into closures that share a slot environment.
 
+    Every binder — a quantifier, or a name the caller binds — owns one slot
+    of :attr:`env`, and every variable occurrence is resolved to the slot of
+    its innermost binder, so re-binding a name needs no save and restore.
+    A variable with no binder reads ``_UNBOUND`` (slot 0) in memo keys and
+    raises when its value is needed.
+    """
 
-def _satisfies_quantifier(context, formula, assignment) -> bool:
-    hit, value, key = context.cached_quantifier(formula, assignment)
-    if hit:
-        return value
-    result = _evaluate_quantifier(context, formula, assignment)
-    context.store_quantifier(key, result)
-    return result
+    def __init__(
+        self,
+        database: DatabaseInstance,
+        universe_atoms: frozenset[object],
+        settings: EvaluationSettings,
+        statistics: EvaluationStatistics,
+    ) -> None:
+        self.database = database
+        self.universe_atoms = universe_atoms
+        self.settings = settings
+        self.statistics = statistics
+        self.env: list = [_UNBOUND]
+        # One memo per evaluation, keyed by node identity: formula nodes are
+        # immutable and owned by the caller for the evaluation's lifetime,
+        # and a node object shared between two positions shares its entries.
+        self.memo: dict[tuple, bool] | None = {} if settings.memoize_quantifiers else None
 
+    def bind(self, scope: dict[str, int], name: str) -> dict[str, int]:
+        """A copy of *scope* with *name* bound to a fresh slot."""
+        self.env.append(_UNBOUND)
+        return {**scope, name: len(self.env) - 1}
 
-_FORMULA_HANDLERS = {
-    Equals: _satisfies_equals,
-    Membership: _satisfies_membership,
-    PredicateAtom: _satisfies_predicate,
-    Not: _satisfies_not,
-    And: _satisfies_and,
-    Or: _satisfies_or,
-    Implies: _satisfies_implies,
-    Exists: _satisfies_quantifier,
-    Forall: _satisfies_quantifier,
-}
+    def formula(self, formula: Formula, scope: dict[str, int]) -> Callable[[], bool]:
+        lower = _LOWERINGS.get(formula.__class__)
+        if lower is None:
+            raise EvaluationError(f"unknown formula class {type(formula).__name__}")
+        return lower(self, formula, scope)
 
+    # Terms ---------------------------------------------------------------
+    def term(self, term: Term, scope: dict[str, int]) -> Callable[[], ComplexValue]:
+        env = self.env
+        if isinstance(term, VariableTerm):
+            slot = scope.get(term.name)
+            if slot is None:
+                return _unbound(term.name)
+            return lambda: env[slot]
+        if isinstance(term, Constant):
+            atom = term.as_atom()
+            return lambda: atom
+        if isinstance(term, CoordinateTerm):
+            slot = scope.get(term.variable_name)
+            if slot is None:
+                return _unbound(term.variable_name)
+            index = term.index
 
-def _evaluate_quantifier(
-    context: _EvaluationContext, formula: Exists | Forall, assignment: dict[str, ComplexValue]
-) -> bool:
-    settings = context.settings
-    stats = context.statistics
-    domain = _quantifier_range(formula.variable_type, context)
-    key = str(formula.variable_type)
-    enumerations = stats.quantifier_enumerations
-    enumerations.setdefault(key, 0)
+            def coordinate() -> ComplexValue:
+                base = env[slot]
+                if not isinstance(base, TupleValue):
+                    raise EvaluationError(
+                        f"term {term} selects a coordinate of the non-tuple value {base}"
+                    )
+                try:
+                    return base.components[index - 1]
+                except IndexError:
+                    return base.coordinate(index)  # raises the out-of-range error
 
-    existential = isinstance(formula, Exists)
-    variable = formula.variable
-    body = formula.body
-    budget = settings.binding_budget
-    note_binding = stats.note_binding
-    # Bind by mutate-and-restore instead of copying the assignment dict per
-    # candidate; evaluation is strictly sequential, so nothing observes the
-    # environment after the candidate's subtree returns.
-    shadowed = variable in assignment
-    saved = assignment.get(variable)
-    try:
-        for candidate in domain:
-            enumerations[key] += 1
-            note_binding(budget)
-            assignment[variable] = candidate
-            holds = _satisfies(context, body, assignment)
-            if existential and holds:
-                return True
-            if not existential and not holds:
+            return coordinate
+        raise EvaluationError(f"unknown term class {type(term).__name__}")
+
+    # Atoms ---------------------------------------------------------------
+    def equals(self, formula: Equals, scope: dict[str, int]) -> Callable[[], bool]:
+        stats = self.statistics
+        left, right = self.term(formula.left, scope), self.term(formula.right, scope)
+
+        def equals() -> bool:
+            stats.satisfaction_calls += 1
+            return left() == right()
+
+        return equals
+
+    def membership(self, formula: Membership, scope: dict[str, int]) -> Callable[[], bool]:
+        stats = self.statistics
+        element = self.term(formula.element, scope)
+        container = self.term(formula.container, scope)
+
+        def membership() -> bool:
+            stats.satisfaction_calls += 1
+            value = container()
+            if not isinstance(value, SetValue):
+                raise EvaluationError(
+                    f"membership {formula} evaluated a non-set container value {value}"
+                )
+            return element() in value
+
+        return membership
+
+    def predicate(self, formula: PredicateAtom, scope: dict[str, int]) -> Callable[[], bool]:
+        stats, database = self.statistics, self.database
+        argument = self.term(formula.argument, scope)
+        name = formula.predicate_name
+        if name not in database.schema:
+
+            def missing() -> bool:
+                stats.satisfaction_calls += 1
+                argument()
+                database.instance(name)  # raises: not part of this database
                 return False
-        return not existential
-    finally:
-        if shadowed:
-            assignment[variable] = saved
+
+            return missing
+        values = database.instance(name).values
+
+        def predicate() -> bool:
+            stats.satisfaction_calls += 1
+            return argument() in values
+
+        return predicate
+
+    # Connectives ---------------------------------------------------------
+    def negation(self, formula: Not, scope: dict[str, int]) -> Callable[[], bool]:
+        stats = self.statistics
+        operand = self.formula(formula.operand, scope)
+
+        def negation() -> bool:
+            stats.satisfaction_calls += 1
+            return not operand()
+
+        return negation
+
+    def conjunction(self, formula: And, scope: dict[str, int]) -> Callable[[], bool]:
+        stats = self.statistics
+        left, right = self.formula(formula.left, scope), self.formula(formula.right, scope)
+
+        def conjunction() -> bool:
+            stats.satisfaction_calls += 1
+            return left() and right()
+
+        return conjunction
+
+    def disjunction(self, formula: Or, scope: dict[str, int]) -> Callable[[], bool]:
+        stats = self.statistics
+        left, right = self.formula(formula.left, scope), self.formula(formula.right, scope)
+
+        def disjunction() -> bool:
+            stats.satisfaction_calls += 1
+            return left() or right()
+
+        return disjunction
+
+    def implication(self, formula: Implies, scope: dict[str, int]) -> Callable[[], bool]:
+        stats = self.statistics
+        left, right = self.formula(formula.left, scope), self.formula(formula.right, scope)
+
+        def implication() -> bool:
+            stats.satisfaction_calls += 1
+            return not left() or right()
+
+        return implication
+
+    # Quantifiers ---------------------------------------------------------
+    def quantifier(self, formula: Exists | Forall, scope: dict[str, int]) -> Callable[[], bool]:
+        stats, env, memo = self.statistics, self.env, self.memo
+        settings = self.settings
+        budget = settings.binding_budget
+        enumerations = stats.quantifier_enumerations
+        variable_type, universe = formula.variable_type, self.universe_atoms
+        type_key = str(variable_type)
+        existential = formula.__class__ is Exists
+        key_slots = [scope.get(name, 0) for name in sorted(formula.free_variables())]
+        body_scope = self.bind(scope, formula.variable)
+        slot = body_scope[formula.variable]
+        body = self.formula(formula.body, body_scope)
+        if settings.strategy is QuantifierStrategy.EAGER:
+            domain = lambda: constructive_domain(variable_type, universe, budget=budget)
         else:
-            assignment.pop(variable, None)
+            domain = lambda: iter_constructive_domain(variable_type, universe)
+
+        def decide() -> bool:
+            candidates = domain()
+            enumerations.setdefault(type_key, 0)
+            tried = 0
+            try:
+                for candidate in candidates:
+                    tried += 1
+                    stats.bindings_tried += 1
+                    if budget is not None and stats.bindings_tried > budget:
+                        raise _budget_exceeded(budget)
+                    env[slot] = candidate
+                    if body():
+                        if existential:
+                            return True
+                    elif not existential:
+                        return False
+                return not existential
+            finally:
+                enumerations[type_key] += tried
+
+        node = id(formula)
+        if len(key_slots) > 1:
+            read = itemgetter(*key_slots)
+            relevant = lambda: read(env)
+        elif key_slots:
+            (key_slot,) = key_slots
+            relevant = lambda: (env[key_slot],)
+        else:
+            relevant = tuple
+
+        def quantifier() -> bool:
+            stats.satisfaction_calls += 1
+            if memo is None:
+                return decide()
+            key = (node, relevant())
+            cached = memo.get(key)
+            if cached is not None:
+                stats.memo_hits += 1
+                return cached
+            stats.memo_misses += 1
+            result = memo[key] = decide()
+            return result
+
+        return quantifier
 
 
-def _quantifier_range(variable_type: ComplexType, context: _EvaluationContext):
-    if context.settings.strategy is QuantifierStrategy.EAGER:
-        return constructive_domain(
-            variable_type, context.universe_atoms, budget=context.settings.binding_budget
-        )
-    return iter_constructive_domain(variable_type, context.universe_atoms)
+def _budget_exceeded(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"query evaluation exceeded the binding budget of {budget}", budget=budget
+    )
 
 
-def _term_value(term: Term, assignment: dict[str, ComplexValue]) -> ComplexValue:
-    # Variables first: they dominate hot evaluation loops.
-    if isinstance(term, VariableTerm):
-        try:
-            return assignment[term.name]
-        except KeyError:
-            raise EvaluationError(f"variable {term.name!r} is unbound during evaluation") from None
-    if isinstance(term, Constant):
-        return term.as_atom()
-    if isinstance(term, CoordinateTerm):
-        try:
-            base = assignment[term.variable_name]
-        except KeyError:
-            raise EvaluationError(
-                f"variable {term.variable_name!r} is unbound during evaluation"
-            ) from None
-        if not isinstance(base, TupleValue):
-            raise EvaluationError(
-                f"term {term} selects a coordinate of the non-tuple value {base}"
-            )
-        return base.coordinate(term.index)
-    raise EvaluationError(f"unknown term class {type(term).__name__}")
+def _unbound(name: str) -> Callable[[], ComplexValue]:
+    def unbound() -> ComplexValue:
+        raise EvaluationError(f"variable {name!r} is unbound during evaluation")
+
+    return unbound
+
+
+_LOWERINGS = {
+    Equals: _Compiler.equals,
+    Membership: _Compiler.membership,
+    PredicateAtom: _Compiler.predicate,
+    Not: _Compiler.negation,
+    And: _Compiler.conjunction,
+    Or: _Compiler.disjunction,
+    Implies: _Compiler.implication,
+    Exists: _Compiler.quantifier,
+    Forall: _Compiler.quantifier,
+}

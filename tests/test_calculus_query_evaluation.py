@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.errors import BudgetExceededError, EvaluationError, TypingError
+from repro.errors import (
+    BudgetExceededError,
+    EvaluationError,
+    ObjectModelError,
+    SchemaError,
+    TypingError,
+)
 from repro.calculus.builders import PARENT_SCHEMA, PERSON_SCHEMA
 from repro.calculus.evaluation import (
     EvaluationSettings,
@@ -231,12 +237,24 @@ class TestEvaluationSettingsAndStatistics:
 class TestSatisfiesDirectly:
     def test_unbound_variable_raises(self, parent_db):
         formula = Equals(var("x"), var("x"))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="variable 'x' is unbound during evaluation"):
+            satisfies(parent_db, formula, {}, parent_db.active_domain())
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            Equals(var("x").coordinate(1), Constant("a")),
+            Exists("y", U, Equals(var("y"), var("x"))),
+        ],
+        ids=["coordinate", "under-quantifier"],
+    )
+    def test_unbound_variable_in_other_positions_raises(self, parent_db, formula):
+        with pytest.raises(EvaluationError, match="variable 'x' is unbound during evaluation"):
             satisfies(parent_db, formula, {}, parent_db.active_domain())
 
     def test_membership_on_non_set_raises(self, parent_db):
         formula = Membership(var("x"), var("y"))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="evaluated a non-set container value b"):
             satisfies(
                 parent_db,
                 formula,
@@ -244,12 +262,38 @@ class TestSatisfiesDirectly:
                 parent_db.active_domain(),
             )
 
+    def test_membership_in_non_set_coordinate_raises(self, parent_db):
+        formula = Membership(var("x"), var("y").coordinate(1))
+        with pytest.raises(EvaluationError, match="evaluated a non-set container value b"):
+            satisfies(
+                parent_db,
+                formula,
+                {"x": value_from_python("a"), "y": make_tuple("b", "c")},
+                parent_db.active_domain(),
+            )
+
     def test_coordinate_of_non_tuple_raises(self, parent_db):
         formula = Equals(var("x").coordinate(1), Constant("a"))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="selects a coordinate of the non-tuple value a"):
             satisfies(
                 parent_db, formula, {"x": value_from_python("a")}, parent_db.active_domain()
             )
+
+    def test_coordinate_out_of_range_raises(self, parent_db):
+        formula = Equals(var("x").coordinate(3), Constant("a"))
+        with pytest.raises(ObjectModelError, match="coordinate 3 out of range"):
+            satisfies(
+                parent_db, formula, {"x": make_tuple("a", "b")}, parent_db.active_domain()
+            )
+
+    def test_unknown_predicate_raises_only_when_reached(self, parent_db):
+        same = Equals(var("x"), var("x"))
+        unknown = PredicateAtom("NOPE", var("x"))
+        assignment = {"x": make_tuple("tom", "mary")}
+        universe = parent_db.active_domain()
+        assert satisfies(parent_db, Or(same, unknown), assignment, universe)
+        with pytest.raises(SchemaError, match="'NOPE' is not part of this database"):
+            satisfies(parent_db, Or(Not(same), unknown), assignment, universe)
 
     def test_simple_satisfaction(self, parent_db):
         formula = PredicateAtom("PAR", var("x"))
@@ -267,3 +311,18 @@ class TestSatisfiesDirectly:
             "s": make_set([("tom", "mary")]),
         }
         assert satisfies(parent_db, formula, assignment, parent_db.active_domain())
+
+
+class TestScoping:
+    def test_rebound_variable_is_restored_for_the_outer_binder(self):
+        # t is re-bound inside the conjunct that is evaluated first; the
+        # outer t must be the output candidate again when PERSON(t) runs.
+        db = DatabaseInstance.build(PERSON_SCHEMA, PERSON=["a", "b"])
+        outsider = Not(PredicateAtom("PERSON", var("t"))) & Equals(var("t"), Constant("q"))
+        inner = Exists("t", U, outsider)
+        q = CalculusQuery(PERSON_SCHEMA, "t", U, inner & PredicateAtom("PERSON", var("t")))
+        result = evaluate_query_detailed(q, db)
+        assert sorted(str(v) for v in result.answer) == ["a", "b"]
+        # The inner quantifier has no free variable: one memo entry serves
+        # all three output candidates (a, b and the constant q).
+        assert (result.statistics.memo_misses, result.statistics.memo_hits) == (1, 2)

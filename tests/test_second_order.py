@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from repro.relational.relation import Relation
 from repro.second_order import (
     GRAPH_SCHEMA,
     PERSON_SCHEMA,
+    SOAnd,
+    SOConstant,
     SOEquals,
     SOExists,
     SOExistsRelation,
@@ -33,7 +37,7 @@ from repro.second_order import (
     so_sentence_to_calculus,
     three_colorability_sentence,
 )
-from repro.second_order.evaluation import SOEvaluationSettings
+from repro.second_order.evaluation import SOEvaluationSettings, SOEvaluationStatistics
 
 
 def person_db(n: int) -> DatabaseInstance:
@@ -154,6 +158,89 @@ class TestQueryEvaluation:
             db,
         )
         assert answer == Relation(1, [("p1",)])
+
+
+class TestScopingAndErrors:
+    """Lexical scoping of the compiled form, and the errors it raises."""
+
+    @staticmethod
+    def person(term):
+        return SORelationAtom("PERSON", (term,))
+
+    def test_query_rejects_duplicate_head_variables(self):
+        with pytest.raises(TypingError, match="head variables must be distinct"):
+            evaluate_query(["x", "x"], SORelationAtom("V", ("x",)), graph_db("ab", []))
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            (
+                SONot(SORelationAtom("E", (SOConstant("a"),))),
+                "predicate 'E' has arity 2 but is applied to 1 terms",
+            ),
+            (
+                SOExistsRelation(
+                    "X", 1, SORelationAtom("X", (SOConstant("a"), SOConstant("b")))
+                ),
+                "relation variable 'X' has arity 1 but is applied to 2 terms",
+            ),
+        ],
+    )
+    def test_arity_mismatch_is_a_typing_error(self, formula, message):
+        db = graph_db("ab", [("a", "b")])
+        with pytest.raises(TypingError, match=re.escape(message)):
+            evaluate_sentence(formula, db)
+        with pytest.raises(TypingError, match=re.escape(message)):
+            evaluate_query(["x"], SOAnd(SOEquals("x", "x"), formula), db)
+
+    def test_query_with_unknown_relation_is_rejected(self):
+        with pytest.raises(EvaluationError, match="neither quantified nor a database predicate"):
+            evaluate_query(["x"], SORelationAtom("NOPE", ("x",)), person_db(2))
+
+    def test_rebound_first_order_variable(self):
+        outsider = SOConstant("q")
+        # The inner x ranges over the domain (persons plus the constant q);
+        # the outer x is read again after the inner quantifier is done.
+        inner = SOExists("x", so_conjunction([SONot(self.person("x")), SOEquals("x", outsider)]))
+        db = person_db(2)
+        assert evaluate_sentence(SOExists("x", SOAnd(self.person("x"), inner)), db) is True
+        assert evaluate_sentence(SOExists("x", SOAnd(inner, self.person("x"))), db) is True
+        assert evaluate_query(["x"], SOAnd(inner, self.person("x")), db) == Relation(
+            1, [("p0",), ("p1",)]
+        )
+        shadowed = SOExists("x", SOAnd(self.person("x"), SOExists("x", SONot(self.person("x")))))
+        assert evaluate_sentence(shadowed, db) is False
+
+    def test_nested_same_name_relation_quantifiers(self):
+        member = SORelationAtom("X", (SOConstant("p0"),))
+        # The outer X is read after the inner X has found its witness (the
+        # empty relation); only the outer candidate {p0} satisfies X(p0).
+        formula = SOExistsRelation(
+            "X", 1, SOAnd(SOExistsRelation("X", 1, SONot(member)), member)
+        )
+        statistics = SOEvaluationStatistics()
+        assert evaluate_sentence(formula, person_db(1), statistics=statistics) is True
+        assert statistics.relations_tried == 4
+
+    def test_quantified_relation_shadows_a_database_predicate(self):
+        db = person_db(2)
+        empty = SOExistsRelation("PERSON", 1, SOForall("x", SONot(self.person("x"))))
+        assert evaluate_sentence(empty, db) is True
+        assert evaluate_sentence(SOAnd(empty, SOExists("x", self.person("x"))), db) is True
+        assert evaluate_sentence(SOForall("x", SONot(self.person("x"))), db) is False
+        binary = SOExistsRelation(
+            "PERSON", 2, SOExists("x", SOExists("y", SORelationAtom("PERSON", ("x", "y"))))
+        )
+        assert evaluate_sentence(binary, db) is True
+
+    def test_constants_outside_the_active_domain(self):
+        db = person_db(2)
+        zed = SOConstant("zed")
+        assert evaluate_query(["x"], SOEquals("x", zed), db) == Relation(1, [("zed",)])
+        assert evaluate_sentence(self.person(zed), db) is False
+        some = SOExistsRelation("X", 1, SORelationAtom("X", (zed,)))
+        assert evaluate_sentence(some, db) is True
+        assert evaluate_sentence(SOForall("x", self.person("x")), db) is True
 
 
 def SOVariableOrConst(value):

@@ -48,16 +48,18 @@ class Instance:
     ) -> "Instance":
         """An instance over already-validated canonical values.
 
-        The serving path of the mutable database / materialized-view layer
+        The read path of the mutable database / materialized-view layer
         (:mod:`repro.views`): every value was validated with ``belongs_to``
-        when it first entered the system, so re-validating the whole set on
-        each update batch would make mutation O(instance) instead of
-        O(delta).  A *new* object is built per mutation on purpose — the
-        sorted view, the ``ids`` column and the per-coordinate id columns
-        are per-object caches, so reconstruction is what invalidates them.
-        *ids* optionally seeds the columnar id column when the caller
-        maintained it incrementally (see
-        :func:`repro.objects.columnar.apply_delta`).
+        when it first entered the system, so re-validating the whole set
+        would add O(instance) checks to every read of a changed relation.
+        Those callers keep a live set that each commit updates in place,
+        and build a *new* object from a frozen copy of it on the first
+        read after a commit, never on the commit itself — the sorted
+        view, the ``ids`` column and the per-coordinate id columns are
+        per-object caches, so reconstruction is what invalidates them.
+        *values* must not be mutated afterwards.  *ids* optionally seeds
+        the columnar id column when the caller maintained it
+        incrementally (see :func:`repro.objects.columnar.apply_delta`).
         """
         self = cls.__new__(cls)
         self._type = type_

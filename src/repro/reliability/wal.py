@@ -104,6 +104,12 @@ def _value_fragment(value) -> str:
     return fragment
 
 
+def _fragments(values) -> str:
+    # A cache hit is one dict probe inline; only misses pay the call.
+    cached = _fragment_cache.get
+    return ",".join([cached(value) or _value_fragment(value) for value in values])
+
+
 def encode_batch(deltas: dict) -> bytes:
     """Serialize one batch's effective per-predicate deltas as the WAL
     record payload (JSON over the tagged value codec, compact and
@@ -111,10 +117,9 @@ def encode_batch(deltas: dict) -> bytes:
     parts = []
     for name in sorted(deltas):
         delta = deltas[name]
-        added = ",".join(_value_fragment(value) for value in delta.added)
-        removed = ",".join(_value_fragment(value) for value in delta.removed)
         parts.append(
-            f'{json.dumps(name)}:{{"added":[{added}],"removed":[{removed}]}}'
+            f'{json.dumps(name)}:{{"added":[{_fragments(delta.added)}],'
+            f'"removed":[{_fragments(delta.removed)}]}}'
         )
     return ("{" + ",".join(parts) + "}").encode("utf-8")
 
@@ -157,6 +162,10 @@ class WriteAheadLog:
             self._file.flush()
             os.fsync(self._file.fileno())
             fsync_directory(self.path.parent)
+        # Where the next record starts.  Appends go through this handle
+        # only, so the offset is tracked here rather than asked of the
+        # file on every append.
+        self._end = self._file.tell()
 
     # -- faults ----------------------------------------------------------------
     def _fire(self, site: str, record: bytes | None = None) -> None:
@@ -170,9 +179,11 @@ class WriteAheadLog:
             return
         if spec.kind == "torn" and record is not None:
             keep = spec.keep_bytes if spec.keep_bytes is not None else len(record) // 2
-            self._file.write(record[:keep])
+            torn = record[:keep]
+            self._file.write(torn)
             self._file.flush()
             os.fsync(self._file.fileno())
+            self._end += len(torn)
         plan.raise_for(site, spec)
 
     # -- appending -------------------------------------------------------------
@@ -195,9 +206,9 @@ class WriteAheadLog:
                 f"sequence {self.last_sequence}"
             )
         header = _HEADER.pack(sequence, len(payload))
-        record = header + payload + _CRC.pack(crc32(header + payload) & 0xFFFFFFFF)
+        record = b"".join((header, payload, _CRC.pack(crc32(payload, crc32(header)))))
         self._fire(SITE_WAL_WRITE, record)
-        start = self._file.seek(0, 2)
+        start = self._end
         try:
             self._file.write(record)
             self._file.flush()
@@ -218,6 +229,7 @@ class WriteAheadLog:
             except OSError:
                 pass
             raise
+        self._end = start + len(record)
         self.last_sequence = sequence
         _count("wal_records_written")
         _count("wal_bytes_written", len(record))

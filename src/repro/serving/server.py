@@ -52,8 +52,11 @@ from repro.serving.protocol import (
     parse_request,
 )
 
-#: Response line length cap — a read of a huge relation must not wedge
-#: the event loop building an unbounded string.
+#: Line length cap, both ways — a read of a huge relation must not wedge
+#: the event loop building an unbounded string, and a request line
+#: longer than this is answered ``ERR too_large`` (the session then
+#: closes: the rest of that line is still arriving, so the next request
+#: boundary cannot be found).
 MAX_RESPONSE_BYTES = 16 * 1024 * 1024
 
 #: Bound on the epoch-keyed read cache (FIFO eviction).  At the 99:1
@@ -110,7 +113,9 @@ class DatabaseServer:
             raise ServingError("server is already started")
         self._writer_queue = asyncio.Queue()
         self._writer_task = asyncio.ensure_future(self._write_loop())
-        self._server = await asyncio.start_server(self._handle_session, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_session, host, port, limit=MAX_RESPONSE_BYTES
+        )
         self._register_gauges()
         return self
 
@@ -230,7 +235,16 @@ class DatabaseServer:
         handle = None
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran the stream limit
+                    self.stats["errors_returned"] += 1
+                    writer.write(
+                        encode_error("too_large", "request exceeds the line cap").encode("utf-8")
+                        + b"\n"
+                    )
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:

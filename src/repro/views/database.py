@@ -8,14 +8,17 @@ its :class:`~repro.views.catalog.ViewCatalog` the exact per-predicate
 delta of every batch so materialized views are maintained incrementally
 instead of recomputed.
 
-Mutation rebuilds the affected :class:`~repro.objects.instance.Instance`
-objects (through the trusted constructor — values are validated once, on
-the way in) rather than mutating them: instances cache their sorted view,
-their columnar id column and their per-coordinate id columns, and
-**reconstruction is the cache invalidation** — a stale column can never
-be served because the object that held it is gone.  The instances a
-snapshot hands out are therefore stable: once obtained, a
-:meth:`Database.snapshot` never changes underneath its holder.
+Each predicate has a **live set** that a commit updates in place with
+its effective delta, so a commit costs O(delta), never O(relation).
+Readers get immutable :class:`~repro.objects.instance.Instance` objects
+built from the live sets through the trusted constructor (values are
+validated once, on the way in).  A commit only marks the touched
+predicates' instances stale; the first :meth:`Database.instance` or
+:meth:`Database.snapshot` after it rebuilds each one it needs and caches
+it until a later commit touches that predicate.  Instances cache their
+sorted view and id columns, so **reconstruction is the cache
+invalidation**, and the instances a snapshot hands out never change
+underneath their holder.
 
 Every applied batch is appended to a transaction log, which the snapshot
 codec (:mod:`repro.views.snapshot`) serializes so a database can be
@@ -33,7 +36,8 @@ writer commits.  Snapshot publication is lazy: the *current* epoch is
 served live; the moment a writer starts the next batch, any pinned
 current epoch is frozen (the ``DatabaseInstance`` plus each healthy
 view's served value — all immutable, so freezing is reference capture,
-not copying) into the epoch table, and an epoch's entry is
+not copying, apart from building any instance the epoch left stale)
+into the epoch table, and an epoch's entry is
 garbage-collected when its last pin is released.  Writers are serialized
 by a per-database writer lock — the "serialized writer queue" the asyncio
 serving layer (:mod:`repro.serving`) feeds.  The
@@ -284,8 +288,12 @@ class Database:
 
         assignments = assignments or {}
         self._schema = schema
+        # The live sets, updated in place by each commit, and the
+        # published instances built from them; ``None`` marks a
+        # predicate whose instance a commit left stale (rebuilt on the
+        # first read, see :meth:`_built`).
         self._contents: dict[str, set[ComplexValue]] = {}
-        self._instances: dict[str, Instance] = {}
+        self._instances: dict[str, Instance | None] = {}
         for declaration in schema:
             assigned = assignments.get(declaration.name, ())
             instance = (
@@ -323,6 +331,12 @@ class Database:
         # under this lock, which is also what makes epoch freezing and
         # pin bookkeeping safe against threaded readers.
         self._writer_lock = threading.RLock()
+        # Guards the live sets against the readers that rebuild from
+        # them: the in-place publish and every rebuild (stored under the
+        # same acquisition, so an instance built before a publish is
+        # never stored after it) run under this lock.  Never held across
+        # the WAL fsync or view maintenance, unlike the writer lock.
+        self._publish_lock = threading.Lock()
         self.views = ViewCatalog(self)
 
     @classmethod
@@ -449,10 +463,11 @@ class Database:
         """Freeze the live epoch's snapshot if any reader pins it.
 
         Called at the start of every commit, *before* anything mutates:
-        the current instances and every view's served value still reflect
-        the epoch being frozen, and all of them are immutable — freezing
-        is reference capture.  Unpinned epochs are never frozen; their
-        storage cost is zero.
+        the live sets and every view's served value still reflect the
+        epoch being frozen.  Freezing builds the instances an earlier
+        commit left stale (:meth:`snapshot`) and otherwise captures
+        references to immutable objects.  Unpinned epochs are never
+        frozen; their storage cost is zero.
         """
         if not mvcc_enabled():
             return
@@ -466,13 +481,33 @@ class Database:
 
     def instance(self, predicate_name: str) -> Instance:
         """The predicate's current instance (a new object after every
-        batch that touched the predicate — its caches are never stale)."""
+        batch that touched the predicate — its caches are never stale).
+
+        The first read after such a batch builds it from the live set;
+        later reads at the same epoch return the cached object.
+        """
         try:
-            return self._instances[predicate_name]
+            instance = self._instances[predicate_name]
         except KeyError:
             raise SchemaError(
                 f"predicate {predicate_name!r} is not part of this database"
             ) from None
+        if instance is None:
+            with self._publish_lock:
+                instance = self._built(predicate_name)
+        return instance
+
+    def _built(self, name: str) -> Instance:
+        """*name*'s published instance, rebuilt from the live set when a
+        commit left it stale.  The caller holds ``_publish_lock``, so the
+        copy sees no concurrent publish and is stored at its own epoch."""
+        instance = self._instances[name]
+        if instance is None:
+            instance = Instance._from_trusted(
+                self._schema.type_of(name), frozenset(self._contents[name])
+            )
+            self._instances[name] = instance
+        return instance
 
     def __getitem__(self, predicate_name: str) -> Instance:
         return self.instance(predicate_name)
@@ -484,11 +519,16 @@ class Database:
 
     def snapshot(self) -> DatabaseInstance:
         """The current state as an immutable ``DatabaseInstance`` (cached
-        until the next mutation; safe to hold across batches)."""
+        until the next mutation; safe to hold across batches).  Every
+        stale predicate is rebuilt under one acquisition of the publish
+        lock, so a snapshot is always exactly one epoch."""
         snapshot = self._snapshot
         if snapshot is None:
-            snapshot = DatabaseInstance(self._schema, dict(self._instances))
-            self._snapshot = snapshot
+            with self._publish_lock:
+                snapshot = DatabaseInstance(
+                    self._schema, {name: self._built(name) for name in self._instances}
+                )
+                self._snapshot = snapshot
         return snapshot
 
     def update_log(self) -> list[dict[str, tuple[tuple, tuple]]]:
@@ -520,16 +560,21 @@ class Database:
            predicate's declared type and the effective delta computed;
            pure, so any error (a typing error, an unknown predicate)
            leaves the database untouched;
-        2. **stage** — the new content sets and ``Instance`` objects for
-           every touched predicate are built off to the side; nothing
-           observable changes, and an exception here aborts cleanly;
+        2. **stage** — the outgoing epoch is frozen for any reader that
+           pins it (see below); nothing observable changes, and an
+           exception here aborts cleanly;
         3. **WAL append** — on a durable database the batch is made
            durable *before* it publishes; a failed append (a full disk,
            an injected fault) aborts the batch with the in-memory state
            untouched, and recovery discards the torn record;
-        4. **publish** — pure dict swaps that cannot raise: either every
-           predicate flips to its post-batch instance or (if the process
-           dies first) none does — there is no observable intermediate;
+        4. **publish** — each touched live set takes its effective delta
+           in place (O(delta) set operations that cannot raise) and its
+           published instance is marked stale, then the epoch advances,
+           all under the publish lock: a snapshot sees either every
+           predicate at the old epoch or every one at the new epoch —
+           there is no observable intermediate.  The new instances are
+           built by the first read that needs them (:meth:`instance`,
+           :meth:`snapshot`), not here;
         5. **view maintenance** — a maintainer failure rolls back and
            quarantines *that view only* (see
            :meth:`~repro.views.catalog.ViewCatalog.maintain`); the batch
@@ -565,7 +610,6 @@ class Database:
     ) -> UpdateBatch:
         # Phase 1: validate + plan (pure).
         deltas: dict[str, Delta] = {}
-        planned: dict[str, tuple[list, list]] = {}
         with maybe_span("transact.validate"):
             for name, (inserts, deletes) in changes.items():
                 if name not in self._contents:
@@ -585,27 +629,14 @@ class Database:
                     else:
                         added_set.add(converted)
                 if added_set or removed_set:
-                    added, removed = list(added_set), list(removed_set)
-                    planned[name] = (added, removed)
-                    deltas[name] = Delta(added, removed)
+                    deltas[name] = Delta(added_set, removed_set)
         batch = UpdateBatch(deltas)
         if not deltas:
             return batch
-        # Phase 2: stage every touched predicate's post-batch state.
+        # Phase 2: stage.  MVCC: freeze the outgoing epoch for its pinned
+        # readers while the live state still *is* that epoch (harmless if
+        # a later phase aborts — the epoch stays current).
         with maybe_span("transact.stage"):
-            staged_contents: dict[str, set[ComplexValue]] = {}
-            staged_instances: dict[str, Instance] = {}
-            for name, (added, removed) in planned.items():
-                staged = set(self._contents[name])
-                staged.difference_update(removed)
-                staged.update(added)
-                staged_contents[name] = staged
-                staged_instances[name] = Instance._from_trusted(
-                    self._schema.type_of(name), frozenset(staged)
-                )
-            # MVCC: freeze the outgoing epoch for its pinned readers while
-            # the live state still *is* that epoch (pure reference capture;
-            # harmless if a later phase aborts — the epoch stays current).
             self._freeze_current_epoch()
         # Phase 3: write-ahead log — durable before visible.  The record
         # sequence is the epoch this batch publishes, so WAL records are
@@ -617,13 +648,18 @@ class Database:
                 except Exception:
                     _reliability_count("batches_aborted")
                     raise
-        # Phase 4: publish (dict swaps only — nothing here can raise).
+        # Phase 4: publish in place (set operations on hashed values —
+        # nothing here can raise).
         with maybe_span("transact.publish"):
             fault_point(SITE_STORE_PUBLISH)
-            self._contents.update(staged_contents)
-            self._instances.update(staged_instances)
-            self._snapshot = None
-            self._epoch += 1
+            with self._publish_lock:
+                for name, delta in deltas.items():
+                    live = self._contents[name]
+                    live.difference_update(delta.removed)
+                    live.update(delta.added)
+                    self._instances[name] = None
+                self._snapshot = None
+                self._epoch += 1
             if self._log_updates:
                 self._log.append(
                     {name: (delta.added, delta.removed) for name, delta in deltas.items()}

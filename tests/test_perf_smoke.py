@@ -219,3 +219,89 @@ def test_datalog_resume_does_strictly_less_work_than_recompute():
         fresh.statistics.bindings,
     )
     assert baseline_bindings > 0
+
+
+def test_commits_apply_deltas_in_place_and_reads_build_the_instance(monkeypatch):
+    """A commit costs O(delta): it updates the touched relation's live set
+    in place and builds no ``Instance`` of it.  The first read after the
+    commits builds exactly one, later reads at that epoch reuse it, and a
+    pinned epoch left stale is built once, by the freeze."""
+    import itertools
+    import random
+
+    from repro.algebra.expressions import (
+        ConstantOperand,
+        PredicateExpression,
+        Product,
+        Projection,
+        Selection,
+        SelectionCondition,
+    )
+    from repro.objects.instance import DatabaseInstance, Instance
+    from repro.types.schema import DatabaseSchema
+    from repro.views import Database, mvcc_enabled
+    from repro.workloads import random_update_stream
+
+    fact_type, pair_type = parse_type("[U, U, U]"), parse_type("[U, U]")
+    atoms = [f"x{i:02d}" for i in range(20)]
+    fact = random.Random(14).sample(list(itertools.product(atoms, repeat=3)), 3000)
+    db = Database(
+        DatabaseSchema([("F", fact_type), ("DG", pair_type)]),
+        {"F": fact, "DG": [(atom, f"g{i % 5}") for i, atom in enumerate(atoms)]},
+    )
+    F = PredicateExpression("F")
+
+    def const(coordinate: int, value: str) -> SelectionCondition:
+        return SelectionCondition.eq(coordinate, ConstantOperand(value))
+
+    db.views.define_relational(
+        "sel", Selection(F, SelectionCondition.conjunction(const(1, "x07"), const(2, "x03")))
+    )
+    db.views.define_relational("proj", Projection(F, (1,)))
+    join_condition = SelectionCondition.conjunction(
+        SelectionCondition.conjunction(SelectionCondition.eq(3, 4), const(5, "g1")),
+        const(1, "x05"),
+    )
+    db.views.define_relational(
+        "join", Selection(Product(F, PredicateExpression("DG")), join_condition)
+    )
+    fact_only = DatabaseSchema([("F", fact_type)])
+    stream = random_update_stream(
+        fact_only,
+        atoms,
+        batches=201,
+        batch_size=4,
+        seed=15,
+        initial=DatabaseInstance(fact_only, {"F": fact}),
+        insert_bias=0.5,
+        enumeration_budget=len(atoms) ** 3,
+    )
+    before = db.instance("F")
+    expected = set(before.values)
+
+    builds = []
+    trusted = Instance._from_trusted.__func__
+
+    def counting(cls, type_, values, ids=None):
+        if type_ == fact_type:
+            builds.append(len(values))
+        return trusted(cls, type_, values, ids)
+
+    monkeypatch.setattr(Instance, "_from_trusted", classmethod(counting))
+    for batch in stream[:200]:
+        db.transact(batch)
+        inserts, deletes = batch["F"]
+        expected.difference_update(deletes)
+        expected.update(inserts)
+    assert builds == []
+
+    after = db.instance("F")
+    assert len(builds) == 1 and after.values == frozenset(expected)
+    assert db.instance("F") is after and db.snapshot().instance("F") is after
+    assert len(builds) == 1
+    assert before.values == Instance(fact_type, fact).values  # untouched by the commits
+
+    db.transact(stream[200])  # leaves F stale at the new epoch
+    with db.pin():
+        db.insert("F", [("new", "new", "new")])  # the freeze builds the pinned F
+    assert len(builds) == (2 if mvcc_enabled() else 1)

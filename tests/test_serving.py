@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -53,6 +54,7 @@ from repro.reliability import (
     fault_plan,
     recover_database,
 )
+from repro.serving import server as server_module
 from repro.serving import (
     DatabaseServer,
     ServingClient,
@@ -62,6 +64,8 @@ from repro.serving import (
     parse_request,
     run_sessions,
 )
+from repro.types.parser import parse_type
+from repro.types.schema import DatabaseSchema
 from repro.views import (
     Database,
     mvcc,
@@ -268,6 +272,72 @@ def test_threaded_writer_cannot_move_a_pinned_reader():
     assert not drift
     assert db.current_epoch >= 50
     reader.release()
+
+
+def test_unpinned_readers_see_whole_epochs_during_threaded_commits():
+    """Commits publish in place and readers rebuild instances lazily: every
+    instance and snapshot an unpinned reader gets must equal the state at
+    some committed epoch, never a torn mix, and no read may raise."""
+    schema = DatabaseSchema([("R", parse_type("[U, U]")), ("S", parse_type("[U, U]"))])
+    base = random_database(schema, ATOMS, count=60, seed=31)
+    stream = random_update_stream(
+        schema, ATOMS, batches=80, batch_size=4, seed=32, initial=base
+    )
+
+    def state(database) -> dict:
+        return {name: database.instance(name).values for name in ("R", "S")}
+
+    replay = Database.from_instance(base)
+    committed = [state(replay)]
+    for batch in stream:
+        replay.transact(batch)
+        committed.append(state(replay))
+    instances = {name: {epoch[name] for epoch in committed} for name in ("R", "S")}
+    snapshots = {(epoch["R"], epoch["S"]) for epoch in committed}
+
+    db = Database.from_instance(base)
+    torn: list = []
+    errors: list[Exception] = []
+    done = threading.Event()
+
+    def write() -> None:
+        try:
+            for batch in stream:
+                db.transact(batch)
+        except Exception as error:
+            errors.append(error)
+        finally:
+            done.set()
+
+    def read() -> None:
+        try:
+            while not done.is_set():
+                for name in ("R", "S"):
+                    values = db.instance(name).values
+                    if values not in instances[name]:
+                        torn.append((name, values))
+                snapshot = db.snapshot()
+                pair = (snapshot.instance("R").values, snapshot.instance("S").values)
+                if pair not in snapshots:
+                    torn.append(("snapshot", pair))
+        except Exception as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        writer = threading.Thread(target=write)
+        for thread in readers:
+            thread.start()
+        writer.start()
+        for thread in [writer, *readers]:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not torn
+    assert state(db) == committed[-1]
 
 
 @requires_mvcc
@@ -508,6 +578,39 @@ def test_server_relays_errors_without_dropping_the_session():
         with pytest.raises(ServingError):
             await client.calc("{ not a query }")
         assert await client.ping() == "pong"  # session survived all of it
+
+    _serve(scenario)
+
+
+def test_a_request_line_past_asyncio_default_limit_commits():
+    rows = [(f"a{i:05d}", f"b{i:05d}") for i in range(8000)]
+    assert len(json.dumps(rows)) > 2**16  # asyncio's default stream limit
+
+    async def scenario(client, db, server):
+        assert await client.insert("PAR", rows) == {"applied": 8000, "epoch": 1}
+        assert await client.ping() == "pong"
+        assert server.stats["errors_returned"] == 0
+
+    _serve(scenario)
+
+
+def test_an_over_cap_request_line_is_answered_and_only_its_session_closes(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_RESPONSE_BYTES", 1024)
+    line = "INSERT PAR " + json.dumps([[f"x{i}", "y"] for i in range(400)])
+    assert len(line) > 4 * 1024
+
+    async def scenario(client, db, server):
+        other = await ServingClient.connect("127.0.0.1", server.port)
+        try:
+            with pytest.raises(ServingError) as excinfo:
+                await client.request(line)
+            assert excinfo.value.code == "too_large"
+            assert await asyncio.wait_for(client._reader.read(), timeout=10) == b""
+            assert await other.ping() == "pong"
+            assert server.stats["errors_returned"] == 1
+            assert db.current_epoch == 0
+        finally:
+            await other.close()
 
     _serve(scenario)
 

@@ -20,24 +20,36 @@ instances tractable without changing the semantics:
   antecedent of ``forall x ( phi(x) -> z in x )`` is evaluated once per
   ``x`` rather than once per output candidate ``z``.
 
-Every evaluation first compiles its formula, once, into nested closures
-(:class:`_Compiler`).  Everything that is fixed per formula node is
-resolved then: the kind of each term, the predicate instance of each atom,
-each quantifier's sorted free variables and enumeration-counter key, and
-the quantifier strategy and memoisation setting.  Variables live in the
-slots of one environment list, and each occurrence is resolved lexically
-to its binder's slot.  The closures enumerate the same constructive
-domains in the same order as the formula's tree semantics prescribes, so
-every answer, budget error and statistics counter is the one a
-node-by-node walk of the formula gives.
+Every evaluation first compiles its formula into Python source
+(:class:`_Compiler`).  Each quantifier becomes one generated function: its
+bound free variables are the parameters, its loop variable is a local, and
+the atoms and connectives of its body are inlined as statements; the call
+site probes the quantifier memo inline and calls the function only on a
+miss.  Everything that is fixed per formula node is resolved then: the kind
+of each term, each quantifier's sorted free variables, enumeration-counter
+key and domain, and the strategy and memoisation settings.  What varies
+between evaluations — predicate instances, constant atoms, memo node ids,
+domain views — is passed to the generated factory as arguments, so the
+source text depends only on the formula's structure and the settings, and
+compiled factories are cached by that text.  The cache pays off when a
+structure repeats; a structure seen once pays for writing its source and
+for ``compile()``, which for a small formula costs more than evaluating
+it.  One factory call per evaluation creates the memo and the counters,
+so concurrent evaluations share nothing.  The generated code enumerates
+the same constructive domains in the same order as the formula's tree
+semantics prescribes, so every answer, error and statistics counter is the
+one a node-by-node walk of the formula gives.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partial
+from hashlib import sha256
+from typing import NoReturn
 
 from repro.errors import BudgetExceededError, EvaluationError
 from repro.calculus.formulas import (
@@ -54,9 +66,15 @@ from repro.calculus.formulas import (
 )
 from repro.calculus.query import CalculusQuery
 from repro.calculus.terms import Constant, CoordinateTerm, Term, VariableTerm
-from repro.objects.constructive import constructive_domain, iter_constructive_domain
+from repro.objects.constructive import (
+    constructive_domain,
+    constructive_domain_view,
+    iter_constructive_domain,
+)
+from repro.objects.domain import belongs_to
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import ComplexValue, SetValue, TupleValue
+from repro.types.type_system import ComplexType, SetType, TupleType, U
 from repro.utils.iteration import bounded
 
 
@@ -133,10 +151,26 @@ class EvaluationResult:
     universe_atoms: frozenset[object]
 
 
-#: Placeholder for a free variable not bound in the probing assignment —
-#: keeps quantifier-memo keys positional (one entry per sorted free
-#: variable).  Environment slot 0 always holds it.
+#: Placeholder for a free variable not bound by the caller — keeps
+#: quantifier-memo keys positional (one entry per sorted free variable).
 _UNBOUND = object()
+
+#: Indentation levels a generated function may reach before a subformula
+#: is spilled into a function of its own: CPython refuses source nested
+#: 100 levels deep.
+_MAX_NESTING = 24
+
+#: Compiled factories keyed by their source text.  The wire ``CALC`` verb
+#: compiles ad hoc formulas, so the cache is cleared wholesale when it
+#: would exceed ``_FACTORY_CACHE_MAX_ENTRIES`` entries or
+#: ``_FACTORY_CACHE_MAX_SOURCE_CHARS`` characters of source in total, and a
+#: source larger than that on its own is not cached.  Writes (insert and
+#: eviction) hold ``_FACTORY_LOCK``; reads are lock-free, and the worst race
+#: is a duplicate compile whose last write wins.
+_FACTORIES: dict[str, Callable] = {}
+_FACTORY_CACHE_MAX_ENTRIES = 128
+_FACTORY_CACHE_MAX_SOURCE_CHARS = 1 << 20
+_FACTORY_LOCK = threading.Lock()
 
 
 def evaluation_universe(
@@ -166,29 +200,25 @@ def evaluate_query_detailed(
 ) -> EvaluationResult:
     """Evaluate *query* on *database*, returning answer plus statistics."""
     settings = settings or EvaluationSettings()
-    if database.schema != query.schema:
-        raise EvaluationError(
-            f"query is defined over schema {query.schema} but the database has schema "
-            f"{database.schema}"
-        )
+    _check_schema(query, database)
     stats = EvaluationStatistics()
     universe = evaluation_universe(query, database, settings)
-    if settings.restrict_output_to_active_domain:
-        output_atoms = database.active_domain() | query.constants()
-    else:
-        output_atoms = universe
-
-    holds, env, slots = _compile(
-        query.formula, (query.target_variable,), database, universe, settings, stats
+    holds = _compile(
+        query.formula,
+        {query.target_variable: query.target_type},
+        database,
+        universe,
+        settings,
+        stats,
     )
-    target = slots[query.target_variable]
     answers: list[ComplexValue] = []
-    candidates = iter_constructive_domain(query.target_type, output_atoms)
+    candidates = iter_constructive_domain(
+        query.target_type, _output_atoms(query, database, settings, universe)
+    )
     for candidate in bounded(candidates, settings.binding_budget, what="output candidates"):
         stats.output_candidates += 1
         stats.note_binding(settings.binding_budget)
-        env[target] = candidate
-        if holds():
+        if holds(candidate):
             answers.append(candidate)
     stats.answers = len(answers)
     return EvaluationResult(
@@ -207,13 +237,27 @@ def check_membership(
     """Decide ``candidate ∈ Q[d]`` without enumerating the whole answer.
 
     This is the *data complexity* view of query evaluation used in Section 4
-    (deciding ``o ∈ Q[d]``).
+    (deciding ``o ∈ Q[d]``).  It agrees with :func:`evaluate_query`: the
+    database must have the query's schema, and a candidate outside the
+    output candidates — not of the target type, or built from atoms the
+    output does not range over — is not a member.
     """
     settings = settings or EvaluationSettings()
+    _check_schema(query, database)
+    if not belongs_to(candidate, query.target_type):
+        return False
     universe = evaluation_universe(query, database, settings)
-    return satisfies(
-        database, query.formula, {query.target_variable: candidate}, universe, settings
+    if not candidate.atoms() <= _output_atoms(query, database, settings, universe):
+        return False
+    holds = _compile(
+        query.formula,
+        {query.target_variable: query.target_type},
+        database,
+        universe,
+        settings,
+        EvaluationStatistics(),
     )
+    return holds(candidate)
 
 
 def satisfies(
@@ -233,254 +277,69 @@ def satisfies(
     """
     settings = settings or EvaluationSettings()
     statistics = statistics or EvaluationStatistics()
-    holds, env, slots = _compile(
-        formula, assignment, database, universe_atoms, settings, statistics
+    holds = _compile(
+        formula, dict.fromkeys(assignment), database, universe_atoms, settings, statistics
     )
-    for name, slot in slots.items():
-        env[slot] = assignment[name]
-    return holds()
+    return holds(*assignment.values())
+
+
+def _check_schema(query: CalculusQuery, database: DatabaseInstance) -> None:
+    if database.schema != query.schema:
+        raise EvaluationError(
+            f"query is defined over schema {query.schema} but the database has schema "
+            f"{database.schema}"
+        )
+
+
+def _output_atoms(
+    query: CalculusQuery,
+    database: DatabaseInstance,
+    settings: EvaluationSettings,
+    universe: frozenset[object],
+) -> frozenset[object]:
+    """The atoms output candidates are built from."""
+    if settings.restrict_output_to_active_domain:
+        return database.active_domain() | query.constants()
+    return universe
 
 
 def _compile(
     formula: Formula,
-    bound: Iterable[str],
+    bound: dict[str, ComplexType | None],
     database: DatabaseInstance,
     universe_atoms: frozenset[object],
     settings: EvaluationSettings,
     statistics: EvaluationStatistics,
-) -> tuple[Callable[[], bool], list, dict[str, int]]:
-    """Lower *formula* into a zero-argument closure deciding it.
+) -> Callable[..., bool]:
+    """Compile *formula* into ``holds``, which decides it.
 
-    Returns ``(holds, env, slots)``: the caller stores the value of each
-    name in *bound* in ``env[slots[name]]`` and then calls ``holds()``.
+    ``holds`` takes the values of the names in *bound*, in order.  A name's
+    type, when given, promises that its values lie in ``cons(type)``; the
+    generated code then reads coordinates and tests membership without the
+    checks a value of unknown shape needs.
     """
-    compiler = _Compiler(database, universe_atoms, settings, statistics)
-    scope: dict[str, int] = {}
-    for name in bound:
-        scope = compiler.bind(scope, name)
-    return compiler.formula(formula, scope), compiler.env, scope
+    compiler = _Compiler(database, universe_atoms, settings)
+    factory = _compiled(compiler.program(formula, bound))
+    memo = {} if settings.memoize_quantifiers else None
+    return factory(statistics, settings.binding_budget, memo, tuple(compiler.constants))
 
 
-class _Compiler:
-    """Lowers one formula into closures that share a slot environment.
-
-    Every binder — a quantifier, or a name the caller binds — owns one slot
-    of :attr:`env`, and every variable occurrence is resolved to the slot of
-    its innermost binder, so re-binding a name needs no save and restore.
-    A variable with no binder reads ``_UNBOUND`` (slot 0) in memo keys and
-    raises when its value is needed.
-    """
-
-    def __init__(
-        self,
-        database: DatabaseInstance,
-        universe_atoms: frozenset[object],
-        settings: EvaluationSettings,
-        statistics: EvaluationStatistics,
-    ) -> None:
-        self.database = database
-        self.universe_atoms = universe_atoms
-        self.settings = settings
-        self.statistics = statistics
-        self.env: list = [_UNBOUND]
-        # One memo per evaluation, keyed by node identity: formula nodes are
-        # immutable and owned by the caller for the evaluation's lifetime,
-        # and a node object shared between two positions shares its entries.
-        self.memo: dict[tuple, bool] | None = {} if settings.memoize_quantifiers else None
-
-    def bind(self, scope: dict[str, int], name: str) -> dict[str, int]:
-        """A copy of *scope* with *name* bound to a fresh slot."""
-        self.env.append(_UNBOUND)
-        return {**scope, name: len(self.env) - 1}
-
-    def formula(self, formula: Formula, scope: dict[str, int]) -> Callable[[], bool]:
-        lower = _LOWERINGS.get(formula.__class__)
-        if lower is None:
-            raise EvaluationError(f"unknown formula class {type(formula).__name__}")
-        return lower(self, formula, scope)
-
-    # Terms ---------------------------------------------------------------
-    def term(self, term: Term, scope: dict[str, int]) -> Callable[[], ComplexValue]:
-        env = self.env
-        if isinstance(term, VariableTerm):
-            slot = scope.get(term.name)
-            if slot is None:
-                return _unbound(term.name)
-            return lambda: env[slot]
-        if isinstance(term, Constant):
-            atom = term.as_atom()
-            return lambda: atom
-        if isinstance(term, CoordinateTerm):
-            slot = scope.get(term.variable_name)
-            if slot is None:
-                return _unbound(term.variable_name)
-            index = term.index
-
-            def coordinate() -> ComplexValue:
-                base = env[slot]
-                if not isinstance(base, TupleValue):
-                    raise EvaluationError(
-                        f"term {term} selects a coordinate of the non-tuple value {base}"
-                    )
-                try:
-                    return base.components[index - 1]
-                except IndexError:
-                    return base.coordinate(index)  # raises the out-of-range error
-
-            return coordinate
-        raise EvaluationError(f"unknown term class {type(term).__name__}")
-
-    # Atoms ---------------------------------------------------------------
-    def equals(self, formula: Equals, scope: dict[str, int]) -> Callable[[], bool]:
-        stats = self.statistics
-        left, right = self.term(formula.left, scope), self.term(formula.right, scope)
-
-        def equals() -> bool:
-            stats.satisfaction_calls += 1
-            return left() == right()
-
-        return equals
-
-    def membership(self, formula: Membership, scope: dict[str, int]) -> Callable[[], bool]:
-        stats = self.statistics
-        element = self.term(formula.element, scope)
-        container = self.term(formula.container, scope)
-
-        def membership() -> bool:
-            stats.satisfaction_calls += 1
-            value = container()
-            if not isinstance(value, SetValue):
-                raise EvaluationError(
-                    f"membership {formula} evaluated a non-set container value {value}"
-                )
-            return element() in value
-
-        return membership
-
-    def predicate(self, formula: PredicateAtom, scope: dict[str, int]) -> Callable[[], bool]:
-        stats, database = self.statistics, self.database
-        argument = self.term(formula.argument, scope)
-        name = formula.predicate_name
-        if name not in database.schema:
-
-            def missing() -> bool:
-                stats.satisfaction_calls += 1
-                argument()
-                database.instance(name)  # raises: not part of this database
-                return False
-
-            return missing
-        values = database.instance(name).values
-
-        def predicate() -> bool:
-            stats.satisfaction_calls += 1
-            return argument() in values
-
-        return predicate
-
-    # Connectives ---------------------------------------------------------
-    def negation(self, formula: Not, scope: dict[str, int]) -> Callable[[], bool]:
-        stats = self.statistics
-        operand = self.formula(formula.operand, scope)
-
-        def negation() -> bool:
-            stats.satisfaction_calls += 1
-            return not operand()
-
-        return negation
-
-    def conjunction(self, formula: And, scope: dict[str, int]) -> Callable[[], bool]:
-        stats = self.statistics
-        left, right = self.formula(formula.left, scope), self.formula(formula.right, scope)
-
-        def conjunction() -> bool:
-            stats.satisfaction_calls += 1
-            return left() and right()
-
-        return conjunction
-
-    def disjunction(self, formula: Or, scope: dict[str, int]) -> Callable[[], bool]:
-        stats = self.statistics
-        left, right = self.formula(formula.left, scope), self.formula(formula.right, scope)
-
-        def disjunction() -> bool:
-            stats.satisfaction_calls += 1
-            return left() or right()
-
-        return disjunction
-
-    def implication(self, formula: Implies, scope: dict[str, int]) -> Callable[[], bool]:
-        stats = self.statistics
-        left, right = self.formula(formula.left, scope), self.formula(formula.right, scope)
-
-        def implication() -> bool:
-            stats.satisfaction_calls += 1
-            return not left() or right()
-
-        return implication
-
-    # Quantifiers ---------------------------------------------------------
-    def quantifier(self, formula: Exists | Forall, scope: dict[str, int]) -> Callable[[], bool]:
-        stats, env, memo = self.statistics, self.env, self.memo
-        settings = self.settings
-        budget = settings.binding_budget
-        enumerations = stats.quantifier_enumerations
-        variable_type, universe = formula.variable_type, self.universe_atoms
-        type_key = str(variable_type)
-        existential = formula.__class__ is Exists
-        key_slots = [scope.get(name, 0) for name in sorted(formula.free_variables())]
-        body_scope = self.bind(scope, formula.variable)
-        slot = body_scope[formula.variable]
-        body = self.formula(formula.body, body_scope)
-        if settings.strategy is QuantifierStrategy.EAGER:
-            domain = lambda: constructive_domain(variable_type, universe, budget=budget)
-        else:
-            domain = lambda: iter_constructive_domain(variable_type, universe)
-
-        def decide() -> bool:
-            candidates = domain()
-            enumerations.setdefault(type_key, 0)
-            tried = 0
-            try:
-                for candidate in candidates:
-                    tried += 1
-                    stats.bindings_tried += 1
-                    if budget is not None and stats.bindings_tried > budget:
-                        raise _budget_exceeded(budget)
-                    env[slot] = candidate
-                    if body():
-                        if existential:
-                            return True
-                    elif not existential:
-                        return False
-                return not existential
-            finally:
-                enumerations[type_key] += tried
-
-        node = id(formula)
-        if len(key_slots) > 1:
-            read = itemgetter(*key_slots)
-            relevant = lambda: read(env)
-        elif key_slots:
-            (key_slot,) = key_slots
-            relevant = lambda: (env[key_slot],)
-        else:
-            relevant = tuple
-
-        def quantifier() -> bool:
-            stats.satisfaction_calls += 1
-            if memo is None:
-                return decide()
-            key = (node, relevant())
-            cached = memo.get(key)
-            if cached is not None:
-                stats.memo_hits += 1
-                return cached
-            stats.memo_misses += 1
-            result = memo[key] = decide()
-            return result
-
-        return quantifier
+def _compiled(source: str) -> Callable:
+    """The factory *source* defines, from the cache or compiled now."""
+    factory = _FACTORIES.get(source)
+    if factory is None:
+        namespace = dict(_RUNTIME)
+        filename = f"<calculus {sha256(source.encode()).hexdigest()[:10]}>"
+        exec(compile(source, filename, "exec"), namespace)
+        factory = namespace["_factory"]
+        if len(source) <= _FACTORY_CACHE_MAX_SOURCE_CHARS:
+            with _FACTORY_LOCK:
+                if len(_FACTORIES) >= _FACTORY_CACHE_MAX_ENTRIES or (
+                    sum(map(len, _FACTORIES)) + len(source) > _FACTORY_CACHE_MAX_SOURCE_CHARS
+                ):
+                    _FACTORIES.clear()
+                _FACTORIES[source] = factory
+    return factory
 
 
 def _budget_exceeded(budget: int) -> BudgetExceededError:
@@ -489,21 +348,311 @@ def _budget_exceeded(budget: int) -> BudgetExceededError:
     )
 
 
-def _unbound(name: str) -> Callable[[], ComplexValue]:
-    def unbound() -> ComplexValue:
-        raise EvaluationError(f"variable {name!r} is unbound during evaluation")
-
-    return unbound
+def _raise_unbound(name: str) -> NoReturn:
+    raise EvaluationError(f"variable {name!r} is unbound during evaluation")
 
 
-_LOWERINGS = {
-    Equals: _Compiler.equals,
-    Membership: _Compiler.membership,
-    PredicateAtom: _Compiler.predicate,
-    Not: _Compiler.negation,
-    And: _Compiler.conjunction,
-    Or: _Compiler.disjunction,
-    Implies: _Compiler.implication,
-    Exists: _Compiler.quantifier,
-    Forall: _Compiler.quantifier,
+def _coordinate(value: ComplexValue, index: int, term: CoordinateTerm) -> ComplexValue:
+    """``value.index`` for a value not known to be a tuple of that arity."""
+    if not isinstance(value, TupleValue):
+        raise EvaluationError(f"term {term} selects a coordinate of the non-tuple value {value}")
+    return value.coordinate(index)  # raises when out of range
+
+
+def _raise_not_a_set(formula: Membership, value: ComplexValue) -> NoReturn:
+    raise EvaluationError(f"membership {formula} evaluated a non-set container value {value}")
+
+
+class _MissingPredicate:
+    """Stands for the instance of a predicate outside the database schema:
+    testing an argument against it raises, after the argument is evaluated."""
+
+    __slots__ = ("database", "name")
+
+    def __init__(self, database: DatabaseInstance, name: str) -> None:
+        self.database = database
+        self.name = name
+
+    def __contains__(self, value: object) -> bool:
+        self.database.instance(self.name)  # raises: not part of this database
+        return False
+
+
+#: The counter cells of the generated code, and the statistics they mirror.
+_COUNTERS = (
+    ("_calls", "satisfaction_calls"),
+    ("_bindings", "bindings_tried"),
+    ("_hits", "memo_hits"),
+    ("_misses", "memo_misses"),
+)
+
+#: The globals of every generated factory.
+_RUNTIME = {
+    "_UNBOUND": _UNBOUND,
+    "_SetValue": SetValue,
+    "_budget_exceeded": _budget_exceeded,
+    "_coordinate": _coordinate,
+    "_raise_not_a_set": _raise_not_a_set,
+    "_raise_unbound": _raise_unbound,
 }
+
+
+class _Function:
+    """One generated function while its body is written."""
+
+    __slots__ = ("signature", "lines", "indent", "pending")
+
+    def __init__(self, signature: str, indent: int) -> None:
+        self.signature = signature
+        self.lines: list[str] = []
+        self.indent = indent
+        #: Satisfaction calls of nodes entered but not yet counted.  They
+        #: are counted just before the next statement, so nodes entered
+        #: back to back cost one increment, made before anything can raise.
+        self.pending = 0
+
+
+class _Compiler:
+    """Writes one formula as the Python source of a factory.
+
+    The factory ``_factory(_stats, _budget, _memo, _k)`` unpacks the
+    constants ``_k`` into ``_k0, _k1, ...`` — predicate instances, constant
+    atoms, memo node ids, domain views, enumeration keys and the subjects
+    of error messages — and returns ``holds``, which decides the formula
+    for the values of the caller's bound names.  The counters
+    (``_calls``, ``_bindings``, ``_hits``, ``_misses`` and one ``_e<n>``
+    per enumeration key) are closure cells shared by every generated
+    function; ``holds`` loads them from the statistics when it starts and
+    stores them back in a ``finally``.
+
+    Each quantifier becomes a function ``_q<n>`` whose parameters are its
+    bound free variables.  Every binder — a quantifier, or a name the
+    caller binds — owns one local ``v<n>``, and every variable occurrence
+    is resolved to the local of its innermost binder; a variable with no
+    binder reads ``_UNBOUND`` in memo keys and raises when its value is
+    needed.  Every other formula is emitted as statements that leave its
+    truth value in ``r``, spilled into a function ``_s<n>`` of its own when
+    it would nest deeper than ``_MAX_NESTING``.
+    """
+
+    def __init__(
+        self,
+        database: DatabaseInstance,
+        universe_atoms: frozenset[object],
+        settings: EvaluationSettings,
+    ) -> None:
+        self.database = database
+        self.universe_atoms = universe_atoms
+        self.settings = settings
+        self.constants: list[object] = []
+        #: Enumeration key -> (its counter cell, the constant holding it).
+        self.enumerations: dict[str, tuple[str, str]] = {}
+        self.functions: list[_Function] = []
+        self.names = 0
+        self.binders = 0
+        self.out: _Function
+
+    def program(self, formula: Formula, bound: dict[str, ComplexType | None]) -> str:
+        scope = {name: (self.binder(), type_) for name, type_ in bound.items()}
+        self.out = holds = _Function(
+            f"holds({', '.join(local for local, _ in scope.values())})", 3
+        )
+        self.formula(formula, scope)
+        self.line("return r")
+        return self.assemble(holds)
+
+    def assemble(self, holds: _Function) -> str:
+        keys = self.enumerations.values()
+        cells = [cell for cell, _ in _COUNTERS] + [cell for cell, _ in keys]
+        declare = "        nonlocal " + ", ".join(cells)
+        lines = ["def _factory(_stats, _budget, _memo, _k):"]
+        if self.constants:
+            lines.append("    " + "".join(f"_k{n}, " for n in range(len(self.constants))) + "= _k")
+        lines.append("    _enumerations = _stats.quantifier_enumerations")
+        if self.settings.memoize_quantifiers:
+            lines.append("    _memo_get = _memo.get")
+        lines.append("    " + " = ".join(cells) + " = None")
+        for function in self.functions:
+            lines += [f"    def {function.signature}:", declare, *function.lines]
+        lines += [f"    def {holds.signature}:", declare]
+        lines += [f"        {cell} = _stats.{name}" for cell, name in _COUNTERS]
+        lines += [f"        {cell} = _enumerations.get({key})" for cell, key in keys]
+        lines += ["        try:", *holds.lines, "        finally:"]
+        lines += [f"            _stats.{name} = {cell}" for cell, name in _COUNTERS]
+        for cell, key in keys:
+            lines.append(f"            if {cell} is not None:")
+            lines.append(f"                _enumerations[{key}] = {cell}")
+        lines.append("    return holds")
+        return "\n".join(lines) + "\n"
+
+    # Emission ------------------------------------------------------------
+    def constant(self, value: object) -> str:
+        self.constants.append(value)
+        return f"_k{len(self.constants) - 1}"
+
+    def binder(self) -> str:
+        self.binders += 1
+        return f"v{self.binders - 1}"
+
+    def line(self, text: str) -> None:
+        out = self.out
+        indent = "    " * out.indent
+        if out.pending:
+            out.lines.append(f"{indent}_calls += {out.pending}")
+            out.pending = 0
+        out.lines.append(indent + text)
+
+    def begin(self, prefix: str, parameters: list[str]) -> tuple[str, _Function]:
+        """Start writing a new function; returns its name and the function
+        to resume when :meth:`end` finishes it."""
+        name = f"{prefix}{self.names}"
+        self.names += 1
+        previous, self.out = self.out, _Function(f"{name}({', '.join(parameters)})", 2)
+        return name, previous
+
+    def end(self, previous: _Function) -> None:
+        self.functions.append(self.out)
+        self.out = previous
+
+    # Formulas ------------------------------------------------------------
+    def formula(self, formula: Formula, scope: dict) -> None:
+        """Emit statements leaving the truth value of *formula* in ``r``."""
+        if self.out.indent > _MAX_NESTING:
+            self.spill(formula, scope)
+            return
+        kind = formula.__class__
+        self.out.pending += 1
+        if kind is Equals:
+            left, _ = self.term(formula.left, scope)
+            right, _ = self.term(formula.right, scope)
+            self.line(f"r = {left} == {right}")
+        elif kind is Membership:
+            self.membership(formula, scope)
+        elif kind is PredicateAtom:
+            argument, _ = self.term(formula.argument, scope)
+            name = formula.predicate_name
+            if name in self.database.schema:
+                values = self.database.instance(name).values
+            else:
+                values = _MissingPredicate(self.database, name)
+            self.line(f"r = {argument} in {self.constant(values)}")
+        elif kind is Not:
+            self.formula(formula.operand, scope)
+            self.line("r = not r")
+        elif kind is And or kind is Or:
+            self.formula(formula.left, scope)
+            self.block("if r:" if kind is And else "if not r:", formula.right, scope)
+        elif kind is Implies:
+            self.formula(formula.left, scope)
+            self.block("if r:", formula.right, scope)
+            self.line("else:")
+            self.line("    r = True")
+        elif kind is Exists or kind is Forall:
+            self.quantifier(formula, scope)
+        else:
+            raise EvaluationError(f"unknown formula class {type(formula).__name__}")
+
+    def block(self, guard: str, formula: Formula, scope: dict) -> None:
+        self.line(guard)
+        self.out.indent += 1
+        self.formula(formula, scope)
+        self.out.indent -= 1
+
+    def membership(self, formula: Membership, scope: dict) -> None:
+        element, _ = self.term(formula.element, scope)
+        container, container_type = self.term(formula.container, scope)
+        if isinstance(container_type, SetType):
+            self.line(f"r = {element} in {container}")
+            return
+        # The container is evaluated and checked before the element.
+        self.line(f"c = {container}")
+        self.line("if not isinstance(c, _SetValue):")
+        self.line(f"    _raise_not_a_set({self.constant(formula)}, c)")
+        self.line(f"r = {element} in c")
+
+    def spill(self, formula: Formula, scope: dict) -> None:
+        """Emit *formula* as a function of its own, called here."""
+        parameters = [scope[name][0] for name in sorted(formula.free_variables()) if name in scope]
+        name, previous = self.begin("_s", parameters)
+        self.formula(formula, scope)
+        self.line("return r")
+        self.end(previous)
+        self.line(f"r = {name}({', '.join(parameters)})")
+
+    # Quantifiers ---------------------------------------------------------
+    def quantifier(self, formula: Exists | Forall, scope: dict) -> None:
+        free = sorted(formula.free_variables())
+        parameters = [scope[name][0] for name in free if name in scope]
+        call = f"{self.decision(formula, scope, parameters)}({', '.join(parameters)})"
+        if not self.settings.memoize_quantifiers:
+            self.line(f"r = {call}")
+            return
+        key = [self.constant(id(formula))]
+        key += [scope[name][0] if name in scope else "_UNBOUND" for name in free]
+        self.line(f"m = ({', '.join(key)},)")
+        self.line("r = _memo_get(m)")
+        self.line("if r is None:")
+        self.line("    _misses += 1")
+        self.line(f"    r = _memo[m] = {call}")
+        self.line("else:")
+        self.line("    _hits += 1")
+
+    def decision(self, formula: Exists | Forall, scope: dict, parameters: list[str]) -> str:
+        """Emit the function deciding *formula* by enumerating its domain."""
+        name, previous = self.begin("_q", parameters)
+        settings, variable_type = self.settings, formula.variable_type
+        key = str(variable_type)
+        if key not in self.enumerations:
+            self.enumerations[key] = (f"_e{len(self.enumerations)}", self.constant(key))
+        counter = self.enumerations[key][0]
+        if settings.strategy is QuantifierStrategy.EAGER:
+            materialize = partial(
+                constructive_domain,
+                variable_type,
+                self.universe_atoms,
+                budget=settings.binding_budget,
+            )
+            self.line(f"d = {self.constant(materialize)}()")
+            domain = "d"
+        else:
+            domain = self.constant(constructive_domain_view(variable_type, self.universe_atoms))
+        variable = self.binder()
+        self.line(f"if {counter} is None:")
+        self.line(f"    {counter} = 0")
+        self.line(f"for {variable} in {domain}:")
+        self.out.indent += 1
+        self.line("_bindings += 1")
+        self.line(f"{counter} += 1")
+        if settings.binding_budget is not None:
+            self.line("if _bindings > _budget:")
+            self.line("    raise _budget_exceeded(_budget)")
+        self.formula(formula.body, {**scope, formula.variable: (variable, variable_type)})
+        existential = formula.__class__ is Exists
+        self.line("if r:" if existential else "if not r:")
+        self.line(f"    return {existential}")
+        self.out.indent -= 1
+        self.line(f"return {not existential}")
+        self.end(previous)
+        return name
+
+    # Terms ---------------------------------------------------------------
+    def term(self, term: Term, scope: dict) -> tuple[str, ComplexType | None]:
+        """A Python expression for *term*, and the type its values are known
+        to have: ``None`` when that is unknown or the expression may raise."""
+        if isinstance(term, VariableTerm):
+            binding = scope.get(term.name)
+            if binding is None:
+                return f"_raise_unbound({self.constant(term.name)})", None
+            return binding
+        if isinstance(term, Constant):
+            return self.constant(term.as_atom()), U
+        if isinstance(term, CoordinateTerm):
+            binding = scope.get(term.variable_name)
+            if binding is None:
+                return f"_raise_unbound({self.constant(term.variable_name)})", None
+            local, type_ = binding
+            index = term.index
+            if isinstance(type_, TupleType) and index <= len(type_.component_types):
+                return f"{local}.components[{index - 1}]", type_.component_types[index - 1]
+            return f"_coordinate({local}, {index}, {self.constant(term)})", None
+        raise EvaluationError(f"unknown term class {type(term).__name__}")

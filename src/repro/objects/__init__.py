@@ -42,6 +42,7 @@ from repro.objects.constructive import (
     clear_constructive_domain_cache,
     constructive_domain,
     constructive_domain_size,
+    constructive_domain_view,
     iter_constructive_domain,
 )
 from repro.objects.instance import DatabaseInstance, Instance
@@ -80,6 +81,7 @@ __all__ = [
     "clear_constructive_domain_cache",
     "constructive_domain",
     "constructive_domain_size",
+    "constructive_domain_view",
     "iter_constructive_domain",
     "DatabaseInstance",
     "Instance",

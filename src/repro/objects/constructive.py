@@ -14,17 +14,23 @@ in :mod:`repro.calculus.evaluation` re-enumerates the same domain once per
 binding of the enclosing variables; with the shared buffer the
 hyper-exponential generation cost — and the value allocations, which the
 interner collapses to canonical instances — is paid once, and every later
-pass is a list replay.  Laziness is preserved: a consumer that
-short-circuits only forces the prefix it actually consumed.  The cache is
-keyed by content (type and atom set), so entries are never stale; it is
-disabled together with value interning
-(:func:`repro.objects.values.set_interning`) so the ablation benchmarks can
-measure the historical regenerate-per-binding behaviour.
+pass is a replay.  Laziness is preserved: a consumer that short-circuits
+only forces the prefix it actually consumed.  Once the enumeration has run
+to its end, a replay is a plain list iterator over the buffer; a partly
+built one replays through a generator that extends the buffer on demand.
+
+:func:`constructive_domain_view` hands out the re-iterable view itself, so
+a caller that enumerates one domain many times (a compiled quantifier)
+resolves it once and iterates it per decision.  The cache is keyed by
+content (type and atom set), so entries are never stale; it is disabled
+together with value interning (:func:`repro.objects.values.set_interning`):
+the view then regenerates the domain on every iteration, so the ablation
+benchmarks measure the historical regenerate-per-binding behaviour.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import ObjectModelError
 from repro.objects.values import (
@@ -62,6 +68,11 @@ class _SharedEnumeration:
         self.oversized = False
 
     def __iter__(self) -> Iterator[ComplexValue]:
+        if self._exhausted:
+            return iter(self._buffer)
+        return self._replay()
+
+    def _replay(self) -> Iterator[ComplexValue]:
         index = 0
         while True:
             if index < len(self._buffer):
@@ -102,6 +113,20 @@ class _SharedEnumeration:
             index += 1
 
 
+class _Regenerated:
+    """The view of one enumeration when interning is off: every iteration
+    generates the domain afresh."""
+
+    __slots__ = ("_type", "_atoms")
+
+    def __init__(self, type_: ComplexType, atoms: tuple[object, ...]) -> None:
+        self._type = type_
+        self._atoms = atoms
+
+    def __iter__(self) -> Iterator[ComplexValue]:
+        return _enumerate(self._type, self._atoms)
+
+
 #: ``(type, sorted-atom-tuple) -> shared enumeration`` of ``cons_Y(T)``.
 _DOMAIN_CACHE: dict[tuple[ComplexType, tuple], _SharedEnumeration] = {}
 
@@ -127,6 +152,19 @@ def clear_constructive_domain_cache() -> None:
     _SORTED_ATOMS_CACHE.clear()
 
 
+def constructive_domain_view(
+    type_: ComplexType, atoms: Sequence[object] | frozenset[object]
+) -> Iterable[ComplexValue]:
+    """A re-iterable view of ``cons_Y(type_)`` for ``Y = atoms``.
+
+    Each iteration yields the domain in the order of
+    :func:`iter_constructive_domain`.  With interning on, the view is the
+    shared memoized enumeration; with interning off, each iteration
+    regenerates the domain.
+    """
+    return _domain_view(type_, _sorted_atoms(atoms))
+
+
 def iter_constructive_domain(
     type_: ComplexType, atoms: Sequence[object] | frozenset[object]
 ) -> Iterator[ComplexValue]:
@@ -138,7 +176,7 @@ def iter_constructive_domain(
     type — typically via :func:`constructive_domain` with a budget, or by
     wrapping in :func:`repro.utils.iteration.bounded`.
     """
-    return iter(_domain_view(type_, _sorted_atoms(atoms)))
+    return iter(constructive_domain_view(type_, atoms))
 
 
 def constructive_domain(
@@ -196,11 +234,11 @@ def _sorted_atoms(atoms: Sequence[object] | frozenset[object]) -> tuple[object, 
     return cached
 
 
-def _domain_view(type_: ComplexType, atoms: tuple[object, ...]):
+def _domain_view(type_: ComplexType, atoms: tuple[object, ...]) -> Iterable[ComplexValue]:
     """The enumeration of ``cons_atoms(type_)`` — memoized when interning is
-    on, a fresh generator otherwise.  Returns an iterable."""
+    on, regenerated per iteration otherwise."""
     if not interning_enabled():
-        return _enumerate(type_, atoms)
+        return _Regenerated(type_, atoms)
     key = (type_, atoms)
     shared = _DOMAIN_CACHE.get(key)
     if shared is None or shared.broken or shared.oversized:

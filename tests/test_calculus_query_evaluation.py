@@ -1,5 +1,8 @@
 """Tests for query construction and the limited-interpretation evaluator."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -9,9 +12,18 @@ from repro.errors import (
     SchemaError,
     TypingError,
 )
-from repro.calculus.builders import PARENT_SCHEMA, PERSON_SCHEMA
+from repro.calculus.builders import (
+    PARENT_SCHEMA,
+    PERSON_SCHEMA,
+    active_domain_query,
+    even_cardinality_query,
+    grandparent_query,
+    superset_intersection_query,
+    transitive_closure_query,
+)
 from repro.calculus.evaluation import (
     EvaluationSettings,
+    EvaluationStatistics,
     QuantifierStrategy,
     check_membership,
     evaluate_query,
@@ -19,6 +31,7 @@ from repro.calculus.evaluation import (
     satisfies,
 )
 from repro.calculus.formulas import (
+    And,
     Equals,
     Exists,
     Forall,
@@ -29,8 +42,9 @@ from repro.calculus.formulas import (
 )
 from repro.calculus.query import CalculusQuery
 from repro.calculus.terms import Constant, var
+from repro.objects.constructive import iter_constructive_domain
 from repro.objects.instance import DatabaseInstance
-from repro.objects.values import make_set, make_tuple, value_from_python
+from repro.objects.values import Atom, make_set, make_tuple, value_from_python
 from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
 from repro.types.type_system import U
@@ -234,6 +248,77 @@ class TestEvaluationSettingsAndStatistics:
         assert not check_membership(q, parent_db, make_tuple("mary", "tom"))
 
 
+CHAIN6 = [f"v{index}" for index in range(6)]
+PERSONS = ["p0", "p1", "p2", "p3"]
+PARENTS3 = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("v0", "v1"), ("v1", "v2")])
+
+# The calculus queries of the benchmark's ``semantics`` rotation, on the
+# same instances.
+SEMANTICS_ENTRIES = {
+    "grandparent_chain6": (
+        grandparent_query(),
+        DatabaseInstance.build(PARENT_SCHEMA, PAR=list(zip(CHAIN6, CHAIN6[1:]))),
+    ),
+    "closure_chain3": (transitive_closure_query(), PARENTS3),
+    "superset_chain3": (superset_intersection_query(), PARENTS3),
+    "even_persons3": (
+        even_cardinality_query(),
+        DatabaseInstance.build(PERSON_SCHEMA, PERSON=PERSONS[:3]),
+    ),
+    "even_persons4": (
+        even_cardinality_query(),
+        DatabaseInstance.build(PERSON_SCHEMA, PERSON=PERSONS),
+    ),
+}
+
+
+class TestCheckMembership:
+    """``check_membership`` decides ``candidate ∈ Q[d]``, so it must agree
+    with membership in :func:`evaluate_query`'s answer."""
+
+    def test_an_atom_outside_the_active_domain_is_not_a_member(self, chain_db):
+        query = active_domain_query(PARENT_SCHEMA)
+        assert {str(value) for value in evaluate_query(query, chain_db)} == {"a", "b", "c"}
+        assert check_membership(query, chain_db, Atom("a"))
+        assert not check_membership(query, chain_db, Atom("zzz"))
+
+    def test_a_value_of_another_type_is_not_a_member(self, chain_db):
+        query = active_domain_query(PARENT_SCHEMA)
+        assert not check_membership(query, chain_db, make_tuple("a", "b"))
+
+    def test_an_invented_atom_is_not_a_member_under_the_output_restriction(self, chain_db):
+        query = active_domain_query(PARENT_SCHEMA)
+        restricted = EvaluationSettings(extra_atoms=frozenset({"new"}))
+        assert Atom("new") not in evaluate_query(query, chain_db, restricted).values
+        assert not check_membership(query, chain_db, Atom("new"), restricted)
+        widened = EvaluationSettings(
+            extra_atoms=frozenset({"new"}), restrict_output_to_active_domain=False
+        )
+        assert Atom("new") in evaluate_query(query, chain_db, widened).values
+        assert check_membership(query, chain_db, Atom("new"), widened)
+
+    def test_a_database_of_another_schema_is_rejected(self):
+        query = active_domain_query(PARENT_SCHEMA)
+        people = DatabaseInstance.build(PERSON_SCHEMA, PERSON=["a"])
+        with pytest.raises(EvaluationError, match="schema"):
+            evaluate_query_detailed(query, people)
+        with pytest.raises(EvaluationError, match="schema"):
+            check_membership(query, people, Atom("a"))
+
+    @pytest.mark.parametrize("name", sorted(SEMANTICS_ENTRIES))
+    def test_agrees_with_evaluate_query_on_every_candidate(self, name):
+        query, database = SEMANTICS_ENTRIES[name]
+        settings = EvaluationSettings(binding_budget=None)
+        answer = evaluate_query(query, database, settings).values
+        atoms = database.active_domain() | query.constants() | {"fresh"}
+        candidates = list(iter_constructive_domain(query.target_type, atoms))
+        assert len(candidates) > len(answer)
+        for candidate in candidates:
+            assert check_membership(query, database, candidate, settings) == (
+                candidate in answer
+            ), candidate
+
+
 class TestSatisfiesDirectly:
     def test_unbound_variable_raises(self, parent_db):
         formula = Equals(var("x"), var("x"))
@@ -295,6 +380,61 @@ class TestSatisfiesDirectly:
         with pytest.raises(SchemaError, match="'NOPE' is not part of this database"):
             satisfies(parent_db, Or(Not(same), unknown), assignment, universe)
 
+    @pytest.mark.parametrize(
+        ("formula", "error", "counts"),
+        [
+            (
+                And(Equals(var("t"), var("t")), Not(Equals(var("x"), var("t")))),
+                EvaluationError,
+                (4, 0, 0, {}),
+            ),
+            (
+                Or(
+                    Not(Equals(var("t"), var("t"))),
+                    Exists("y", U, And(Equals(var("y"), var("y")), Membership(var("t"), var("y")))),
+                ),
+                EvaluationError,
+                (7, 1, 1, {"U": 1}),
+            ),
+            (
+                Or(
+                    Not(Equals(var("t"), var("t"))),
+                    And(Equals(var("t"), var("t")), PredicateAtom("NOPE", var("t"))),
+                ),
+                SchemaError,
+                (6, 0, 0, {}),
+            ),
+            (
+                Exists(
+                    "y",
+                    U,
+                    Or(Not(Equals(var("y"), var("t"))), Equals(var("y").coordinate(1), var("t"))),
+                ),
+                EvaluationError,
+                (5, 1, 1, {"U": 1}),
+            ),
+        ],
+        ids=["unbound", "non-set", "unknown-predicate", "non-tuple"],
+    )
+    def test_counters_stop_where_the_error_is_raised(self, chain_db, formula, error, counts):
+        """Every node entered before the failing check is counted, and none
+        after it: the counts a node-by-node walk of the formula gives."""
+        statistics = EvaluationStatistics()
+        with pytest.raises(error):
+            satisfies(
+                chain_db,
+                formula,
+                {"t": Atom("a")},
+                chain_db.active_domain(),
+                statistics=statistics,
+            )
+        assert (
+            statistics.satisfaction_calls,
+            statistics.bindings_tried,
+            statistics.memo_misses,
+            statistics.quantifier_enumerations,
+        ) == counts
+
     def test_simple_satisfaction(self, parent_db):
         formula = PredicateAtom("PAR", var("x"))
         assert satisfies(
@@ -311,6 +451,93 @@ class TestSatisfiesDirectly:
             "s": make_set([("tom", "mary")]),
         }
         assert satisfies(parent_db, formula, assignment, parent_db.active_domain())
+
+
+class TestDeepFormulas:
+    """Formulas nested deeper than a generated function may be: the
+    evaluator must still compile them, and count as a tree walk does."""
+
+    SCHEMA = DatabaseSchema([("P", U)])
+
+    def test_thirty_nested_alternating_quantifiers(self):
+        database = DatabaseInstance.build(self.SCHEMA, P=["a", "b"])
+        formula = Equals(var("x0"), var("x29"))
+        for depth in reversed(range(30)):
+            quantifier = Forall if depth % 2 == 0 else Exists
+            formula = quantifier(f"x{depth}", U, formula)
+        statistics = EvaluationStatistics()
+        assert satisfies(
+            database, formula, {}, frozenset({"a", "b"}), statistics=statistics
+        )
+        assert statistics.bindings_tried == 89
+        assert statistics.satisfaction_calls == 90
+        assert statistics.memo_hits == 28
+        assert statistics.memo_misses == 59
+        assert statistics.quantifier_enumerations == {"U": 89}
+
+    def test_a_chain_of_150_alternating_connectives(self):
+        database = DatabaseInstance.build(self.SCHEMA, P=["a", "b"])
+        same = Equals(var("t"), var("t"))
+        formula = same
+        for depth in range(150):
+            formula = Or(Not(same), formula) if depth % 2 == 0 else And(same, formula)
+        statistics = EvaluationStatistics()
+        assert satisfies(
+            database,
+            formula,
+            {"t": Atom("a")},
+            database.active_domain(),
+            statistics=statistics,
+        )
+        assert statistics.satisfaction_calls == 376
+
+
+class TestConcurrentEvaluations:
+    def test_threads_share_compiled_code_but_no_evaluation_state(self, monkeypatch):
+        """Threads evaluating at once share the compiled factories, which a
+        small cache bound keeps evicting, but no memo or counter: every
+        evaluation returns the answer and statistics of a serial run."""
+        from repro.calculus import evaluation
+
+        monkeypatch.setattr(evaluation, "_FACTORIES", {})
+        monkeypatch.setattr(evaluation, "_FACTORY_CACHE_MAX_ENTRIES", 3)
+        settings = EvaluationSettings(binding_budget=None)
+        work = [SEMANTICS_ENTRIES[name] for name in ("superset_chain3", "even_persons4")]
+        formula = Equals(var("t"), var("t"))
+        for _ in range(5):
+            work.append((CalculusQuery(PARENT_SCHEMA, "t", U, formula), PARENTS3))
+            formula = Not(formula)
+        serial = [evaluate_query_detailed(query, database, settings) for query, database in work]
+        mismatches: list = []
+        errors: list[Exception] = []
+
+        def evaluate(offset: int) -> None:
+            try:
+                for step in range(3 * len(work)):
+                    index = (offset + step) % len(work)
+                    result = evaluate_query_detailed(*work[index], settings)
+                    expected = serial[index]
+                    if (result.answer, result.statistics) != (
+                        expected.answer,
+                        expected.statistics,
+                    ):
+                        mismatches.append(index)
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not mismatches
+        assert len(evaluation._FACTORIES) <= 3
 
 
 class TestScoping:

@@ -305,3 +305,101 @@ def test_commits_apply_deltas_in_place_and_reads_build_the_instance(monkeypatch)
     with db.pin():
         db.insert("F", [("new", "new", "new")])  # the freeze builds the pinned F
     assert len(builds) == (2 if mvcc_enabled() else 1)
+
+
+def test_compiled_formulas_are_cached_by_source(monkeypatch):
+    """The calculus evaluator compiles a formula's structure once: the
+    same query over another instance, or a formula that differs only in
+    its constants, reuses the compiled source, and the cache stays bounded
+    however many distinct formulas the process compiles."""
+    from repro.calculus import evaluation
+    from repro.calculus.builders import PARENT_SCHEMA, grandparent_query
+    from repro.calculus.formulas import Equals, Not
+    from repro.calculus.terms import Constant, var
+    from repro.objects.instance import DatabaseInstance
+
+    monkeypatch.setattr(evaluation, "_FACTORIES", {})
+    query = grandparent_query()
+    for edges in ([("a", "b"), ("b", "c")], [("x", "y"), ("y", "z"), ("z", "w")]):
+        evaluation.evaluate_query(query, DatabaseInstance.build(PARENT_SCHEMA, PAR=edges))
+        assert len(evaluation._FACTORIES) == 1
+
+    database = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b")])
+    universe = database.active_domain()
+    assignment = {"t": Atom("a")}
+    for constant in ("a", "b"):
+        formula = Equals(var("t"), Constant(constant))
+        assert evaluation.satisfies(database, formula, assignment, universe) == (constant == "a")
+    assert len(evaluation._FACTORIES) == 2
+
+    bound = evaluation._FACTORY_CACHE_MAX_ENTRIES
+    formula = Equals(var("t"), var("t"))
+    for depth in range(bound + 10):
+        evaluation.satisfies(database, formula, assignment, universe)
+        assert len(evaluation._FACTORIES) <= bound
+        formula = Not(formula)
+
+
+def test_compiled_source_cache_is_bounded_by_size(monkeypatch):
+    """The compiled-source cache also bounds the source text it holds: a
+    formula whose source alone exceeds the bound is compiled but not kept,
+    and smaller ones never push the total over it."""
+    from repro.calculus import evaluation
+    from repro.calculus.builders import PARENT_SCHEMA
+    from repro.calculus.formulas import Equals, Not
+    from repro.calculus.terms import var
+    from repro.objects.instance import DatabaseInstance
+
+    bound = 4_000
+    monkeypatch.setattr(evaluation, "_FACTORIES", {})
+    monkeypatch.setattr(evaluation, "_FACTORY_CACHE_MAX_SOURCE_CHARS", bound)
+    database = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b")])
+    universe = database.active_domain()
+    assignment = {"t": Atom("a")}
+    small = Equals(var("t"), var("t"))
+    assert evaluation.satisfies(database, small, assignment, universe)
+    (small_source,) = evaluation._FACTORIES
+
+    large = small
+    for _ in range(200):
+        large = Not(large)
+    assert evaluation.satisfies(database, large, assignment, universe)
+    assert list(evaluation._FACTORIES) == [small_source]
+
+    formula = small
+    for _ in range(120):
+        formula = Not(formula)
+        evaluation.satisfies(database, formula, assignment, universe)
+        assert sum(map(len, evaluation._FACTORIES)) <= bound
+    assert max(map(len, evaluation._FACTORIES)) > bound // 2
+
+
+def test_finished_domains_replay_as_lists_and_partial_ones_stay_lazy(monkeypatch):
+    """A fully enumerated ``cons_Y(T)`` replays as a plain list iterator; a
+    partly consumed one has generated only the values its consumers
+    pulled."""
+    from repro.objects import constructive
+
+    type_ = parse_type("{[U, U]}")
+    generated = []
+    enumerate_ = constructive._enumerate
+
+    def counting(enumerated_type, atoms):
+        for value in enumerate_(enumerated_type, atoms):
+            if enumerated_type == type_:
+                generated.append(value)
+            yield value
+
+    monkeypatch.setattr(constructive, "_enumerate", counting)
+    with interning(True):
+        clear_constructive_domain_cache()
+        view = constructive.constructive_domain_view(type_, frozenset({"a", "b"}))
+        first, second = iter(view), iter(view)
+        pulled = [next(first) for _ in range(3)] + [next(second) for _ in range(5)]
+        assert len(generated) == 5
+        assert pulled[:3] == pulled[3:6]
+        assert type(iter(view)) is not type(iter([]))
+
+        assert len(list(view)) == 2 ** 4 == len(generated)
+        assert type(iter(view)) is type(iter([]))
+        assert list(view) == generated

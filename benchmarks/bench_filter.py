@@ -73,7 +73,9 @@ MEMBER_SCHEMA = DatabaseSchema([("S", parse_type("[U, U, {U}]"))])
 
 def _best_of(function, repeats: int = 5) -> float:
     """Best-of-N wall clock, retaining each run's result while the next
-    executes (double-buffered; see ``bench_values._best_of``)."""
+    executes (double-buffered, as a serving system holding its current
+    answer would: re-evaluation re-finds the live canonical result values
+    instead of rebuilding them)."""
     best = float("inf")
     retained = [None]
     for _ in range(repeats):

@@ -5,24 +5,16 @@ Drives the full production shape end to end: a
 maintained views, and hundreds of concurrent asyncio client sessions
 talk to it over the real TCP wire protocol — each session pinning
 epochs, reading base predicates and maintained views, and (1% of the
-time) pushing writes through the serialized writer queue.  Every request
-crosses the socket, the line parser, the epoch resolution and the JSON
-result encoder, so ``queries_per_second`` measures the served path, not
-an in-process shortcut.
-
-Two configurations process the same scripted workload:
-
-* **mvcc** — epoch snapshots on (the default): sessions re-pin as they
-  read while the write stream advances the database under them;
-* **ablated** — ``set_mvcc(False)``: pins degrade to advisory reads of
-  the latest state (the bare single-writer façade).
+time) pushing writes through the serialized writer queue.  Sessions
+re-pin as they read while the write stream advances the database under
+them.  Every request crosses the socket, the line parser, the epoch
+resolution and the JSON result encoder, so ``queries_per_second``
+measures the served path, not an in-process shortcut.
 
 Acceptance: the served throughput clears 1 000 requests/second on
 workstation hardware at the 99:1 read:write mix; the recorded floor is
 set far lower (CI runners are slow and shared) and re-checked by
-``check_regressions.py`` on every tier-1 run.  The mvcc/ablated ratio is
-recorded as the snapshot overhead ablation datapoint.  Directly
-runnable::
+``check_regressions.py`` on every tier-1 run.  Directly runnable::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 """
@@ -45,7 +37,7 @@ from repro.algebra.expressions import (
 from repro.serving import run_workload
 from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
-from repro.views import Database, mvcc
+from repro.views import Database
 from repro.workloads import random_database
 
 #: Base rows per predicate, concurrent sessions, requests per session.
@@ -99,15 +91,9 @@ def run_configuration() -> dict:
 
 def test_serving_report():
     served = run_configuration()
-    with mvcc(False):
-        ablated = run_configuration()
     assert served["writes"] > 0 and served["reads"] > 50 * served["writes"]
     metrics = {
         "queries_per_second_mvcc_99to1": served["queries_per_second"],
-        "queries_per_second_mvcc_off_99to1": ablated["queries_per_second"],
-        "mvcc_relative_throughput": (
-            served["queries_per_second"] / ablated["queries_per_second"]
-        ),
         "read_write_ratio": served["read_write_ratio"],
     }
     path = write_bench_report(
@@ -115,7 +101,7 @@ def test_serving_report():
         {
             "experiment": (
                 "X27 serving front door: concurrent wire-protocol sessions at a "
-                "99:1 read:write mix, MVCC epochs vs ablated"
+                "99:1 read:write mix over MVCC epochs"
             ),
             "results": {
                 "mvcc": {
@@ -126,11 +112,6 @@ def test_serving_report():
                     "elapsed_seconds": served["elapsed_seconds"],
                     "final_epoch": served["final_epoch"],
                     "queries_per_second": served["queries_per_second"],
-                },
-                "ablated": {
-                    "requests": ablated["requests"],
-                    "elapsed_seconds": ablated["elapsed_seconds"],
-                    "queries_per_second": ablated["queries_per_second"],
                 },
                 "workload": (
                     f"{SESSIONS} concurrent sessions x {OPERATIONS} requests over "

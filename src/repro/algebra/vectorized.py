@@ -39,10 +39,10 @@ can instead run **column-at-a-time**:
    (``itertools.compress``); nothing else is materialized or decoded.
 
 The ablation switch :func:`set_vectorized_filters` /
-:func:`vectorized_filters` mirrors ``set_interning`` / ``set_columnar``:
-disabling it restores the historical per-tuple path everywhere, and
+:func:`vectorized_filters` mirrors ``set_columnar``: disabling it restores
+the historical per-tuple path everywhere, and
 ``tests/test_vectorized_filter.py`` pins identical answers across the
-full (vectorized × columnar × interning) mode cube.  Batches below
+full (vectorized × columnar) mode cube.  Batches below
 :func:`~repro.objects.columnar.columnar_threshold` rows also keep the
 per-tuple path — below it, the constant factors of building columns win.
 """

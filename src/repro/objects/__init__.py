@@ -16,11 +16,8 @@ from repro.objects.values import (
     clear_intern_tables,
     intern_stats,
     intern_table_sizes,
-    interning,
-    interning_enabled,
     make_set,
     make_tuple,
-    set_interning,
     value_from_python,
     value_to_python,
 )
@@ -57,8 +54,6 @@ __all__ = [
     "clear_intern_tables",
     "intern_stats",
     "intern_table_sizes",
-    "interning",
-    "interning_enabled",
     "ROW_DICTIONARY",
     "VALUE_DICTIONARY",
     "columnar_dispatch",
@@ -71,7 +66,6 @@ __all__ = [
     "set_columnar_threshold",
     "make_set",
     "make_tuple",
-    "set_interning",
     "value_from_python",
     "value_to_python",
     "belongs_to",

@@ -16,11 +16,11 @@ Two process-wide dictionaries back the encoding:
 
 Both are **equality-keyed and append-only**: the first time a value is
 seen it is assigned the next id, and structurally equal values map to the
-same id for the lifetime of the process regardless of the interning mode
-(so id-array equality is *equivalent* to set equality, and columns built
-in different modes mix freely).  The tables hold strong references — ids
-must stay decodable while any column referencing them is alive; this is
-the same trade a database dictionary page makes.
+same id for the lifetime of the process, whether or not they are the same
+instance (so id-array equality is *equivalent* to set equality).  The
+tables hold strong references — ids must stay decodable while any column
+referencing them is alive; this is the same trade a database dictionary
+page makes.
 
 The kernels (:func:`union_ids`, :func:`intersect_ids`,
 :func:`difference_ids`, :func:`contains_id`, :func:`sorted_unique_ids`)
@@ -45,8 +45,8 @@ the value runtime's ablation design: :func:`set_columnar` /
 :func:`columnar_storage` switch the consumers (set/relation bulk
 operations, the engine's set operators and hash-join keys, the ``io``
 columnar format) back to the historical object path, and
-``tests/test_columnar.py`` pins equality of answers across the full
-(columnar × interning) mode cross-product.  Columns are only built for
+``tests/test_columnar.py`` pins equality of answers with columnar storage
+on and off.  Columns are only built for
 containers of at least :func:`columnar_threshold` elements — below that
 the object path's constant factors win.
 """

@@ -22,10 +22,7 @@ built one replays through a generator that extends the buffer on demand.
 :func:`constructive_domain_view` hands out the re-iterable view itself, so
 a caller that enumerates one domain many times (a compiled quantifier)
 resolves it once and iterates it per decision.  The cache is keyed by
-content (type and atom set), so entries are never stale; it is disabled
-together with value interning (:func:`repro.objects.values.set_interning`):
-the view then regenerates the domain on every iteration, so the ablation
-benchmarks measure the historical regenerate-per-binding behaviour.
+content (type and atom set), so entries are never stale.
 """
 
 from __future__ import annotations
@@ -33,13 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import ObjectModelError
-from repro.objects.values import (
-    Atom,
-    ComplexValue,
-    SetValue,
-    TupleValue,
-    interning_enabled,
-)
+from repro.objects.values import Atom, ComplexValue, SetValue, TupleValue
 from repro.types.type_system import AtomicType, ComplexType, SetType, TupleType
 from repro.utils.iteration import bounded
 
@@ -113,20 +104,6 @@ class _SharedEnumeration:
             index += 1
 
 
-class _Regenerated:
-    """The view of one enumeration when interning is off: every iteration
-    generates the domain afresh."""
-
-    __slots__ = ("_type", "_atoms")
-
-    def __init__(self, type_: ComplexType, atoms: tuple[object, ...]) -> None:
-        self._type = type_
-        self._atoms = atoms
-
-    def __iter__(self) -> Iterator[ComplexValue]:
-        return _enumerate(self._type, self._atoms)
-
-
 #: ``(type, sorted-atom-tuple) -> shared enumeration`` of ``cons_Y(T)``.
 _DOMAIN_CACHE: dict[tuple[ComplexType, tuple], _SharedEnumeration] = {}
 
@@ -158,9 +135,8 @@ def constructive_domain_view(
     """A re-iterable view of ``cons_Y(type_)`` for ``Y = atoms``.
 
     Each iteration yields the domain in the order of
-    :func:`iter_constructive_domain`.  With interning on, the view is the
-    shared memoized enumeration; with interning off, each iteration
-    regenerates the domain.
+    :func:`iter_constructive_domain`; the view is the shared memoized
+    enumeration.
     """
     return _domain_view(type_, _sorted_atoms(atoms))
 
@@ -223,8 +199,6 @@ def constructive_domain_size(type_: ComplexType, atom_count: int) -> int:
 
 def _sorted_atoms(atoms: Sequence[object] | frozenset[object]) -> tuple[object, ...]:
     key = atoms if isinstance(atoms, frozenset) else frozenset(atoms)
-    if not interning_enabled():
-        return tuple(sorted(key, key=lambda a: (type(a).__name__, repr(a))))
     cached = _SORTED_ATOMS_CACHE.get(key)
     if cached is None:
         cached = tuple(sorted(key, key=lambda a: (type(a).__name__, repr(a))))
@@ -234,11 +208,8 @@ def _sorted_atoms(atoms: Sequence[object] | frozenset[object]) -> tuple[object, 
     return cached
 
 
-def _domain_view(type_: ComplexType, atoms: tuple[object, ...]) -> Iterable[ComplexValue]:
-    """The enumeration of ``cons_atoms(type_)`` — memoized when interning is
-    on, regenerated per iteration otherwise."""
-    if not interning_enabled():
-        return _Regenerated(type_, atoms)
+def _domain_view(type_: ComplexType, atoms: tuple[object, ...]) -> _SharedEnumeration:
+    """The memoized enumeration of ``cons_atoms(type_)``."""
     key = (type_, atoms)
     shared = _DOMAIN_CACHE.get(key)
     if shared is None or shared.broken or shared.oversized:

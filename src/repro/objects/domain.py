@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import ObjectModelError
-from repro.objects.values import Atom, ComplexValue, SetValue, TupleValue, interning_enabled
+from repro.objects.values import Atom, ComplexValue, SetValue, TupleValue
 from repro.types.type_system import AtomicType, ComplexType, SetType, TupleType
 
 
@@ -18,13 +18,12 @@ def belongs_to(value: ComplexValue, type_: ComplexType) -> bool:
 
     Verdicts for composite values are memoized in the value's ``_belongs``
     slot (membership is a pure function of structure, so the memo is never
-    stale, and it dies with the value).  The memo only pays off when values
-    are canonical — one instance per structure — so it is tied to the
-    interning switch.
+    stale, and it dies with the value).  The memo pays off because values
+    are interned: one canonical instance per structure.
     """
     if isinstance(type_, AtomicType):
         return isinstance(value, Atom)
-    if not interning_enabled() or isinstance(value, Atom):
+    if isinstance(value, Atom):
         return _belongs_to_uncached(value, type_)
     try:
         per_value = value._belongs

@@ -20,13 +20,11 @@ Canonical instances lazily cache their ``__hash__``, :meth:`sort_key`,
 identity fast path — so the hot loops of the engine, the calculus evaluator
 and the Datalog layer stop recomputing structural keys over and over.
 
-The ablation switch :func:`set_interning` / the :func:`interning` context
-manager restore the historical allocate-and-recompute behaviour exactly
-(fresh instances, no caches), for side-by-side benchmarking; see
-``benchmarks/bench_values.py``.  Interning is purely an optimisation:
-equality, hashing, ordering and rendering are identical in both modes, and
-values created in different modes mix freely (equality falls back to the
-structural comparison whenever identity fails).
+Interning is always on and purely an optimisation: equality, hashing,
+ordering and rendering are structural, so two equal values that are not
+the same instance (one built before :func:`clear_intern_tables`, one
+after) mix freely — equality falls back to the structural comparison
+whenever identity fails.
 
 Columnar set storage
 --------------------
@@ -41,16 +39,14 @@ call, and a column-backed set (produced by the bulk kernels via
 actually asks for them.  The bulk operations :meth:`SetValue.union`,
 :meth:`SetValue.intersection` and :meth:`SetValue.difference` dispatch to
 the O(n) merge kernels when columnar storage is enabled and the operands
-clear the size threshold; ``set_columnar(False)`` ablates the whole path
-(mirroring ``set_interning``), and equality/hashing/ordering are identical
-either way.
+clear the size threshold; ``set_columnar(False)`` ablates the whole path,
+and equality/hashing/ordering are identical either way.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from functools import total_ordering
 from operator import methodcaller
 
@@ -69,7 +65,7 @@ structural_sort_key = methodcaller("sort_key")
 
 
 class _InterningState:
-    """The process-wide intern tables and the ablation switch.
+    """The process-wide intern tables.
 
     ``columnar_sets`` interns column-backed sets by their id-array bytes
     (ids are equality-canonical, so the byte string is a perfect structural
@@ -88,10 +84,9 @@ class _InterningState:
     single invariant this relies on.
     """
 
-    __slots__ = ("enabled", "atoms", "tuples", "sets", "columnar_sets", "stats")
+    __slots__ = ("atoms", "tuples", "sets", "columnar_sets", "stats")
 
     def __init__(self) -> None:
-        self.enabled = True
         self.atoms: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self.tuples: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self.sets: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -107,33 +102,9 @@ _INTERN = _InterningState()
 
 
 def interning_enabled() -> bool:
-    """Whether value interning (and the derived-key caches) are active."""
-    return _INTERN.enabled
-
-
-def set_interning(enabled: bool) -> bool:
-    """Enable/disable interning; returns the previous setting.
-
-    Disabling restores the historical behaviour — and its exact cost
-    profile: every constructor call allocates a fresh instance, and every
-    ``__hash__``/``sort_key``/``atoms`` call recomputes its result without
-    so much as probing a cache slot (values constructed while interning
-    was on keep their cache slots, but ignore them until interning is
-    re-enabled; cached and recomputed results are always equal).
-    """
-    previous = _INTERN.enabled
-    _INTERN.enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def interning(enabled: bool = True):
-    """Context manager form of :func:`set_interning`."""
-    previous = set_interning(enabled)
-    try:
-        yield
-    finally:
-        set_interning(previous)
+    """Always ``True``: interning has no off mode.  Kept only because
+    ``perfbench/program.py`` still imports it to check its configuration."""
+    return True
 
 
 def clear_intern_tables() -> None:
@@ -244,29 +215,25 @@ class Atom(ComplexValue):
             raise ObjectModelError(
                 f"an Atom payload must be hashable, got {type(value).__name__}"
             ) from None
-        if _INTERN.enabled:
-            # The payload class is part of the key: Atom(1) == Atom(True)
-            # (payload equality), but they must stay distinct instances so
-            # that type-sensitive observables (sort_key, repr) are
-            # unchanged by interning.  For payload classes where equal
-            # values can still render differently (-0.0 vs 0.0,
-            # Decimal('1.0') vs Decimal('1.00')), the repr joins the key —
-            # sort_key/repr observe it; str and int never need this
-            # (equality implies identical repr within the class).
-            payload_class = value.__class__
-            if payload_class is str or payload_class is int:
-                key = (cls, payload_class, value)
-            else:
-                key = (cls, payload_class, value, repr(value))
-            cached = _INTERN.atoms.get(key)
-            if cached is not None:
-                return cached
-            self = object.__new__(cls)
-            object.__setattr__(self, "value", value)
-            _INTERN.atoms[key] = self
-            return self
+        # The payload class is part of the key: Atom(1) == Atom(True)
+        # (payload equality), but they must stay distinct instances so that
+        # type-sensitive observables (sort_key, repr) are unchanged by
+        # interning.  For payload classes where equal values can still
+        # render differently (-0.0 vs 0.0, Decimal('1.0') vs
+        # Decimal('1.00')), the repr joins the key — sort_key/repr observe
+        # it; str and int never need this (equality implies identical repr
+        # within the class).
+        payload_class = value.__class__
+        if payload_class is str or payload_class is int:
+            key = (cls, payload_class, value)
+        else:
+            key = (cls, payload_class, value, repr(value))
+        cached = _INTERN.atoms.get(key)
+        if cached is not None:
+            return cached
         self = object.__new__(cls)
         object.__setattr__(self, "value", value)
+        _INTERN.atoms[key] = self
         return self
 
     def __init__(self, value: object) -> None:
@@ -281,10 +248,6 @@ class Atom(ComplexValue):
         return frozenset({self.value})
 
     def sort_key(self) -> tuple:
-        # The ablation mode computes directly (no slot probe), so it costs
-        # exactly what the historical code did.
-        if not _INTERN.enabled:
-            return (0, type(self.value).__name__, repr(self.value))
         try:
             return self._sort_key
         except AttributeError:
@@ -298,8 +261,6 @@ class Atom(ComplexValue):
         return isinstance(other, Atom) and self.value == other.value
 
     def __hash__(self) -> int:
-        if not _INTERN.enabled:
-            return hash(("atom", self.value))
         try:
             return self._hash
         except AttributeError:
@@ -321,29 +282,24 @@ class TupleValue(ComplexValue):
 
     def __new__(cls, components: Iterable[ComplexValue]) -> "TupleValue":
         normalised = tuple(components)
-        if _INTERN.enabled:
-            # Keyed by component *identity*, not equality: components are
-            # themselves canonical, so identical structure means identical
-            # components — while payload-equal but type-distinct values
-            # (Atom(1) vs Atom(True)) must not be collapsed, because
-            # sort_key/repr observe the payload type.  Component ids stay
-            # valid for exactly the entry's lifetime (the interned value
-            # keeps its components alive; the weak table drops the entry
-            # when the value dies).  A hit needs no validation: only
-            # validated tuples are ever stored, and a live non-ComplexValue
-            # can never share an id with an entry's live components.
-            key = (cls, tuple(map(id, normalised)))
-            cached = _INTERN.tuples.get(key)
-            if cached is not None:
-                return cached
-            _validate_tuple_components(normalised)
-            self = object.__new__(cls)
-            object.__setattr__(self, "components", normalised)
-            _INTERN.tuples[key] = self
-            return self
+        # Keyed by component *identity*, not equality: components are
+        # themselves canonical, so identical structure means identical
+        # components — while payload-equal but type-distinct values
+        # (Atom(1) vs Atom(True)) must not be collapsed, because
+        # sort_key/repr observe the payload type.  Component ids stay valid
+        # for exactly the entry's lifetime (the interned value keeps its
+        # components alive; the weak table drops the entry when the value
+        # dies).  A hit needs no validation: only validated tuples are ever
+        # stored, and a live non-ComplexValue can never share an id with an
+        # entry's live components.
+        key = (cls, tuple(map(id, normalised)))
+        cached = _INTERN.tuples.get(key)
+        if cached is not None:
+            return cached
         _validate_tuple_components(normalised)
         self = object.__new__(cls)
         object.__setattr__(self, "components", normalised)
+        _INTERN.tuples[key] = self
         return self
 
     def __init__(self, components: Iterable[ComplexValue]) -> None:
@@ -365,24 +321,17 @@ class TupleValue(ComplexValue):
         return self.components[index - 1]
 
     def atoms(self) -> frozenset[object]:
-        if not _INTERN.enabled:
-            return self._atoms_uncached()
         try:
             return self._atoms
         except AttributeError:
-            frozen = self._atoms_uncached()
+            result: set[object] = set()
+            for component in self.components:
+                result |= component.atoms()
+            frozen = frozenset(result)
             object.__setattr__(self, "_atoms", frozen)
             return frozen
 
-    def _atoms_uncached(self) -> frozenset[object]:
-        result: set[object] = set()
-        for component in self.components:
-            result |= component.atoms()
-        return frozenset(result)
-
     def sort_key(self) -> tuple:
-        if not _INTERN.enabled:
-            return (1, len(self.components), tuple(c.sort_key() for c in self.components))
         try:
             return self._sort_key
         except AttributeError:
@@ -396,8 +345,6 @@ class TupleValue(ComplexValue):
         return isinstance(other, TupleValue) and self.components == other.components
 
     def __hash__(self) -> int:
-        if not _INTERN.enabled:
-            return hash(("tuple", self.components))
         try:
             return self._hash
         except AttributeError:
@@ -431,37 +378,31 @@ class SetValue(ComplexValue):
     __slots__ = ("_elements", "_ids", "_hash", "_sort_key", "_atoms", "_sorted", "_belongs")
 
     def __new__(cls, elements: Iterable[ComplexValue] = ()) -> "SetValue":
-        if _INTERN.enabled:
-            stats = _INTERN.stats
-            # Element-*identity* key, for the same reason as TupleValue:
-            # equality-keying would collapse sets whose elements are
-            # payload-equal but type-distinct (Atom(1) vs Atom(True)).
-            # Hits skip validation — only validated sets are ever stored.
-            # The key needs a deduplicated view, but an input that already
-            # is a frozenset (Instance.as_set_value, set operations over
-            # ``.elements``) is reused as-is: the hit path then allocates
-            # nothing beyond the key itself, and a miss never normalises
-            # the elements twice.
-            if type(elements) is frozenset:
-                normalised = elements
-            else:
-                normalised = frozenset(elements)
-                stats["set_frozenset_allocations"] += 1
-            key = (cls, frozenset(map(id, normalised)))
-            cached = _INTERN.sets.get(key)
-            if cached is not None:
-                stats["set_hits"] += 1
-                return cached
-            stats["set_misses"] += 1
-            _validate_set_elements(normalised)
-            self = object.__new__(cls)
-            object.__setattr__(self, "_elements", normalised)
-            _INTERN.sets[key] = self
-            return self
-        normalised = frozenset(elements)
+        stats = _INTERN.stats
+        # Element-*identity* key, for the same reason as TupleValue:
+        # equality-keying would collapse sets whose elements are
+        # payload-equal but type-distinct (Atom(1) vs Atom(True)).  Hits
+        # skip validation — only validated sets are ever stored.  The key
+        # needs a deduplicated view, but an input that already is a
+        # frozenset (Instance.as_set_value, set operations over
+        # ``.elements``) is reused as-is: the hit path then allocates
+        # nothing beyond the key itself, and a miss never normalises the
+        # elements twice.
+        if type(elements) is frozenset:
+            normalised = elements
+        else:
+            normalised = frozenset(elements)
+            stats["set_frozenset_allocations"] += 1
+        key = (cls, frozenset(map(id, normalised)))
+        cached = _INTERN.sets.get(key)
+        if cached is not None:
+            stats["set_hits"] += 1
+            return cached
+        stats["set_misses"] += 1
         _validate_set_elements(normalised)
         self = object.__new__(cls)
         object.__setattr__(self, "_elements", normalised)
+        _INTERN.sets[key] = self
         return self
 
     def __init__(self, elements: Iterable[ComplexValue] = ()) -> None:
@@ -475,19 +416,15 @@ class SetValue(ComplexValue):
         ``VALUE_DICTIONARY`` encodes of validated values, so no
         re-validation happens here.  Column-backed sets intern by the
         column's bytes (ids label equality classes, making the byte string
-        a perfect structural key even across interning modes).
+        a perfect structural key).
         """
-        if _INTERN.enabled:
-            key = ids.tobytes()
-            cached = _INTERN.columnar_sets.get(key)
-            if cached is not None:
-                return cached
-            self = object.__new__(cls)
-            object.__setattr__(self, "_ids", ids)
-            _INTERN.columnar_sets[key] = self
-            return self
+        key = ids.tobytes()
+        cached = _INTERN.columnar_sets.get(key)
+        if cached is not None:
+            return cached
         self = object.__new__(cls)
         object.__setattr__(self, "_ids", ids)
+        _INTERN.columnar_sets[key] = self
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -553,24 +490,17 @@ class SetValue(ComplexValue):
         return SetValue(self.elements - other.elements)
 
     def atoms(self) -> frozenset[object]:
-        if not _INTERN.enabled:
-            return self._atoms_uncached()
         try:
             return self._atoms
         except AttributeError:
-            frozen = self._atoms_uncached()
+            result: set[object] = set()
+            for element in self.elements:
+                result |= element.atoms()
+            frozen = frozenset(result)
             object.__setattr__(self, "_atoms", frozen)
             return frozen
 
-    def _atoms_uncached(self) -> frozenset[object]:
-        result: set[object] = set()
-        for element in self.elements:
-            result |= element.atoms()
-        return frozenset(result)
-
     def _sorted_elements(self) -> tuple[ComplexValue, ...]:
-        if not _INTERN.enabled:
-            return tuple(sorted(self.elements, key=structural_sort_key))
         try:
             return self._sorted
         except AttributeError:
@@ -583,12 +513,6 @@ class SetValue(ComplexValue):
         return list(self._sorted_elements())
 
     def sort_key(self) -> tuple:
-        if not _INTERN.enabled:
-            return (
-                2,
-                len(self.elements),
-                tuple(e.sort_key() for e in self._sorted_elements()),
-            )
         try:
             return self._sort_key
         except AttributeError:
@@ -626,8 +550,6 @@ class SetValue(ComplexValue):
             return self.elements == other.elements
 
     def __hash__(self) -> int:
-        if not _INTERN.enabled:
-            return hash(("set", self.elements))
         try:
             return self._hash
         except AttributeError:

@@ -14,7 +14,7 @@ three metric kinds a serving process exposes:
   Callback-based on purpose: the owning component registers a closure
   over its live state instead of pushing updates it would otherwise have
   to guard on the hot path;
-* **counters** — the eight ablation switch families are *already*
+* **counters** — the eight runtime counter families are *already*
   counters; the exposition pulls them from
   :func:`repro.objects.stats.runtime_stats` instead of duplicating them.
 

@@ -24,7 +24,7 @@ explicit handoff and get it:
   executor (:class:`repro.engine.execute._Executor`) carries the active
   span itself and parents child node spans explicitly.
 
-This module is the **eighth ablation switch family**
+This module is the **eighth counter family** and the fifth ablation switch
 (:func:`set_tracing` / :func:`tracing` / ``REPRO_TRACE``, counters via
 :func:`observability_stats`, aggregated by
 :func:`repro.objects.stats.runtime_stats`).  The off path is near-free by
@@ -56,7 +56,7 @@ TRACE_RING_ENTRIES = 128
 
 class _ObservabilityState:
     """The process-wide tracing switch and engagement counters (the same
-    shape as ``_CODEGEN``, ``_MVCC`` and the other ablation toggles)."""
+    shape as ``_CODEGEN`` and the other ablation toggles)."""
 
     __slots__ = ("enabled", "stats")
 
@@ -101,7 +101,7 @@ def set_tracing(enabled: bool) -> bool:
 @contextmanager
 def tracing(enabled: bool = True):
     """Context-manager form of :func:`set_tracing` (mirrors ``codegen(...)``,
-    ``mvcc(...)``, ``durability(...)``)."""
+    ``columnar_storage(...)``, ``vectorized_filters(...)``)."""
     previous = set_tracing(enabled)
     try:
         yield

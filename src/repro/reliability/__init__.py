@@ -13,8 +13,7 @@ Four pieces, designed to be tested together:
   incremental state up front;
 * :mod:`repro.reliability.faults` — deterministic, seeded fault
   injection (errors, simulated crashes, torn writes) at named sites
-  throughout the stack, plus the ``reliability_stats()`` counter family
-  and the ``set_wal`` / ``durability(...)`` ablation switch.
+  throughout the stack, plus the ``reliability_stats()`` counter family.
 """
 
 from repro.reliability.checkpoint import (
@@ -38,14 +37,12 @@ from repro.reliability.faults import (
     FaultSpec,
     InjectedFault,
     SimulatedCrash,
-    durability,
     fault_plan,
     fault_point,
     fault_sites,
     register_fault_site,
     reliability_stats,
     set_fault_plan,
-    set_wal,
     wal_enabled,
 )
 from repro.reliability.staging import UndoJournal
@@ -74,7 +71,6 @@ __all__ = [
     "checkpoint_path",
     "create_durable_database",
     "decode_batch",
-    "durability",
     "encode_batch",
     "fault_plan",
     "fault_point",
@@ -88,7 +84,6 @@ __all__ = [
     "register_fault_site",
     "reliability_stats",
     "set_fault_plan",
-    "set_wal",
     "wal_enabled",
     "write_checkpoint",
 ]

@@ -28,7 +28,7 @@ from repro.reliability.checkpoint import (
     load_newest_checkpoint,
     write_checkpoint,
 )
-from repro.reliability.faults import _count, wal_enabled
+from repro.reliability.faults import _count
 from repro.reliability.wal import (
     WriteAheadLog,
     decode_batch,
@@ -71,17 +71,14 @@ class DurabilityController:
     def last_sequence(self) -> int:
         return self.wal.last_sequence
 
-    def log_batch(self, deltas: dict, epoch: int | None = None) -> int | None:
+    def log_batch(self, deltas: dict, epoch: int | None = None) -> int:
         """Make one batch durable before it is published; returns the WAL
-        sequence, or ``None`` when logging is ablated off (``set_wal``).
+        sequence.
 
         *epoch* is the MVCC epoch this batch will publish; when given it
         becomes the record's sequence, so WAL position and epoch are the
         same number and recovery's epoch is the last durable one.
         """
-        if not wal_enabled():
-            _count("wal_appends_skipped")
-            return None
         sequence = epoch if epoch is not None and epoch > self.wal.last_sequence else None
         return self.wal.append(encode_batch(deltas), sequence=sequence)
 

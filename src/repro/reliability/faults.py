@@ -27,9 +27,7 @@ Three fault kinds model the failure modes that matter:
 
 The module also owns the reliability counter family
 (:func:`reliability_stats`, the sixth family aggregated by
-:func:`repro.objects.stats.runtime_stats`) and the ``set_wal`` /
-``durability(...)`` ablation switch that lets benchmarks measure the
-serving core with write-ahead logging disabled.
+:func:`repro.objects.stats.runtime_stats`).
 """
 
 from __future__ import annotations
@@ -160,13 +158,12 @@ class FaultPlan:
 
 
 class _ReliabilityState:
-    """Process-wide durability switch and counters (the sixth family)."""
+    """The process-wide fault plan and counters (the sixth family)."""
 
-    __slots__ = ("plan", "wal_enabled", "stats")
+    __slots__ = ("plan", "stats")
 
     def __init__(self) -> None:
         self.plan: FaultPlan | None = None
-        self.wal_enabled = True
         self.stats = {
             "faults_injected": 0,
             "crashes_simulated": 0,
@@ -175,7 +172,6 @@ class _ReliabilityState:
             "wal_fsyncs": 0,
             "wal_records_replayed": 0,
             "wal_torn_tails_truncated": 0,
-            "wal_appends_skipped": 0,
             "checkpoints_written": 0,
             "corrupt_checkpoints_skipped": 0,
             "recoveries": 0,
@@ -234,34 +230,8 @@ def fault_point(site: str) -> None:
         plan.raise_for(site, spec)
 
 
-# -- the WAL ablation switch --------------------------------------------------------
-
 def wal_enabled() -> bool:
-    """Whether databases with durability configured append to their WAL."""
-    return _RELIABILITY.wal_enabled
-
-
-def set_wal(enabled: bool) -> bool:
-    """Enable/disable write-ahead logging process-wide; returns the
-    previous setting.
-
-    With the switch off a durable database skips WAL appends (and the
-    fsyncs they imply) entirely — the ablation baseline
-    ``benchmarks/bench_wal.py`` measures against.  Recovery of a database
-    that ran with the switch off only sees its checkpoints.
-    """
-    previous = _RELIABILITY.wal_enabled
-    _RELIABILITY.wal_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def durability(enabled: bool = True):
-    """Context-manager form of :func:`set_wal` (mirrors the other
-    ablation switches: ``interning(...)``, ``columnar_storage(...)``,
-    ``vectorized_filters(...)``, ``codegen(...)``)."""
-    previous = set_wal(enabled)
-    try:
-        yield
-    finally:
-        set_wal(previous)
+    """Always ``True``: a durable database always appends to its WAL.
+    Kept only because ``perfbench/program.py`` still imports it to check
+    its configuration."""
+    return True

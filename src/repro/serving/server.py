@@ -43,7 +43,6 @@ from repro.observability.trace import (
 from repro.reliability import reliability_stats
 from repro.types.parser import parse_type
 from repro.views import Database, views_stats
-from repro.views.database import mvcc_enabled
 
 from repro.serving.protocol import (
     encode_error,
@@ -400,13 +399,12 @@ class DatabaseServer:
         A named read at a fixed epoch is immutable — pinned handles
         answer from a frozen snapshot, and the live state cannot change
         at a given epoch (every commit advances it) — so the encoded
-        response line is reused verbatim.  With MVCC ablated a handle's
-        recorded epoch is advisory (reads see the latest state), so the
-        cache keys on the *current* epoch instead and re-validates it
-        after encoding: if a write slipped in mid-read the entry is not
-        stored rather than poisoning the new epoch's key.
+        response line is reused verbatim.  A pinned read keys on the
+        handle's epoch.  An unpinned read keys on the *current* epoch and
+        re-checks it after encoding: if a write slipped in mid-read the
+        entry is not stored rather than poisoning the new epoch's key.
         """
-        pinned = handle is not None and mvcc_enabled()
+        pinned = handle is not None
         epoch = handle.epoch if pinned else self.database.current_epoch
         key = (verb, name, epoch)
         cached = self._result_cache.get(key)

@@ -37,9 +37,6 @@ from repro.views.database import (
     EpochHandle,
     EpochSnapshot,
     UpdateBatch,
-    mvcc,
-    mvcc_enabled,
-    set_mvcc,
 )
 from repro.views.maintain import Delta, views_stats
 from repro.views.snapshot import (
@@ -65,9 +62,6 @@ __all__ = [
     "ViewCatalog",
     "ViewError",
     "load_snapshot",
-    "mvcc",
-    "mvcc_enabled",
-    "set_mvcc",
     "replay_updates",
     "restore_database",
     "save_snapshot",

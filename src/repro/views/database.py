@@ -40,12 +40,7 @@ not copying, apart from building any instance the epoch left stale)
 into the epoch table, and an epoch's entry is
 garbage-collected when its last pin is released.  Writers are serialized
 by a per-database writer lock — the "serialized writer queue" the asyncio
-serving layer (:mod:`repro.serving`) feeds.  The
-:func:`set_mvcc`/:func:`mvcc` ablation switch restores the bare
-single-writer façade: pins degrade to advisory (reads always see the
-latest state, counted in ``views_stats()['mvcc_bypassed_reads']``), which
-is exactly the oracle the ``REPRO_DISABLE_MVCC=1`` CI run compares
-against.
+serving layer (:mod:`repro.serving`) feeds.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Mapping
-from contextlib import contextmanager
 
 from repro.errors import EpochError, SchemaError
 from repro.observability.metrics import METRICS
@@ -77,50 +71,11 @@ SITE_STORE_PUBLISH = register_fault_site(
 )
 
 
-# -- the MVCC ablation switch -------------------------------------------------------
-
-class _MvccState:
-    """The process-wide MVCC switch (mirrors the other ablation toggles)."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-_MVCC = _MvccState()
-
-
 def mvcc_enabled() -> bool:
-    """Whether databases retain pinned epoch snapshots."""
-    return _MVCC.enabled
-
-
-def set_mvcc(enabled: bool) -> bool:
-    """Enable/disable MVCC epoch retention process-wide; returns the
-    previous setting.
-
-    With the switch off the database is the bare single-writer façade:
-    :meth:`Database.pin` still hands out handles (so serving code runs
-    unchanged), but no snapshot is ever frozen and every read through a
-    handle observes the *latest* state — the oracle the
-    ``REPRO_DISABLE_MVCC=1`` CI run holds the MVCC path against.
-    """
-    previous = _MVCC.enabled
-    _MVCC.enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def mvcc(enabled: bool = True):
-    """Context-manager form of :func:`set_mvcc` (mirrors ``interning(...)``,
-    ``columnar_storage(...)``, ``vectorized_filters(...)``, ``codegen(...)``,
-    ``durability(...)``)."""
-    previous = set_mvcc(enabled)
-    try:
-        yield
-    finally:
-        set_mvcc(previous)
+    """Always ``True``: pinned epochs are always retained.  Kept only
+    because ``perfbench/program.py`` still imports it to check its
+    configuration."""
+    return True
 
 
 class UpdateBatch:
@@ -176,9 +131,7 @@ class EpochHandle:
     current they are served live (no copies are made unless a writer
     actually advances the database), and afterwards from the frozen
     :class:`EpochSnapshot` — bit-identical either way, because the values
-    involved are immutable.  With MVCC ablated off
-    (:func:`set_mvcc`), reads fall through to the latest state instead
-    (counted in ``views_stats()['mvcc_bypassed_reads']``).
+    involved are immutable.
     """
 
     __slots__ = ("_database", "epoch", "_released")
@@ -403,22 +356,24 @@ class Database:
         context manager, so ``with db.pin() as reader:`` releases on
         exit).  Pinning a past epoch only works while some other pin
         still retains it — otherwise :class:`~repro.errors.EpochError`.
-        With MVCC ablated off the pin is advisory (reads see latest).
         """
         with self._writer_lock:
             target = self._epoch if epoch is None else int(epoch)
             if target != self._epoch and target not in self._published:
-                if mvcc_enabled():
-                    raise EpochError(
-                        f"epoch {target} is not retained (current epoch is "
-                        f"{self._epoch}; pinned: {sorted(self._published)})"
-                    )
+                raise EpochError(
+                    f"epoch {target} is not retained (current epoch is "
+                    f"{self._epoch}; pinned: {sorted(self._published)})"
+                )
             self._pins[target] = self._pins.get(target, 0) + 1
             _views_count("epoch_pins")
             return EpochHandle(self, target)
 
     def release(self, epoch: int) -> None:
         """Drop one pin on *epoch*; collects its snapshot at zero pins.
+
+        The current epoch can have a snapshot too: a commit freezes it and
+        then aborts (a failed WAL append).  That snapshot is collected as
+        well; a current epoch without one is served live.
 
         Called by :meth:`EpochHandle.release`; callers normally never
         invoke it directly.
@@ -427,7 +382,7 @@ class Database:
             count = self._pins.get(epoch, 0)
             if count <= 1:
                 self._pins.pop(epoch, None)
-                if epoch != self._epoch and self._published.pop(epoch, None) is not None:
+                if self._published.pop(epoch, None) is not None:
                     _views_count("epochs_collected")
             else:
                 self._pins[epoch] = count - 1
@@ -445,19 +400,16 @@ class Database:
 
     def _resolve_epoch(self, epoch: int) -> EpochSnapshot | None:
         """The frozen snapshot for *epoch*, or ``None`` when the read
-        should be served live (epoch is current, or MVCC is off)."""
+        should be served live (the epoch is current)."""
         with self._writer_lock:
             frozen = self._published.get(epoch)
             if frozen is not None:
                 return frozen
             if epoch == self._epoch:
                 return None
-            if mvcc_enabled():
-                raise EpochError(
-                    f"epoch {epoch} is no longer retained (current epoch is {self._epoch})"
-                )
-            _views_count("mvcc_bypassed_reads")
-            return None
+            raise EpochError(
+                f"epoch {epoch} is no longer retained (current epoch is {self._epoch})"
+            )
 
     def _freeze_current_epoch(self) -> None:
         """Freeze the live epoch's snapshot if any reader pins it.
@@ -469,8 +421,6 @@ class Database:
         references to immutable objects.  Unpinned epochs are never
         frozen; their storage cost is zero.
         """
-        if not mvcc_enabled():
-            return
         epoch = self._epoch
         if not self._pins.get(epoch) or epoch in self._published:
             return

@@ -129,7 +129,6 @@ class _ViewsState:
             "epochs_frozen": 0,
             "epochs_collected": 0,
             "epoch_reads_frozen": 0,
-            "mvcc_bypassed_reads": 0,
         }
 
 

@@ -12,7 +12,6 @@ from repro.engine.codegen import set_codegen
 from repro.engine.joinorder import set_join_ordering
 from repro.objects.instance import DatabaseInstance
 from repro.observability.trace import set_tracing
-from repro.views.database import set_mvcc
 
 # CI runs the tier-1 suite once with the fused-codegen ablation switch off
 # (REPRO_DISABLE_CODEGEN=1) so the interpreting-oracle path stays green on
@@ -20,14 +19,7 @@ from repro.views.database import set_mvcc
 if os.environ.get("REPRO_DISABLE_CODEGEN"):
     set_codegen(False)
 
-# Same contract for MVCC epoch snapshots: REPRO_DISABLE_MVCC=1 runs the
-# views + serving suites against the bare single-writer façade (pins
-# advisory, reads always latest).  Tests that assert epoch *isolation*
-# skip themselves under this mode (they check os.environ directly).
-if os.environ.get("REPRO_DISABLE_MVCC"):
-    set_mvcc(False)
-
-# And for cost-based join ordering: REPRO_DISABLE_JOIN_ORDERING=1 compiles
+# Same contract for cost-based join ordering: REPRO_DISABLE_JOIN_ORDERING=1 compiles
 # every plan in syntactic order with binary joins only (no statistics
 # collection, no MultiwayHashJoin), which must be answer-equivalent.
 if os.environ.get("REPRO_DISABLE_JOIN_ORDERING"):

@@ -2,8 +2,8 @@
 
 The oracle pattern of ``test_vectorized_filter.py`` extended one axis
 further: random pipeline queries are evaluated under the full **codegen ×
-vectorized × columnar × interning** mode cube, and all sixteen cells must
-produce identical answers — matching the legacy tree-walking oracle —
+vectorized × columnar** mode cube, and all eight cells must produce
+identical answers — matching the legacy tree-walking oracle —
 with engagement counters asserting that fused fragments genuinely ran in
 the codegen-on cells (a silent fallback to the interpreting generators
 cannot fake a pass).  On top of the sweep: fragment-cache correctness
@@ -50,7 +50,6 @@ from repro.engine import (
 from repro.engine.codegen import compiled_predicate, fragment_for
 from repro.objects.columnar import columnar_settings
 from repro.objects.stats import reset_runtime_stats, runtime_stats
-from repro.objects.values import interning
 from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
 from repro.types.type_system import TupleType, U
@@ -78,19 +77,18 @@ ATOMS = ["a", "b", "v0", "v1", "v2"]
 STRICT = AlgebraEvaluationSettings(engine_logical_optimize=False)
 DEFAULT = AlgebraEvaluationSettings()
 
-#: The full codegen × vectorized × columnar × interning mode cube.
-MODE_CUBE = list(product((True, False), repeat=4))
+#: The full codegen × vectorized × columnar mode cube.
+MODE_CUBE = list(product((True, False), repeat=3))
 
 
 @contextmanager
-def representation(codegen_on, vectorized_on, columnar_on, interning_on):
+def representation(codegen_on, vectorized_on, columnar_on):
     """One cell of the mode cube, with the shared dispatch threshold at 1
     so the mask/kernel fast paths genuinely engage on tiny instances."""
     with codegen(codegen_on):
         with vectorized_filters(vectorized_on):
             with columnar_settings(enabled=columnar_on, threshold=1):
-                with interning(interning_on):
-                    yield
+                yield
 
 
 def _database():
@@ -374,19 +372,15 @@ def test_pipeline_generator_is_deterministic():
 
 
 def test_fused_fragments_intern_like_the_interpreter():
-    """Interning on or off, fused output values equal the interpreter's
-    (TupleValue equality is structural either way)."""
+    """Fused output values are the interpreter's canonical instances."""
     database = _database()
     expression = Projection(
         Selection(PredicateExpression("T"), SelectionCondition.eq(1, 2)), (2, 3)
     )
-    answers = []
-    for interning_on in (True, False):
-        with interning(interning_on):
-            with codegen(True):
-                fused = evaluate_expression(expression, database, STRICT)
-            with codegen(False):
-                interpreted = evaluate_expression(expression, database, STRICT)
-            assert fused == interpreted
-            answers.append({tuple(v.components) for v in fused.values})
-    assert answers[0] == answers[1]
+    with codegen(True):
+        fused = evaluate_expression(expression, database, STRICT)
+    with codegen(False):
+        interpreted = evaluate_expression(expression, database, STRICT)
+    assert fused == interpreted and fused.values
+    canonical = {value: value for value in interpreted.values}
+    assert all(canonical[value] is value for value in fused.values)

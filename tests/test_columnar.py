@@ -1,13 +1,13 @@
 """Property-based differential suite for the columnar set storage.
 
 The oracle pattern of ``test_engine_equivalence.py`` extended to the
-representation axis: every random workload is evaluated under the full
-(columnar × interning) mode cross-product, and all four combinations must
-produce identical answers — across the algebra oracle, the engine, the
-flat relational algebra and the Datalog evaluators.  The sweeps force the
-dispatch threshold down to 1 so the id-array kernels genuinely engage on
-the small random instances (asserted via the kernel counters, so a silent
-fallback to the object path cannot fake a pass).
+representation axis: every random workload is evaluated with columnar
+storage on and off, and both must produce identical answers — across the
+algebra oracle, the engine, the flat relational algebra and the Datalog
+evaluators.  The sweeps force the dispatch threshold down to 1 so the
+id-array kernels genuinely engage on the small random instances (asserted
+via the kernel counters, so a silent fallback to the object path cannot
+fake a pass).
 
 Selectable standalone with ``pytest -m columnar``.
 """
@@ -31,7 +31,7 @@ from repro.objects.columnar import (
     columnar_stats,
     columnar_storage,
 )
-from repro.objects.values import Atom, interning, make_set
+from repro.objects.values import Atom, clear_intern_tables, make_set
 from repro.relational import algebra
 from repro.relational.relation import Relation
 from repro.types.parser import parse_type
@@ -57,24 +57,28 @@ TWIN_SCHEMA = DatabaseSchema([("R", parse_type("[U, U]")), ("S", parse_type("[U,
 
 ATOMS = ["a", "b", "v0", "v1", "v2"]
 
-#: The four representation-mode combinations every differential sweep runs.
+#: The cells every parametrized sweep runs: ``(columnar_on, fresh_tables)``.
+#: An ``ablation`` cell clears the intern tables first, so the values it
+#: builds are equal to, but not the same instances as, the ones the
+#: process-wide caches kept from earlier cells.
 MODES = [
-    pytest.param(True, True, id="columnar-interned"),
-    pytest.param(True, False, id="columnar-ablation"),
-    pytest.param(False, True, id="object-interned"),
-    pytest.param(False, False, id="object-ablation"),
+    pytest.param(True, False, id="columnar-interned"),
+    pytest.param(True, True, id="columnar-ablation"),
+    pytest.param(False, False, id="object-interned"),
+    pytest.param(False, True, id="object-ablation"),
 ]
 
 STRICT = AlgebraEvaluationSettings(engine_logical_optimize=False)
 
 
 @contextmanager
-def representation(columnar_on: bool, interning_on: bool):
-    """One cell of the mode cross-product, with the dispatch threshold at 1
-    while columnar is on so tiny random workloads still hit the kernels."""
+def representation(columnar_on: bool, fresh_tables: bool = False):
+    """One cell of the mode cube, with the dispatch threshold at 1 while
+    columnar is on so tiny random workloads still hit the kernels."""
+    if fresh_tables:
+        clear_intern_tables()
     with columnar_settings(enabled=columnar_on, threshold=1 if columnar_on else None):
-        with interning(interning_on):
-            yield
+        yield
 
 
 def _databases():
@@ -107,41 +111,34 @@ def _evaluate_everywhere(seed):
     return answers
 
 
-@pytest.mark.parametrize("columnar_on,interning_on", MODES)
+@pytest.mark.parametrize("columnar_on,fresh_tables", MODES)
 @pytest.mark.parametrize("seed", range(0, 40, 4))
-def test_algebra_and_engine_agree_in_every_mode(seed, columnar_on, interning_on):
+def test_algebra_and_engine_agree_in_every_mode(seed, columnar_on, fresh_tables):
     """Within each mode combination the engine must equal the oracle."""
-    with representation(columnar_on, interning_on):
+    with representation(columnar_on, fresh_tables):
         _evaluate_everywhere(seed)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_algebra_answers_agree_across_modes(seed):
-    """The four mode combinations must all produce the same instances."""
-    reference = None
-    for columnar_on in (False, True):
-        for interning_on in (True, False):
-            with representation(columnar_on, interning_on):
-                answers = _evaluate_everywhere(seed)
-            if reference is None:
-                reference = answers
-            else:
-                assert answers == reference, (
-                    f"mode (columnar={columnar_on}, interning={interning_on}) "
-                    f"changed an answer on seed {seed}"
-                )
+    """Columnar storage on and off must produce the same instances."""
+    with representation(False):
+        reference = _evaluate_everywhere(seed)
+    with representation(True):
+        answers = _evaluate_everywhere(seed)
+    assert answers == reference, f"columnar storage changed an answer on seed {seed}"
 
 
 def test_engine_columnar_set_ops_actually_engage():
     """The cross-mode sweeps must not silently run the object path: with
     columnar on, the engine's SetOp fast path and the merge kernels fire."""
-    with representation(True, True):
+    with representation(True):
         before = columnar_stats()
         for seed in range(12):
             _evaluate_everywhere(seed)
         after = columnar_stats()
     assert after["engine_set_ops"] > before["engine_set_ops"]
-    with representation(False, True):
+    with representation(False):
         before = columnar_stats()
         _evaluate_everywhere(3)
         after = columnar_stats()
@@ -150,24 +147,20 @@ def test_engine_columnar_set_ops_actually_engage():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_datalog_agrees_in_every_mode(seed):
-    """Semi-naive and naive Datalog agree with each other and across the
-    mode cross-product on random stratifiable programs."""
+    """Semi-naive and naive Datalog agree with each other, with columnar
+    storage on and off, on random stratifiable programs."""
     program = random_datalog_program(seed=seed)
     edb = {"e": random_edge_relation(seed=seed)}
     reference = None
     for columnar_on in (False, True):
-        for interning_on in (True, False):
-            with representation(columnar_on, interning_on):
-                semi = evaluate_program(program, edb)
-                naive = evaluate_program_naive(program, edb)
-            assert semi == naive, f"semi-naive diverged from naive on seed {seed}"
-            if reference is None:
-                reference = semi
-            else:
-                assert semi == reference, (
-                    f"mode (columnar={columnar_on}, interning={interning_on}) "
-                    f"changed the Datalog answer on seed {seed}"
-                )
+        with representation(columnar_on):
+            semi = evaluate_program(program, edb)
+            naive = evaluate_program_naive(program, edb)
+        assert semi == naive, f"semi-naive diverged from naive on seed {seed}"
+        if reference is None:
+            reference = semi
+        else:
+            assert semi == reference, f"columnar storage changed the Datalog answer on seed {seed}"
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -177,9 +170,9 @@ def test_relational_set_operations_agree_across_modes(seed):
     left = Relation(2, random_graph_pairs(8, 14, seed=seed))
     right = Relation(2, random_graph_pairs(8, 14, seed=seed + 1000))
     for operation in (algebra.union, algebra.intersection, algebra.difference):
-        with representation(True, True):
+        with representation(True):
             columnar_result = operation(left, right)
-        with representation(False, True):
+        with representation(False):
             object_result = operation(left, right)
         assert columnar_result == object_result
         assert object_result == columnar_result
@@ -191,28 +184,27 @@ def test_relational_set_operations_agree_across_modes(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_set_value_bulk_operations_agree_across_modes(seed):
     """Random complex-object sets: the bulk kernels equal the frozenset
-    path for every operation, in both interning modes."""
+    path for every operation."""
     type_ = parse_type("[U, {U}]")
     pool = random_objects(type_, ["a", "b", "v0"], 24, seed=seed)
     left, right = make_set(pool[:16]), make_set(pool[8:])
-    with representation(False, True):
+    with representation(False):
         expected = {
             "union": left.union(right),
             "intersection": left.intersection(right),
             "difference": right.difference(left),
         }
-    for interning_on in (True, False):
-        with representation(True, interning_on):
-            assert left.union(right) == expected["union"]
-            assert left.intersection(right) == expected["intersection"]
-            assert right.difference(left) == expected["difference"]
-            # The equality above may be answered on the id columns; the
-            # materialized views must agree too.
-            assert left.union(right).elements == expected["union"].elements
-            assert sorted(left.union(right).sorted_elements()) == sorted(
-                expected["union"].sorted_elements()
-            )
-            assert hash(left.intersection(right)) == hash(expected["intersection"])
+    with representation(True):
+        assert left.union(right) == expected["union"]
+        assert left.intersection(right) == expected["intersection"]
+        assert right.difference(left) == expected["difference"]
+        # The equality above may be answered on the id columns; the
+        # materialized views must agree too.
+        assert left.union(right).elements == expected["union"].elements
+        assert sorted(left.union(right).sorted_elements()) == sorted(
+            expected["union"].sorted_elements()
+        )
+        assert hash(left.intersection(right)) == hash(expected["intersection"])
 
 
 def test_column_backed_sets_are_lazy_and_search_by_bisection():

@@ -3,7 +3,7 @@
 The property sweep checks *answer equivalence*: the reordered/multiway
 plans must produce exactly the instance the syntactic plan (and, at tiny
 sizes, the legacy tree-walking oracle) produces, across the
-joinorder × codegen × columnar × interning mode cube.  The unit tests pin
+joinorder × codegen × columnar mode cube.  The unit tests pin
 the statistics layer's measurements, the cost model's bounded error on
 seeded workloads, the never-fires regression for sub-2-relation plans,
 the view-maintenance bypass, and the explain/analyze cardinality
@@ -44,7 +44,6 @@ from repro.engine.joinorder import DP_LIMIT
 from repro.engine.stats import relation_stats, signature_stale
 from repro.objects.columnar import columnar_storage
 from repro.objects.instance import DatabaseInstance
-from repro.objects.values import interning
 from repro.types.schema import DatabaseSchema
 from repro.types.type_system import U, tuple_type
 from repro.views.database import Database
@@ -82,16 +81,12 @@ def test_joinorder_equivalence_sweep(shape, seed):
         shape, relations=5, rows=48, seed=seed
     )
     reference = _result(expression, database, engine_join_ordering=False)
-    for use_codegen, use_columnar, use_interning in itertools.product(
-        (True, False), repeat=3
-    ):
-        with join_ordering(True), codegen(use_codegen), columnar_storage(
-            use_columnar
-        ), interning(use_interning):
+    for use_codegen, use_columnar in itertools.product((True, False), repeat=2):
+        with join_ordering(True), codegen(use_codegen), columnar_storage(use_columnar):
             clear_plan_cache()
             assert (
                 _result(expression, database) == reference
-            ), (shape, seed, use_codegen, use_columnar, use_interning)
+            ), (shape, seed, use_codegen, use_columnar)
     clear_plan_cache()
 
 

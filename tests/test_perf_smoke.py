@@ -4,7 +4,7 @@ Timing assertions are flaky on shared machines, so these contracts are
 expressed structurally — work counters, canonical-instance identity, cache
 reuse — over tiny workloads, plus a floor check over the recorded
 ``benchmarks/BENCH_*.json`` reports.  The real measurements live in
-``benchmarks/bench_values.py`` and ``benchmarks/bench_datalog.py``.
+``benchmarks/`` and ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.objects.constructive import (
     clear_constructive_domain_cache,
     iter_constructive_domain,
 )
-from repro.objects.values import Atom, TupleValue, interning
+from repro.objects.values import Atom, TupleValue
 from repro.relational.relation import Relation
 from repro.types.parser import parse_type
 from repro.workloads import chain_pairs
@@ -53,12 +53,8 @@ def test_semi_naive_does_strictly_less_work():
 def test_interning_yields_canonical_instances():
     """Structurally equal constructions must be the same object, so hash
     and sort-key caches are shared across all consumers."""
-    with interning(True):
-        rows = [TupleValue([Atom("a"), Atom(i % 3)]) for i in range(60)]
-        assert len({id(row) for row in rows}) == 3
-    with interning(False):
-        rows = [TupleValue([Atom("a"), Atom(i % 3)]) for i in range(60)]
-        assert len({id(row) for row in rows}) == 60
+    rows = [TupleValue([Atom("a"), Atom(i % 3)]) for i in range(60)]
+    assert len({id(row) for row in rows}) == 3
 
 
 def test_constructive_domain_enumeration_is_shared():
@@ -66,17 +62,11 @@ def test_constructive_domain_enumeration_is_shared():
     (identical objects), not regenerate the domain."""
     type_ = parse_type("{[U, U]}")
     atoms = frozenset({"a", "b"})
-    with interning(True):
-        clear_constructive_domain_cache()
-        first = list(iter_constructive_domain(type_, atoms))
-        second = list(iter_constructive_domain(type_, atoms))
-        assert all(x is y for x, y in zip(first, second))
-        assert len(first) == len(second) == 2 ** 4
-    with interning(False):
-        first = list(iter_constructive_domain(type_, atoms))
-        second = list(iter_constructive_domain(type_, atoms))
-        assert first == second
-        assert not all(x is y for x, y in zip(first, second))
+    clear_constructive_domain_cache()
+    first = list(iter_constructive_domain(type_, atoms))
+    second = list(iter_constructive_domain(type_, atoms))
+    assert all(x is y for x, y in zip(first, second))
+    assert len(first) == len(second) == 2 ** 4
 
 
 def test_failed_enumeration_does_not_poison_the_domain_cache():
@@ -89,11 +79,10 @@ def test_failed_enumeration_does_not_poison_the_domain_cache():
     # A ComplexValue is hashable (so it reaches enumeration) but is an
     # invalid Atom payload, so Atom() raises mid-generation.
     bad_atoms = frozenset({"a", Atom("poison")})
-    with interning(True):
-        clear_constructive_domain_cache()
-        for _ in range(2):
-            with pytest.raises(ObjectModelError):
-                list(iter_constructive_domain(U, bad_atoms))
+    clear_constructive_domain_cache()
+    for _ in range(2):
+        with pytest.raises(ObjectModelError):
+            list(iter_constructive_domain(U, bad_atoms))
 
 
 def test_relation_iteration_sorts_once():
@@ -239,7 +228,7 @@ def test_commits_apply_deltas_in_place_and_reads_build_the_instance(monkeypatch)
     )
     from repro.objects.instance import DatabaseInstance, Instance
     from repro.types.schema import DatabaseSchema
-    from repro.views import Database, mvcc_enabled
+    from repro.views import Database
     from repro.workloads import random_update_stream
 
     fact_type, pair_type = parse_type("[U, U, U]"), parse_type("[U, U]")
@@ -304,7 +293,7 @@ def test_commits_apply_deltas_in_place_and_reads_build_the_instance(monkeypatch)
     db.transact(stream[200])  # leaves F stale at the new epoch
     with db.pin():
         db.insert("F", [("new", "new", "new")])  # the freeze builds the pinned F
-    assert len(builds) == (2 if mvcc_enabled() else 1)
+    assert len(builds) == 2
 
 
 def test_compiled_formulas_are_cached_by_source(monkeypatch):
@@ -374,6 +363,41 @@ def test_compiled_source_cache_is_bounded_by_size(monkeypatch):
     assert max(map(len, evaluation._FACTORIES)) > bound // 2
 
 
+def test_fused_function_cache_is_bounded(monkeypatch):
+    """The engine's compiled-function cache is cleared before it would pass
+    its entry cap or its source-size cap, so ad hoc queries with new plan
+    structures cannot grow it without limit."""
+    import importlib
+
+    from repro.algebra.evaluation import evaluate_expression
+    from repro.calculus.builders import PARENT_SCHEMA
+    from repro.errors import EvaluationError
+    from repro.workloads import random_algebra_expression, random_database
+
+    codegen = importlib.import_module("repro.engine.codegen")
+    database = random_database(PARENT_SCHEMA, ["a", "b", "v0", "v1"], count=6, seed=3)
+
+    def sweep():
+        compiled = codegen.codegen_stats()["fragments_compiled"]
+        for seed in range(60):
+            expression = random_algebra_expression(PARENT_SCHEMA, seed=seed, size=6)
+            try:
+                evaluate_expression(expression, database)
+            except EvaluationError:
+                pass
+            yield codegen._FUNCTIONS
+        assert codegen.codegen_stats()["fragments_compiled"] - compiled > 4
+
+    for caps in ((4, 1 << 20), (1024, 600)):
+        monkeypatch.setattr(codegen, "_FUNCTIONS", {})
+        monkeypatch.setattr(codegen, "_PREPARED", {})
+        monkeypatch.setattr(codegen, "_FUNCTIONS_MAX_ENTRIES", caps[0])
+        monkeypatch.setattr(codegen, "_FUNCTIONS_MAX_SOURCE_CHARS", caps[1])
+        for functions in sweep():
+            assert len(functions) <= caps[0]
+            assert sum(len(source) for _flags, source in functions) <= caps[1]
+
+
 def test_finished_domains_replay_as_lists_and_partial_ones_stay_lazy(monkeypatch):
     """A fully enumerated ``cons_Y(T)`` replays as a plain list iterator; a
     partly consumed one has generated only the values its consumers
@@ -391,15 +415,14 @@ def test_finished_domains_replay_as_lists_and_partial_ones_stay_lazy(monkeypatch
             yield value
 
     monkeypatch.setattr(constructive, "_enumerate", counting)
-    with interning(True):
-        clear_constructive_domain_cache()
-        view = constructive.constructive_domain_view(type_, frozenset({"a", "b"}))
-        first, second = iter(view), iter(view)
-        pulled = [next(first) for _ in range(3)] + [next(second) for _ in range(5)]
-        assert len(generated) == 5
-        assert pulled[:3] == pulled[3:6]
-        assert type(iter(view)) is not type(iter([]))
+    clear_constructive_domain_cache()
+    view = constructive.constructive_domain_view(type_, frozenset({"a", "b"}))
+    first, second = iter(view), iter(view)
+    pulled = [next(first) for _ in range(3)] + [next(second) for _ in range(5)]
+    assert len(generated) == 5
+    assert pulled[:3] == pulled[3:6]
+    assert type(iter(view)) is not type(iter([]))
 
-        assert len(list(view)) == 2 ** 4 == len(generated)
-        assert type(iter(view)) is type(iter([]))
-        assert list(view) == generated
+    assert len(list(view)) == 2 ** 4 == len(generated)
+    assert type(iter(view)) is type(iter([]))
+    assert list(view) == generated

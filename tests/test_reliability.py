@@ -16,7 +16,7 @@ The central contracts:
 
 The always-on portion keeps the crash sweep to one mode cell; exporting
 ``REPRO_FAULT_SWEEP=1`` (the CI fault-injection job) unlocks the full
-crash-site × (columnar × interning × vectorized) cube.
+crash-site × (columnar × vectorized) cube.
 
 Selectable standalone with ``pytest -m reliability``.
 """
@@ -46,7 +46,6 @@ from repro.calculus.builders import PARENT_SCHEMA
 from repro.datalog import transitive_closure_program
 from repro.datalog.evaluation import SemiNaiveProgram
 from repro.objects.columnar import columnar_settings
-from repro.objects.values import interning
 from repro.reliability import (
     FaultPlan,
     InjectedFault,
@@ -64,7 +63,6 @@ from repro.reliability import (
     recover_wal,
     reliability_stats,
     set_fault_plan,
-    durability,
 )
 from repro.views import (
     Database,
@@ -639,34 +637,6 @@ def test_crash_during_checkpoint_leaves_previous_usable(tmp_path):
     recovered.close()
 
 
-# -- the WAL ablation switch ------------------------------------------------------
-
-def test_set_wal_off_skips_appends_but_checkpoints_still_work(tmp_path):
-    base = random_database(PARENT_SCHEMA, ATOMS, count=5, seed=8)
-    db = create_durable_database(PARENT_SCHEMA, _assignments(base), directory=tmp_path)
-    db.insert("PAR", [("d0", "x")])
-    skipped = reliability_stats()["wal_appends_skipped"]
-    written = reliability_stats()["wal_records_written"]
-    with durability(False):
-        db.insert("PAR", [("d1", "x")])
-        db.insert("PAR", [("d2", "x")])
-    assert reliability_stats()["wal_appends_skipped"] == skipped + 2
-    assert reliability_stats()["wal_records_written"] == written
-    # Without a WAL record the unlogged batches are lost on crash...
-    db.close()
-    recovered = recover_database(tmp_path)
-    assert len(recovered.relation("PAR")) == len(base.instance("PAR")) + 1
-    # ...unless a checkpoint made them durable instead.
-    with durability(False):
-        recovered.insert("PAR", [("d3", "x")])
-        recovered.checkpoint()
-    expected = _serialized_instances(recovered)
-    recovered.close()
-    again = recover_database(tmp_path)
-    assert _serialized_instances(again) == expected
-    again.close()
-
-
 # -- crash-recovery sweep ---------------------------------------------------------
 
 #: Every site a crash can strike mid-run (wal.open is recovery-side).
@@ -684,13 +654,12 @@ SWEEP_SITES = [
     "maintain.datalog",
 ]
 
-#: The full mode cube (columnar × interning × vectorized); the always-on
-#: sweep runs the default cell only, REPRO_FAULT_SWEEP=1 runs them all.
+#: The full mode cube (columnar × vectorized); the always-on sweep runs
+#: the default cell only, REPRO_FAULT_SWEEP=1 runs them all.
 MODE_CUBE = [
-    (vectorized_on, columnar_on, interning_on)
+    (vectorized_on, columnar_on)
     for vectorized_on in (True, False)
     for columnar_on in (True, False)
-    for interning_on in (True, False)
 ]
 
 
@@ -770,19 +739,15 @@ def test_crash_recovery_every_site_default_mode(tmp_path, site):
 @pytest.mark.parametrize(
     "mode",
     MODE_CUBE,
-    ids=[
-        f"{'vec' if v else 'scalar'}-{'col' if c else 'obj'}-{'int' if i else 'noint'}"
-        for v, c, i in MODE_CUBE
-    ],
+    ids=[f"{'vec' if v else 'scalar'}-{'col' if c else 'obj'}" for v, c in MODE_CUBE],
 )
 @pytest.mark.parametrize("site", SWEEP_SITES)
 def test_crash_recovery_full_mode_cube(tmp_path, site, mode):
-    vectorized_on, columnar_on, interning_on = mode
+    vectorized_on, columnar_on = mode
     with vectorized_filters(vectorized_on):
         with columnar_settings(enabled=columnar_on, threshold=1):
-            with interning(interning_on):
-                _crash_recovery_case(tmp_path, site, seed=1, at=2)
-                _crash_recovery_case(tmp_path, site, seed=2, at=4)
+            _crash_recovery_case(tmp_path, site, seed=1, at=2)
+            _crash_recovery_case(tmp_path, site, seed=2, at=4)
 
 
 # -- recovery of a fresh directory ------------------------------------------------

@@ -20,10 +20,6 @@ The central contracts:
   rewind, replay, recovery replay, view repair) serves fresh state, never
   a stale ``Database._snapshot``.
 
-The MVCC ablation (``REPRO_DISABLE_MVCC=1``, or :func:`repro.views.mvcc`)
-degrades pins to advisory reads of the latest state; isolation-asserting
-tests skip themselves under that mode.
-
 Selectable standalone with ``pytest -m serving``.
 """
 
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import sys
 import threading
 
@@ -49,6 +44,7 @@ from repro.datalog import transitive_closure_program
 from repro.io.serialization import instance_to_data
 from repro.reliability import (
     FaultPlan,
+    InjectedFault,
     SimulatedCrash,
     create_durable_database,
     fault_plan,
@@ -68,8 +64,6 @@ from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
 from repro.views import (
     Database,
-    mvcc,
-    mvcc_enabled,
     replay_updates,
     restore_database,
     snapshot_database,
@@ -78,11 +72,6 @@ from repro.views import (
 from repro.workloads import client_session_script, random_database, random_update_stream
 
 pytestmark = pytest.mark.serving
-
-requires_mvcc = pytest.mark.skipif(
-    bool(os.environ.get("REPRO_DISABLE_MVCC")),
-    reason="asserts epoch isolation, which REPRO_DISABLE_MVCC=1 ablates away",
-)
 
 ATOMS = [f"n{i}" for i in range(10)]
 
@@ -151,7 +140,6 @@ def test_released_handle_refuses_reads_and_release_is_idempotent():
         reader.snapshot()
 
 
-@requires_mvcc
 def test_unpinned_epochs_are_never_frozen():
     db = _parent_db()
     before = views_stats()["epochs_frozen"]
@@ -160,7 +148,6 @@ def test_unpinned_epochs_are_never_frozen():
     assert views_stats()["epochs_frozen"] == before
 
 
-@requires_mvcc
 def test_pinned_epoch_is_frozen_lazily_and_collected_on_release():
     db = _parent_db()
     reader = db.pin()
@@ -175,7 +162,6 @@ def test_pinned_epoch_is_frozen_lazily_and_collected_on_release():
     assert views_stats()["epochs_collected"] == collected_before + 1
 
 
-@requires_mvcc
 def test_pinning_a_retained_past_epoch_works_a_collected_one_raises():
     db = _parent_db()
     first = db.pin()
@@ -190,22 +176,29 @@ def test_pinning_a_retained_past_epoch_works_a_collected_one_raises():
         db.pin(99)
 
 
-def test_mvcc_off_pins_are_advisory_reads_of_latest():
-    db = _parent_db()
-    with mvcc(False):
-        assert not mvcc_enabled()
+def test_aborted_commit_under_a_pinned_reader_leaks_no_epoch(tmp_path):
+    """A commit freezes the pinned current epoch, then its WAL append
+    fails: the epoch stays current, and its snapshot must still be
+    collected when the last pin goes."""
+    db = create_durable_database(PARENT_SCHEMA, {"PAR": [("tom", "mary")]}, directory=tmp_path)
+    collected = views_stats()["epochs_collected"]
+    for i in range(3):
         reader = db.pin()
-        bypassed = views_stats()["mvcc_bypassed_reads"]
-        db.insert("PAR", [("sue", "ann")])
-        assert ("sue", "ann") in reader.relation("PAR").tuples  # sees latest
-        assert views_stats()["mvcc_bypassed_reads"] > bypassed
-        assert db.pin(42).epoch == 42  # advisory: any epoch is accepted
+        with fault_plan(FaultPlan.single("wal.write", "error")):
+            with pytest.raises(InjectedFault):
+                db.insert("PAR", [(f"x{i}", f"y{i}")])
         reader.release()
+        db.insert("PAR", [(f"a{i}", f"b{i}")])
+    assert db.retained_epochs() == [3]
+    assert db.pinned_epochs() == {}
+    assert views_stats()["epochs_collected"] == collected + 3
+    with pytest.raises(EpochError):
+        db.pin(0)
+    db.close()
 
 
 # -- pinned readers stay bit-identical (the acceptance criterion) ------------------
 
-@requires_mvcc
 def test_pinned_reader_bit_identical_across_100_writer_batches():
     db, stream = _stream(batches=110)
     _define_views(db)
@@ -221,7 +214,6 @@ def test_pinned_reader_bit_identical_across_100_writer_batches():
     assert _fingerprint(db.pin()) != expected  # the live state did move
 
 
-@requires_mvcc
 def test_differential_sweep_every_pinned_epoch_matches_a_clean_replica():
     db, stream = _stream(batches=20, seed=13)
     _define_views(db)
@@ -241,7 +233,6 @@ def test_differential_sweep_every_pinned_epoch_matches_a_clean_replica():
     assert db.retained_epochs() == [db.current_epoch]
 
 
-@requires_mvcc
 def test_threaded_writer_cannot_move_a_pinned_reader():
     db, stream = _stream(batches=60, seed=29)
     _define_views(db)
@@ -340,7 +331,6 @@ def test_unpinned_readers_see_whole_epochs_during_threaded_commits():
     assert state(db) == committed[-1]
 
 
-@requires_mvcc
 def test_quarantined_view_at_freeze_time_recomputes_at_the_pinned_epoch():
     db = _parent_db()
     view = db.views.define_relational(
@@ -546,7 +536,6 @@ def test_server_writes_advance_the_epoch_and_apply_effectively():
     _serve(scenario)
 
 
-@requires_mvcc
 def test_pinned_session_is_isolated_from_server_side_writes():
     async def scenario(client, db, server):
         await client.pin()

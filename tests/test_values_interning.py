@@ -1,10 +1,12 @@
 """Property-based tests for the hash-consed value runtime.
 
-The interner is purely an optimisation: for every value, ``==``, ``hash``,
-``sort_key``, ``atoms``, ``str``/``repr`` and the total order must be
-*identical* whether interning is on or off, and values constructed in
-different modes must mix freely.  The sweeps below build the same random
-nested data under both modes and compare every observable pairwise.
+The interner is purely an optimisation: values are compared by structure,
+never by identity.  So for every value, ``==``, ``hash``, ``sort_key``,
+``atoms``, ``str``/``repr`` and the total order must be *identical* for
+two equal values that are not the same instance, and such values must mix
+freely.  The sweeps below build the same random nested data twice — the
+second time after :func:`clear_intern_tables`, while the first corpus is
+still alive — and compare every observable pairwise.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from repro.objects.values import (
     SetValue,
     TupleValue,
     clear_intern_tables,
-    interning,
-    interning_enabled,
-    set_interning,
     value_from_python,
     value_to_python,
 )
@@ -42,6 +41,16 @@ def build_corpus(seed: int, count: int = 25) -> list:
     return [value_from_python(random_python_data(rng)) for _ in range(count)]
 
 
+def two_generations(seed: int, count: int = 25) -> tuple[list, list]:
+    """The same corpus built twice, the second time from cleared intern
+    tables: each pair is equal but never the same instance."""
+    first = build_corpus(seed, count)
+    clear_intern_tables()
+    second = build_corpus(seed, count)
+    assert all(a is not b for a, b in zip(first, second))
+    return first, second
+
+
 @pytest.fixture
 def fresh_tables():
     clear_intern_tables()
@@ -52,11 +61,8 @@ def fresh_tables():
 class TestInterningSemantics:
     @pytest.mark.parametrize("seed", range(12))
     def test_observables_identical_across_modes(self, seed, fresh_tables):
-        with interning(True):
-            interned = build_corpus(seed)
-        with interning(False):
-            plain = build_corpus(seed)
-        for a, b in zip(interned, plain):
+        first, second = two_generations(seed)
+        for a, b in zip(first, second):
             assert a == b and b == a
             assert hash(a) == hash(b)
             assert a.sort_key() == b.sort_key()
@@ -67,12 +73,9 @@ class TestInterningSemantics:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_total_order_identical_across_modes(self, seed, fresh_tables):
-        with interning(True):
-            interned = build_corpus(seed)
-        with interning(False):
-            plain = build_corpus(seed)
-        for a1, b1 in zip(interned, plain):
-            for a2, b2 in zip(interned, plain):
+        first, second = two_generations(seed)
+        for a1, b1 in zip(first, second):
+            for a2, b2 in zip(first, second):
                 assert (a1 < a2) == (b1 < b2)
                 assert (a1 <= a2) == (b1 <= b2)
                 assert (a1 > a2) == (b1 > b2)
@@ -81,109 +84,83 @@ class TestInterningSemantics:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_modes_mix_freely(self, seed, fresh_tables):
-        """A frozenset populated under one mode behaves identically when
-        probed with values from the other mode."""
-        with interning(True):
-            interned = build_corpus(seed)
-        with interning(False):
-            plain = build_corpus(seed)
-        pool = set(interned)
-        for value in plain:
+        """A set populated with one generation behaves identically when
+        probed with values from the other."""
+        first, second = two_generations(seed)
+        pool = set(first)
+        for value in second:
             assert value in pool
-        pool = set(plain)
-        for value in interned:
+        pool = set(second)
+        for value in first:
             assert value in pool
 
     def test_sorted_order_matches_across_modes(self, fresh_tables):
-        with interning(True):
-            interned = build_corpus(3, count=40)
-        with interning(False):
-            plain = build_corpus(3, count=40)
-        assert [str(v) for v in sorted(interned)] == [str(v) for v in sorted(plain)]
+        first, second = two_generations(3, count=40)
+        assert [str(v) for v in sorted(first)] == [str(v) for v in sorted(second)]
 
 
 class TestInterningIdentity:
     def test_equal_constructions_are_identical(self, fresh_tables):
-        with interning(True):
-            assert Atom("x") is Atom("x")
-            assert TupleValue([Atom("x"), Atom("y")]) is TupleValue([Atom("x"), Atom("y")])
-            assert SetValue([Atom("x")]) is SetValue([Atom("x")])
-            assert value_from_python(("a", frozenset({"b"}))) is value_from_python(
-                ("a", frozenset({"b"}))
-            )
-
-    def test_ablation_allocates_fresh_instances(self, fresh_tables):
-        with interning(False):
-            assert Atom("x") is not Atom("x")
-            assert TupleValue([Atom("x")]) is not TupleValue([Atom("x")])
-            assert SetValue([Atom("x")]) is not SetValue([Atom("x")])
+        assert Atom("x") is Atom("x")
+        assert TupleValue([Atom("x"), Atom("y")]) is TupleValue([Atom("x"), Atom("y")])
+        assert SetValue([Atom("x")]) is SetValue([Atom("x")])
+        assert value_from_python(("a", frozenset({"b"}))) is value_from_python(
+            ("a", frozenset({"b"}))
+        )
 
     def test_payload_type_distinguishes_interned_atoms(self, fresh_tables):
         """Atom(1) == Atom(True) (payload equality), but interning must not
         collapse them: sort_key and repr observe the payload type."""
-        with interning(True):
-            one, true = Atom(1), Atom(True)
-            assert one == true and hash(one) == hash(true)
-            assert one is not true
-            assert one.sort_key() != true.sort_key()
-            assert repr(one) != repr(true)
+        one, true = Atom(1), Atom(True)
+        assert one == true and hash(one) == hash(true)
+        assert one is not true
+        assert one.sort_key() != true.sort_key()
+        assert repr(one) != repr(true)
 
     def test_payload_repr_distinguishes_interned_atoms(self, fresh_tables):
         """Equal same-class payloads with different reprs (-0.0 vs 0.0) must
         not be collapsed either: sort_key/repr observe the payload repr."""
-        with interning(True):
-            positive, negative = Atom(0.0), Atom(-0.0)
-            assert positive == negative and hash(positive) == hash(negative)
-            assert positive is not negative
-            assert positive.sort_key() != negative.sort_key()
-            assert repr(positive) != repr(negative)
-        with interning(False):
-            plain_positive, plain_negative = Atom(0.0), Atom(-0.0)
-        assert positive.sort_key() == plain_positive.sort_key()
-        assert negative.sort_key() == plain_negative.sort_key()
+        positive, negative = Atom(0.0), Atom(-0.0)
+        assert positive == negative and hash(positive) == hash(negative)
+        assert positive is not negative
+        assert positive.sort_key() != negative.sort_key()
+        assert repr(positive) != repr(negative)
+        clear_intern_tables()
+        other_positive, other_negative = Atom(0.0), Atom(-0.0)
+        assert other_positive is not positive and other_negative is not negative
+        assert positive.sort_key() == other_positive.sort_key()
+        assert negative.sort_key() == other_negative.sort_key()
         # Composites over them stay distinct too (identity-keyed tables).
-        with interning(True):
-            assert TupleValue([positive]) is not TupleValue([negative])
-            assert str(SetValue([negative])) == str(SetValue([plain_negative]))
-
-    def test_switch_restores_previous_state(self):
-        original = interning_enabled()
-        previous = set_interning(False)
-        assert previous == original
-        assert not interning_enabled()
-        set_interning(original)
-        assert interning_enabled() == original
+        assert TupleValue([positive]) is not TupleValue([negative])
+        assert str(SetValue([negative])) == str(SetValue([other_negative]))
 
     def test_tables_are_weak(self, fresh_tables):
         import gc
 
         from repro.objects.values import intern_table_sizes
 
-        with interning(True):
-            before = intern_table_sizes()["tuples"]
-            value = TupleValue([Atom("ephemeral-payload")])
-            assert intern_table_sizes()["tuples"] == before + 1
-            del value
-            gc.collect()
-            assert intern_table_sizes()["tuples"] == before
+        before = intern_table_sizes()["tuples"]
+        value = TupleValue([Atom("ephemeral-payload")])
+        assert intern_table_sizes()["tuples"] == before + 1
+        del value
+        gc.collect()
+        assert intern_table_sizes()["tuples"] == before
 
 
 class TestInterningValidation:
     def test_atom_rejects_complex_payload_in_both_modes(self, fresh_tables):
         from repro.errors import ObjectModelError
 
-        for mode in (True, False):
-            with interning(mode):
-                with pytest.raises(ObjectModelError):
-                    Atom(Atom("x"))
-                with pytest.raises(ObjectModelError):
-                    Atom(["unhashable"])
-                with pytest.raises(ObjectModelError):
-                    TupleValue([])
-                with pytest.raises(ObjectModelError):
-                    TupleValue(["raw"])
-                with pytest.raises(ObjectModelError):
-                    SetValue(["raw"])
+        with pytest.raises(ObjectModelError):
+            Atom(Atom("x"))
+        with pytest.raises(ObjectModelError):
+            Atom(["unhashable"])
+        with pytest.raises(ObjectModelError):
+            TupleValue([])
+        with pytest.raises(ObjectModelError):
+            TupleValue(["raw"])
+        with pytest.raises(ObjectModelError):
+            SetValue(["raw"])
 
 
 class TestSetInterningAllocationStats:
@@ -194,13 +171,12 @@ class TestSetInterningAllocationStats:
     def test_frozenset_input_allocates_nothing_on_hits(self, fresh_tables):
         from repro.objects.values import intern_stats, make_set
 
-        with interning(True):
-            canonical = make_set(["a", "b", "c"])
-            elements = canonical.elements
-            before = intern_stats()
-            for _ in range(10):
-                assert SetValue(elements) is canonical
-            after = intern_stats()
+        canonical = make_set(["a", "b", "c"])
+        elements = canonical.elements
+        before = intern_stats()
+        for _ in range(10):
+            assert SetValue(elements) is canonical
+        after = intern_stats()
         assert after["set_hits"] == before["set_hits"] + 10
         assert after["set_misses"] == before["set_misses"]
         # The hit path normalised nothing: every call reused the caller's
@@ -212,12 +188,11 @@ class TestSetInterningAllocationStats:
     def test_iterable_input_normalises_exactly_once_per_call(self, fresh_tables):
         from repro.objects.values import intern_stats
 
-        with interning(True):
-            elements = [Atom("x"), Atom("y")]
-            keep = SetValue(elements)  # miss: one normalisation + insert
-            before = intern_stats()
-            assert SetValue(elements) is keep  # hit (input is a list)
-            after = intern_stats()
+        elements = [Atom("x"), Atom("y")]
+        keep = SetValue(elements)  # miss: one normalisation + insert
+        before = intern_stats()
+        assert SetValue(elements) is keep  # hit (input is a list)
+        after = intern_stats()
         assert after["set_hits"] == before["set_hits"] + 1
         assert (
             after["set_frozenset_allocations"]
@@ -229,10 +204,9 @@ class TestSetInterningAllocationStats:
         from repro.objects.values import intern_stats
         from repro.types.type_system import U
 
-        with interning(True):
-            instance = Instance(U, ["p0", "p1", "p2"])
-            first = instance.as_set_value()
-            before = intern_stats()
-            assert instance.as_set_value() is first
-            after = intern_stats()
+        instance = Instance(U, ["p0", "p1", "p2"])
+        first = instance.as_set_value()
+        before = intern_stats()
+        assert instance.as_set_value() is first
+        after = intern_stats()
         assert after["set_frozenset_allocations"] == before["set_frozenset_allocations"]

@@ -2,8 +2,8 @@
 
 The oracle pattern of ``test_columnar.py`` extended one axis further: every
 random selection workload is evaluated under the full **vectorized ×
-columnar × interning** mode cube, and all eight combinations must produce
-identical answers — across the algebra oracle, the engine (strict and
+columnar** mode cube, and all four combinations must produce identical
+answers — across the algebra oracle, the engine (strict and
 optimized), the nested algebra and the flat relational layer.  The sweeps
 force the dispatch threshold down to 1 so the mask kernels genuinely
 engage on the small random instances, and the engagement counters are
@@ -57,7 +57,7 @@ from repro.objects.columnar import (
     mask_not,
     mask_or,
 )
-from repro.objects.values import Atom, TupleValue, interning
+from repro.objects.values import Atom, TupleValue, clear_intern_tables
 from repro.relational import algebra as relational_algebra
 from repro.relational.relation import Relation
 from repro.types.parser import parse_type
@@ -74,21 +74,24 @@ NESTED_SCHEMA = DatabaseSchema(
 
 ATOMS = ["a", "b", "v0", "v1", "v2"]
 
-#: The eight mode combinations every differential sweep runs.
+#: The cells every parametrized sweep runs: ``(vectorized_on, columnar_on,
+#: fresh_tables)``.  An ``ablation`` cell clears the intern tables first, so
+#: the values it builds are equal to, but not the same instances as, the
+#: ones the process-wide caches kept from earlier cells.
 MODES = [
     pytest.param(
         vectorized_on,
         columnar_on,
-        interning_on,
+        fresh_tables,
         id=(
             f"{'vectorized' if vectorized_on else 'scalar'}"
             f"-{'columnar' if columnar_on else 'object'}"
-            f"-{'interned' if interning_on else 'ablation'}"
+            f"-{'ablation' if fresh_tables else 'interned'}"
         ),
     )
     for vectorized_on in (True, False)
     for columnar_on in (True, False)
-    for interning_on in (True, False)
+    for fresh_tables in (False, True)
 ]
 
 STRICT = AlgebraEvaluationSettings(engine_logical_optimize=False)
@@ -97,13 +100,14 @@ PAR = PredicateExpression("PAR")
 
 
 @contextmanager
-def representation(vectorized_on: bool, columnar_on: bool, interning_on: bool):
+def representation(vectorized_on: bool, columnar_on: bool, fresh_tables: bool = False):
     """One cell of the mode cube, with the shared dispatch threshold at 1
     so tiny random workloads still take the kernels."""
+    if fresh_tables:
+        clear_intern_tables()
     with vectorized_filters(vectorized_on):
         with columnar_settings(enabled=columnar_on, threshold=1):
-            with interning(interning_on):
-                yield
+            yield
 
 
 def _selection_cases(seed: int):
@@ -155,37 +159,36 @@ def _evaluate_everywhere(seed: int):
     return answers
 
 
-@pytest.mark.parametrize("vectorized_on,columnar_on,interning_on", MODES)
+@pytest.mark.parametrize("vectorized_on,columnar_on,fresh_tables", MODES)
 @pytest.mark.parametrize("seed", range(0, 30, 3))
-def test_selections_agree_in_every_mode(seed, vectorized_on, columnar_on, interning_on):
+def test_selections_agree_in_every_mode(seed, vectorized_on, columnar_on, fresh_tables):
     """Within each mode-cube cell the engine must equal the oracle."""
-    with representation(vectorized_on, columnar_on, interning_on):
+    with representation(vectorized_on, columnar_on, fresh_tables):
         _evaluate_everywhere(seed)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_selection_answers_agree_across_modes(seed):
-    """All eight mode-cube cells must produce the same instances."""
+    """All four mode-cube cells must produce the same instances."""
     reference = None
     for vectorized_on in (True, False):
         for columnar_on in (True, False):
-            for interning_on in (True, False):
-                with representation(vectorized_on, columnar_on, interning_on):
-                    answers = _evaluate_everywhere(seed)
-                if reference is None:
-                    reference = answers
-                else:
-                    assert answers == reference, (
-                        f"mode (vectorized={vectorized_on}, columnar={columnar_on}, "
-                        f"interning={interning_on}) changed an answer on seed {seed}"
-                    )
+            with representation(vectorized_on, columnar_on):
+                answers = _evaluate_everywhere(seed)
+            if reference is None:
+                reference = answers
+            else:
+                assert answers == reference, (
+                    f"mode (vectorized={vectorized_on}, columnar={columnar_on}) "
+                    f"changed an answer on seed {seed}"
+                )
 
 
 def test_vectorized_kernels_actually_engage():
     """The sweeps must not silently run the per-tuple path: with the
     switch on, conditions compile, batches run and the mask kernels fire;
     with it off, nothing vectorized moves."""
-    with representation(True, True, True):
+    with representation(True, True):
         before, before_masks = vectorized_stats(), columnar_stats()
         for seed in range(8):
             _evaluate_everywhere(seed)
@@ -194,7 +197,7 @@ def test_vectorized_kernels_actually_engage():
     assert after["batches"] > before["batches"]
     assert after["rows_in"] > before["rows_in"]
     assert after_masks["kernel_mask_eq"] > before_masks["kernel_mask_eq"]
-    with representation(False, True, True):
+    with representation(False, True):
         before = vectorized_stats()
         _evaluate_everywhere(3)
         after = vectorized_stats()
@@ -213,14 +216,14 @@ def test_membership_evaluates_once_per_distinct_id():
         NESTED_SCHEMA, R=[("x", frozenset({"a"}))], S=database_rows
     )
     expression = Selection(PredicateExpression("S"), SelectionCondition.member(2, 3))
-    with representation(True, True, True):
+    with representation(True, True):
         before = vectorized_stats()
         answer = evaluate_expression(expression, db, STRICT)
         after = vectorized_stats()
     evaluations = after["membership_evaluations"] - before["membership_evaluations"]
     assert 0 < evaluations <= 15, evaluations  # ≤ 5 elements × 3 containers
     assert after["rows_in"] - before["rows_in"] >= 60
-    with representation(False, True, True):
+    with representation(False, True):
         assert evaluate_expression(expression, db, STRICT) == answer
 
 
@@ -239,12 +242,12 @@ def test_hash_join_residual_takes_the_vectorized_path():
     # Pin the *interpreting* executor: fused codegen fragments check the
     # residual with an inline in-loop predicate instead of batched masks
     # (tests/test_codegen.py covers that axis).
-    with codegen(False), representation(True, True, True):
+    with codegen(False), representation(True, True):
         before = vectorized_stats()
         vectorized = evaluate_expression(expression, db, STRICT)
         after = vectorized_stats()
     assert after["batches"] > before["batches"]
-    with representation(False, True, True):
+    with representation(False, True):
         scalar = evaluate_expression(expression, db, STRICT)
     assert vectorized == scalar == evaluate_expression_legacy(expression, db)
     assert len(vectorized) == 118  # 119 joined pairs minus the v3 head
@@ -263,12 +266,12 @@ def test_pipelined_filter_batches_non_scan_children():
     expression = Selection(Union(PredicateExpression("A"), PredicateExpression("B")), condition)
     # Codegen off: a fused filter-over-union fragment inlines the
     # predicate per row and never reaches the chunked batching path.
-    with codegen(False), representation(True, True, True):
+    with codegen(False), representation(True, True):
         before = vectorized_stats()
         vectorized = evaluate_expression(expression, db, STRICT)
         after = vectorized_stats()
     assert after["batches"] > before["batches"]
-    with representation(False, True, True):
+    with representation(False, True):
         assert evaluate_expression(expression, db, STRICT) == vectorized
 
 
@@ -284,13 +287,12 @@ def test_nested_selection_agrees_across_modes(seed):
     expression = NestedSelection(NestedPredicate("S"), condition)
     reference = None
     for vectorized_on in (True, False):
-        for interning_on in (True, False):
-            with representation(vectorized_on, True, interning_on):
-                answer = evaluate_nested(expression, db)
-            if reference is None:
-                reference = answer
-            else:
-                assert answer == reference, f"seed {seed} diverged"
+        with representation(vectorized_on, True):
+            answer = evaluate_nested(expression, db)
+        if reference is None:
+            reference = answer
+        else:
+            assert answer == reference, f"seed {seed} diverged"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -307,7 +309,7 @@ def test_relational_select_where_agrees_across_modes(seed):
         lambda row: condition_holds(condition, TupleValue([Atom(value) for value in row])),
     )
     for vectorized_on in (True, False):
-        with representation(vectorized_on, True, True):
+        with representation(vectorized_on, True):
             assert relational_algebra.select_where(relation, condition) == oracle
 
 
@@ -388,7 +390,7 @@ def test_classifier_handles_constant_only_equality():
     )
     true_condition = SelectionCondition.eq(ConstantOperand("a"), ConstantOperand("a"))
     false_condition = SelectionCondition.eq(ConstantOperand("a"), ConstantOperand("b"))
-    with representation(True, True, True):
+    with representation(True, True):
         everything = evaluate_expression(Selection(PAR, true_condition), database, STRICT)
         nothing = evaluate_expression(Selection(PAR, false_condition), database, STRICT)
     assert len(everything) == 40
@@ -454,14 +456,14 @@ def _conjunction_cases(seed: int):
     return cases
 
 
-@pytest.mark.parametrize("vectorized_on,columnar_on,interning_on", MODES)
+@pytest.mark.parametrize("vectorized_on,columnar_on,fresh_tables", MODES)
 @pytest.mark.parametrize("seed", range(0, 12, 3))
-def test_ordered_conjunctions_agree_in_every_mode(seed, vectorized_on, columnar_on, interning_on):
+def test_ordered_conjunctions_agree_in_every_mode(seed, vectorized_on, columnar_on, fresh_tables):
     """Selectivity-ordered conjunct evaluation must not change any answer
     anywhere in the mode cube."""
     for expression, database in _conjunction_cases(seed):
         oracle = evaluate_expression_legacy(expression, database)
-        with representation(vectorized_on, columnar_on, interning_on):
+        with representation(vectorized_on, columnar_on, fresh_tables):
             assert evaluate_expression(expression, database, STRICT) == oracle, (
                 f"seed {seed}: {expression}"
             )
@@ -485,7 +487,7 @@ def test_conjunctions_order_by_selectivity_and_skip_rows():
         SelectionCondition.eq(1, ConstantOperand("r1")),
     )
     expression = Selection(PredicateExpression("S"), condition)
-    with representation(True, True, True):
+    with representation(True, True):
         before = vectorized_stats()
         answer = evaluate_expression(expression, db, STRICT)
         after = vectorized_stats()
@@ -495,7 +497,7 @@ def test_conjunctions_order_by_selectivity_and_skip_rows():
     # The membership conjunct saw only the single surviving row: one
     # distinct (element, container) pair instead of up to 160.
     assert after["membership_evaluations"] - before["membership_evaluations"] <= 2
-    with representation(False, True, True):
+    with representation(False, True):
         assert evaluate_expression(expression, db, STRICT) == answer
 
 
@@ -511,9 +513,9 @@ def test_nested_and_chains_flatten_for_ordering():
     c = SelectionCondition.negation(SelectionCondition.eq(1, ConstantOperand("k10")))
     left = SelectionCondition.conjunction(SelectionCondition.conjunction(a, b), c)
     right = SelectionCondition.conjunction(a, SelectionCondition.conjunction(b, c))
-    with representation(True, True, True):
+    with representation(True, True):
         left_answer = evaluate_expression(Selection(PAR, left), db, STRICT)
         right_answer = evaluate_expression(Selection(PAR, right), db, STRICT)
-    with representation(False, False, True):
+    with representation(False, False):
         oracle = evaluate_expression(Selection(PAR, left), db, STRICT)
     assert left_answer == right_answer == oracle

@@ -31,24 +31,23 @@ key and domain, and the strategy and memoisation settings.  What varies
 between evaluations — predicate instances, constant atoms, memo node ids,
 domain views — is passed to the generated factory as arguments, so the
 source text depends only on the formula's structure and the settings, and
-compiled factories are cached by that text.  The cache pays off when a
-structure repeats; a structure seen once pays for writing its source and
-for ``compile()``, which for a small formula costs more than evaluating
-it.  One factory call per evaluation creates the memo and the counters,
-so concurrent evaluations share nothing.  The generated code enumerates
-the same constructive domains in the same order as the formula's tree
-semantics prescribes, so every answer, error and statistics counter is the
-one a node-by-node walk of the formula gives.
+compiled factories are cached by that text in the process-wide cache of
+:mod:`repro.utils.pysource`.  The cache pays off when a structure repeats;
+a structure seen once pays for writing its source and for ``compile()``,
+which for a small formula costs more than evaluating it.  One factory call
+per evaluation creates the memo and the counters, so concurrent
+evaluations share nothing.  The generated code enumerates the same
+constructive domains in the same order as the formula's tree semantics
+prescribes, so every answer, error and statistics counter is the one a
+node-by-node walk of the formula gives.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-from hashlib import sha256
 from typing import NoReturn
 
 from repro.errors import BudgetExceededError, EvaluationError
@@ -75,6 +74,7 @@ from repro.objects.domain import belongs_to
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import ComplexValue, SetValue, TupleValue
 from repro.types.type_system import ComplexType, SetType, TupleType, U
+from repro.utils import pysource
 from repro.utils.iteration import bounded
 
 
@@ -154,23 +154,6 @@ class EvaluationResult:
 #: Placeholder for a free variable not bound by the caller — keeps
 #: quantifier-memo keys positional (one entry per sorted free variable).
 _UNBOUND = object()
-
-#: Indentation levels a generated function may reach before a subformula
-#: is spilled into a function of its own: CPython refuses source nested
-#: 100 levels deep.
-_MAX_NESTING = 24
-
-#: Compiled factories keyed by their source text.  The wire ``CALC`` verb
-#: compiles ad hoc formulas, so the cache is cleared wholesale when it
-#: would exceed ``_FACTORY_CACHE_MAX_ENTRIES`` entries or
-#: ``_FACTORY_CACHE_MAX_SOURCE_CHARS`` characters of source in total, and a
-#: source larger than that on its own is not cached.  Writes (insert and
-#: eviction) hold ``_FACTORY_LOCK``; reads are lock-free, and the worst race
-#: is a duplicate compile whose last write wins.
-_FACTORIES: dict[str, Callable] = {}
-_FACTORY_CACHE_MAX_ENTRIES = 128
-_FACTORY_CACHE_MAX_SOURCE_CHARS = 1 << 20
-_FACTORY_LOCK = threading.Lock()
 
 
 def evaluation_universe(
@@ -319,27 +302,10 @@ def _compile(
     checks a value of unknown shape needs.
     """
     compiler = _Compiler(database, universe_atoms, settings)
-    factory = _compiled(compiler.program(formula, bound))
+    source = compiler.program(formula, bound)
+    factory, _ = pysource.compiled("calculus", source, "_factory", _RUNTIME)
     memo = {} if settings.memoize_quantifiers else None
     return factory(statistics, settings.binding_budget, memo, tuple(compiler.constants))
-
-
-def _compiled(source: str) -> Callable:
-    """The factory *source* defines, from the cache or compiled now."""
-    factory = _FACTORIES.get(source)
-    if factory is None:
-        namespace = dict(_RUNTIME)
-        filename = f"<calculus {sha256(source.encode()).hexdigest()[:10]}>"
-        exec(compile(source, filename, "exec"), namespace)
-        factory = namespace["_factory"]
-        if len(source) <= _FACTORY_CACHE_MAX_SOURCE_CHARS:
-            with _FACTORY_LOCK:
-                if len(_FACTORIES) >= _FACTORY_CACHE_MAX_ENTRIES or (
-                    sum(map(len, _FACTORIES)) + len(source) > _FACTORY_CACHE_MAX_SOURCE_CHARS
-                ):
-                    _FACTORIES.clear()
-                _FACTORIES[source] = factory
-    return factory
 
 
 def _budget_exceeded(budget: int) -> BudgetExceededError:
@@ -397,22 +363,7 @@ _RUNTIME = {
 }
 
 
-class _Function:
-    """One generated function while its body is written."""
-
-    __slots__ = ("signature", "lines", "indent", "pending")
-
-    def __init__(self, signature: str, indent: int) -> None:
-        self.signature = signature
-        self.lines: list[str] = []
-        self.indent = indent
-        #: Satisfaction calls of nodes entered but not yet counted.  They
-        #: are counted just before the next statement, so nodes entered
-        #: back to back cost one increment, made before anything can raise.
-        self.pending = 0
-
-
-class _Compiler:
+class _Compiler(pysource.Emitter):
     """Writes one formula as the Python source of a factory.
 
     The factory ``_factory(_stats, _budget, _memo, _k)`` unpacks the
@@ -432,7 +383,7 @@ class _Compiler:
     binder reads ``_UNBOUND`` in memo keys and raises when its value is
     needed.  Every other formula is emitted as statements that leave its
     truth value in ``r``, spilled into a function ``_s<n>`` of its own when
-    it would nest deeper than ``_MAX_NESTING``.
+    it would nest deeper than ``pysource.MAX_INDENT``.
     """
 
     def __init__(
@@ -441,83 +392,36 @@ class _Compiler:
         universe_atoms: frozenset[object],
         settings: EvaluationSettings,
     ) -> None:
+        super().__init__("holds()")
         self.database = database
         self.universe_atoms = universe_atoms
         self.settings = settings
-        self.constants: list[object] = []
         #: Enumeration key -> (its counter cell, the constant holding it).
         self.enumerations: dict[str, tuple[str, str]] = {}
-        self.functions: list[_Function] = []
-        self.names = 0
-        self.binders = 0
-        self.out: _Function
 
     def program(self, formula: Formula, bound: dict[str, ComplexType | None]) -> str:
-        scope = {name: (self.binder(), type_) for name, type_ in bound.items()}
-        self.out = holds = _Function(
-            f"holds({', '.join(local for local, _ in scope.values())})", 3
-        )
+        scope = {name: (self.fresh("v"), type_) for name, type_ in bound.items()}
+        self.out.signature = f"holds({', '.join(local for local, _ in scope.values())})"
         self.formula(formula, scope)
         self.line("return r")
-        return self.assemble(holds)
-
-    def assemble(self, holds: _Function) -> str:
-        keys = self.enumerations.values()
-        cells = [cell for cell, _ in _COUNTERS] + [cell for cell, _ in keys]
-        declare = "        nonlocal " + ", ".join(cells)
-        lines = ["def _factory(_stats, _budget, _memo, _k):"]
-        if self.constants:
-            lines.append("    " + "".join(f"_k{n}, " for n in range(len(self.constants))) + "= _k")
-        lines.append("    _enumerations = _stats.quantifier_enumerations")
+        prologue = ["_enumerations = _stats.quantifier_enumerations"]
         if self.settings.memoize_quantifiers:
-            lines.append("    _memo_get = _memo.get")
-        lines.append("    " + " = ".join(cells) + " = None")
-        for function in self.functions:
-            lines += [f"    def {function.signature}:", declare, *function.lines]
-        lines += [f"    def {holds.signature}:", declare]
-        lines += [f"        {cell} = _stats.{name}" for cell, name in _COUNTERS]
-        lines += [f"        {cell} = _enumerations.get({key})" for cell, key in keys]
-        lines += ["        try:", *holds.lines, "        finally:"]
-        lines += [f"            _stats.{name} = {cell}" for cell, name in _COUNTERS]
-        for cell, key in keys:
-            lines.append(f"            if {cell} is not None:")
-            lines.append(f"                _enumerations[{key}] = {cell}")
-        lines.append("    return holds")
-        return "\n".join(lines) + "\n"
-
-    # Emission ------------------------------------------------------------
-    def constant(self, value: object) -> str:
-        self.constants.append(value)
-        return f"_k{len(self.constants) - 1}"
-
-    def binder(self) -> str:
-        self.binders += 1
-        return f"v{self.binders - 1}"
-
-    def line(self, text: str) -> None:
-        out = self.out
-        indent = "    " * out.indent
-        if out.pending:
-            out.lines.append(f"{indent}_calls += {out.pending}")
-            out.pending = 0
-        out.lines.append(indent + text)
-
-    def begin(self, prefix: str, parameters: list[str]) -> tuple[str, _Function]:
-        """Start writing a new function; returns its name and the function
-        to resume when :meth:`end` finishes it."""
-        name = f"{prefix}{self.names}"
-        self.names += 1
-        previous, self.out = self.out, _Function(f"{name}({', '.join(parameters)})", 2)
-        return name, previous
-
-    def end(self, previous: _Function) -> None:
-        self.functions.append(self.out)
-        self.out = previous
+            prologue.append("_memo_get = _memo.get")
+        # An enumeration counter is stored only once its quantifier has run.
+        cells = [
+            (
+                cell,
+                f"_enumerations.get({key})",
+                f"if {cell} is not None: _enumerations[{key}] = {cell}",
+            )
+            for cell, key in self.enumerations.values()
+        ]
+        return self.factory("_stats, _budget, _memo", prologue, _COUNTERS, cells)
 
     # Formulas ------------------------------------------------------------
     def formula(self, formula: Formula, scope: dict) -> None:
         """Emit statements leaving the truth value of *formula* in ``r``."""
-        if self.out.indent > _MAX_NESTING:
+        if self.deep():
             self.spill(formula, scope)
             return
         kind = formula.__class__
@@ -539,24 +443,17 @@ class _Compiler:
         elif kind is Not:
             self.formula(formula.operand, scope)
             self.line("r = not r")
-        elif kind is And or kind is Or:
+        elif kind is And or kind is Or or kind is Implies:
             self.formula(formula.left, scope)
-            self.block("if r:" if kind is And else "if not r:", formula.right, scope)
-        elif kind is Implies:
-            self.formula(formula.left, scope)
-            self.block("if r:", formula.right, scope)
-            self.line("else:")
-            self.line("    r = True")
+            with self.block("if not r:" if kind is Or else "if r:"):
+                self.formula(formula.right, scope)
+            if kind is Implies:
+                self.line("else:")
+                self.line("    r = True")
         elif kind is Exists or kind is Forall:
             self.quantifier(formula, scope)
         else:
             raise EvaluationError(f"unknown formula class {type(formula).__name__}")
-
-    def block(self, guard: str, formula: Formula, scope: dict) -> None:
-        self.line(guard)
-        self.out.indent += 1
-        self.formula(formula, scope)
-        self.out.indent -= 1
 
     def membership(self, formula: Membership, scope: dict) -> None:
         element, _ = self.term(formula.element, scope)
@@ -616,21 +513,19 @@ class _Compiler:
             domain = "d"
         else:
             domain = self.constant(constructive_domain_view(variable_type, self.universe_atoms))
-        variable = self.binder()
+        variable = self.fresh("v")
         self.line(f"if {counter} is None:")
         self.line(f"    {counter} = 0")
-        self.line(f"for {variable} in {domain}:")
-        self.out.indent += 1
-        self.line("_bindings += 1")
-        self.line(f"{counter} += 1")
-        if settings.binding_budget is not None:
-            self.line("if _bindings > _budget:")
-            self.line("    raise _budget_exceeded(_budget)")
-        self.formula(formula.body, {**scope, formula.variable: (variable, variable_type)})
-        existential = formula.__class__ is Exists
-        self.line("if r:" if existential else "if not r:")
-        self.line(f"    return {existential}")
-        self.out.indent -= 1
+        with self.block(f"for {variable} in {domain}:", loop=True):
+            self.line("_bindings += 1")
+            self.line(f"{counter} += 1")
+            if settings.binding_budget is not None:
+                self.line("if _bindings > _budget:")
+                self.line("    raise _budget_exceeded(_budget)")
+            self.formula(formula.body, {**scope, formula.variable: (variable, variable_type)})
+            existential = formula.__class__ is Exists
+            self.line("if r:" if existential else "if not r:")
+            self.line(f"    return {existential}")
         self.line(f"return {not existential}")
         self.end(previous)
         return name

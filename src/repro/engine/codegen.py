@@ -51,22 +51,20 @@ not fallbacks, they simply have nothing to fuse.
 **Caching.**  Two levels.  The emitted source text is a deterministic
 function of plan *structure* (names, constants and mask programs are
 bound through an ``env`` dict, not embedded), so the source string itself
-is the structural cache key: ``_FUNCTIONS`` maps ``(mode flags, source)``
-to the compiled function, shared process-wide — structurally identical
-plans from different source expressions hit the same function
-(``cache_hits``).  Ad hoc served queries keep adding structures, so the
-cache is cleared wholesale when it would pass an entry or a source-size
-cap, and a source larger than the size cap alone is compiled but not
-kept.  ``_PREPARED`` additionally memoizes the
-emission per concrete plan node so repeated executions of a cached plan
-skip the emitter entirely.  Both keys carry the vectorized/columnar mode
-flags, so toggling an ablation switch mid-process can never serve a fused
-function specialized for the previous mode.
+is the structural cache key: fragments compile through
+:func:`repro.utils.pysource.compiled`, the process-wide cache the calculus
+and second-order evaluators share, keyed by ``(mode flags, source)`` and
+bounded in entries and source size — structurally identical plans from
+different source expressions hit the same function (``cache_hits``).
+``_PREPARED`` additionally memoizes the emission per concrete plan node so
+repeated executions of a cached plan skip the emitter entirely.  Both keys
+carry the vectorized/columnar mode flags, so toggling an ablation switch
+mid-process can never serve a fused function specialized for the previous
+mode.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from functools import partial
 from hashlib import sha256
@@ -104,6 +102,7 @@ from repro.objects.columnar import (
 )
 from repro.objects.values import Atom, TupleValue
 from repro.types.type_system import TupleType
+from repro.utils import pysource
 
 
 class _CodegenState:
@@ -219,7 +218,7 @@ class _Row:
     def value(self) -> str:
         if self.value_var is None:
             emitter = self.emitter
-            var = emitter.fresh("t")
+            var = emitter.fresh("_t")
             if isinstance(self.type, TupleType):
                 emitter.line(f"{var} = {emitter.helper('TupleValue')}({self.components_var})")
             else:
@@ -232,13 +231,13 @@ class _Row:
             emitter = self.emitter
             if not isinstance(self.type, TupleType):
                 raise _Unsupported
-            var = emitter.fresh("r")
+            var = emitter.fresh("_r")
             emitter.line(f"{var} = {self.value_var}.components")
             self.components_var = var
         return self.components_var
 
 
-class _Emitter:
+class _Emitter(pysource.Emitter):
     """Producer-to-consumer source emitter for one fragment.
 
     ``produce(node, consume)`` emits the loops/branches that stream the
@@ -250,11 +249,9 @@ class _Emitter:
     """
 
     def __init__(self, vectorized_on: bool, columnar_on: bool) -> None:
+        super().__init__("_fragment(env)", indent=1, blocks=0)
         self.vectorized_on = vectorized_on
         self.columnar_on = columnar_on
-        self.lines: list[str] = []
-        self.indent = 1
-        self.counter = 0
         self.bindings: list[tuple[str, str, object]] = []
         self._binding_slots: dict[object, str] = {}
         self.helpers_used: set[str] = set()
@@ -263,22 +260,6 @@ class _Emitter:
         self.fused_operators = 0
 
     # -- low-level emission ------------------------------------------------
-    def fresh(self, prefix: str) -> str:
-        name = f"_{prefix}{self.counter}"
-        self.counter += 1
-        return name
-
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    @contextmanager
-    def block(self):
-        self.indent += 1
-        try:
-            yield
-        finally:
-            self.indent -= 1
-
     def helper(self, name: str) -> str:
         self.helpers_used.add(name)
         return f"_{name}"
@@ -332,9 +313,8 @@ class _Emitter:
             return
         self.boundary_nodes.append(node)
         slot = self.bind("rows", node, ("rows", id(node)))
-        var = self.fresh("v")
-        self.line(f"for {var} in {slot}():")
-        with self.block():
+        var = self.fresh("_v")
+        with self.block(f"for {var} in {slot}():"):
             consume(_Row(self, node.output_type, value_var=var))
 
     def _can_inline(self, node: PlanNode) -> bool:
@@ -347,9 +327,8 @@ class _Emitter:
     def produce(self, node: PlanNode, consume) -> None:
         if isinstance(node, Scan):
             slot = self._bind_scan(node)
-            var = self.fresh("v")
-            self.line(f"for {var} in {slot}:")
-            with self.block():
+            var = self.fresh("_v")
+            with self.block(f"for {var} in {slot}:"):
                 consume(_Row(self, node.output_type, value_var=var))
             return
         if isinstance(node, ConstantScan):
@@ -390,33 +369,27 @@ class _Emitter:
             self.fused_node_ids.append(child.node_id)
             instance = self._bind_scan(child)
             mask_slot = self.bind("mask", compiled)
-            count = self.fresh("n")
+            count = self.fresh("_n")
             self.line(f"{count} = len({instance})")
-            self.line(f"if {self.helper('vdispatch')}({count}):")
-            with self.block():
+            with self.block(f"if {self.helper('vdispatch')}({count}):"):
                 columns = ", ".join(
                     f"{c}: {instance}.coordinate_ids({c})" for c in compiled.coordinates
                 )
-                mask = self.fresh("m")
+                mask = self.fresh("_m")
                 self.line(f"{mask} = {mask_slot}({{{columns}}}, {count})")
-                var = self.fresh("v")
-                self.line(f"for {var} in {self.helper('compress')}({instance}, {mask}):")
-                with self.block():
+                var = self.fresh("_v")
+                with self.block(f"for {var} in {self.helper('compress')}({instance}, {mask}):"):
                     consume(_Row(self, node.output_type, value_var=var))
-            self.line("else:")
-            with self.block():
-                var = self.fresh("v")
-                self.line(f"for {var} in {instance}:")
-                with self.block():
+            with self.block("else:"):
+                var = self.fresh("_v")
+                with self.block(f"for {var} in {instance}:"):
                     row = _Row(self, node.output_type, value_var=var)
-                    self.line(f"if {expression(row.components())}:")
-                    with self.block():
+                    with self.block(f"if {expression(row.components())}:"):
                         consume(row)
             return
 
         def filtered(row: _Row) -> None:
-            self.line(f"if {expression(row.components())}:")
-            with self.block():
+            with self.block(f"if {expression(row.components())}:"):
                 consume(row)
 
         self.source(child, filtered)
@@ -427,8 +400,8 @@ class _Emitter:
             raise _Unsupported
         if any(not 1 <= c <= child_type.arity for c in node.coordinates):
             raise _Unsupported
-        seen = self.fresh("seen")
-        add = self.fresh("add")
+        seen = self.fresh("_seen")
+        add = self.fresh("_add")
         self.line(f"{seen} = set()")
         self.line(f"{add} = {seen}.add")
 
@@ -437,11 +410,10 @@ class _Emitter:
             # interned TupleValue); the output value is constructed only
             # for rows that survive the dedup.
             comps = row.components()
-            key = self.fresh("k")
+            key = self.fresh("_k")
             items = ", ".join(f"{comps}[{c - 1}]" for c in node.coordinates)
             self.line(f"{key} = ({items},)")
-            self.line(f"if {key} not in {seen}:")
-            with self.block():
+            with self.block(f"if {key} not in {seen}:"):
                 self.line(f"{add}({key})")
                 consume(_Row(self, node.output_type, components_var=key))
 
@@ -453,7 +425,7 @@ class _Emitter:
             raise _Unsupported
 
         def stripped(row: _Row) -> None:
-            var = self.fresh("u")
+            var = self.fresh("_u")
             self.line(f"{var} = {row.components()}[0]")
             consume(_Row(self, node.output_type, value_var=var))
 
@@ -472,46 +444,41 @@ class _Emitter:
             if node.residual is not None
             else None
         )
-        index = self.fresh("idx")
+        index = self.fresh("_idx")
         self.line(f"{index} = {{}}")
 
         def build(row: _Row) -> None:
             comps = row.components()
-            key = self.fresh("k")
+            key = self.fresh("_k")
             self.line(f"{key} = {self._key_expression(comps, node.right_keys)}")
-            bucket = self.fresh("bk")
+            bucket = self.fresh("_bk")
             self.line(f"{bucket} = {index}.get({key})")
-            self.line(f"if {bucket} is None:")
-            with self.block():
+            with self.block(f"if {bucket} is None:"):
                 self.line(f"{index}[{key}] = [{comps}]")
-            self.line("else:")
-            with self.block():
+            with self.block("else:"):
                 self.line(f"{bucket}.append({comps})")
 
         self.source(node.right, build)
-        get = self.fresh("get")
+        get = self.fresh("_get")
         self.line(f"{get} = {index}.get")
 
         def probe(row: _Row) -> None:
             comps = row.components()
-            key = self.fresh("k")
+            key = self.fresh("_k")
             self.line(f"{key} = {self._key_expression(comps, node.left_keys)}")
-            bucket = self.fresh("bk")
+            bucket = self.fresh("_bk")
             self.line(f"{bucket} = {get}({key})")
-            self.line(f"if {bucket} is not None:")
-            with self.block():
-                build_row = self.fresh("br")
-                self.line(f"for {build_row} in {bucket}:")
-                with self.block():
-                    out = self.fresh("o")
+            with self.block(f"if {bucket} is not None:"):
+                build_row = self.fresh("_br")
+                with self.block(f"for {build_row} in {bucket}:"):
+                    out = self.fresh("_o")
                     self.line(f"{out} = {comps} + {build_row}")
                     if residual is None:
                         consume(_Row(self, node.output_type, components_var=out))
                     else:
                         # In-loop residual over the raw component row: the
                         # output TupleValue is built only for survivors.
-                        self.line(f"if {residual(out)}:")
-                        with self.block():
+                        with self.block(f"if {residual(out)}:"):
                             consume(_Row(self, node.output_type, components_var=out))
 
         self.source(node.left, probe)
@@ -529,24 +496,22 @@ class _Emitter:
             raise _Unsupported
         getters = []
         for build, build_keys in zip(node.builds, node.build_keys):
-            index = self.fresh("idx")
+            index = self.fresh("_idx")
             self.line(f"{index} = {{}}")
 
             def build_consumer(row: _Row, index=index, build_keys=build_keys) -> None:
                 comps = row.components()
-                key = self.fresh("k")
+                key = self.fresh("_k")
                 self.line(f"{key} = {self._key_expression(comps, build_keys)}")
-                bucket = self.fresh("bk")
+                bucket = self.fresh("_bk")
                 self.line(f"{bucket} = {index}.get({key})")
-                self.line(f"if {bucket} is None:")
-                with self.block():
+                with self.block(f"if {bucket} is None:"):
                     self.line(f"{index}[{key}] = [{comps}]")
-                self.line("else:")
-                with self.block():
+                with self.block("else:"):
                     self.line(f"{bucket}.append({comps})")
 
             self.source(build, build_consumer)
-            get = self.fresh("get")
+            get = self.fresh("_get")
             self.line(f"{get} = {index}.get")
             getters.append(get)
 
@@ -554,18 +519,16 @@ class _Emitter:
             if index == len(getters):
                 consume(_Row(self, node.output_type, components_var=accumulated))
                 return
-            key = self.fresh("k")
+            key = self.fresh("_k")
             self.line(
                 f"{key} = {self._key_expression(accumulated, node.probe_keys[index])}"
             )
-            bucket = self.fresh("bk")
+            bucket = self.fresh("_bk")
             self.line(f"{bucket} = {getters[index]}({key})")
-            self.line(f"if {bucket} is not None:")
-            with self.block():
-                build_row = self.fresh("br")
-                self.line(f"for {build_row} in {bucket}:")
-                with self.block():
-                    out = self.fresh("o")
+            with self.block(f"if {bucket} is not None:"):
+                build_row = self.fresh("_br")
+                with self.block(f"for {build_row} in {bucket}:"):
+                    out = self.fresh("_o")
                     self.line(f"{out} = {accumulated} + {build_row}")
                     stage(out, index + 1)
 
@@ -574,18 +537,17 @@ class _Emitter:
     def _emit_nested_loop(self, node: NestedLoopProduct, consume) -> None:
         if not isinstance(node.output_type, TupleType):
             raise _Unsupported
-        inner = self.fresh("rs")
+        inner = self.fresh("_rs")
         self.line(f"{inner} = []")
-        collect = self.fresh("ra")
+        collect = self.fresh("_ra")
         self.line(f"{collect} = {inner}.append")
         self.source(node.right, lambda row: self.line(f"{collect}({row.components()})"))
 
         def outer(row: _Row) -> None:
             comps = row.components()
-            inner_row = self.fresh("br")
-            self.line(f"for {inner_row} in {inner}:")
-            with self.block():
-                out = self.fresh("o")
+            inner_row = self.fresh("_br")
+            with self.block(f"for {inner_row} in {inner}:"):
+                out = self.fresh("_o")
                 self.line(f"{out} = {comps} + {inner_row}")
                 consume(_Row(self, node.output_type, components_var=out))
 
@@ -603,29 +565,26 @@ class _Emitter:
             self.fused_node_ids.extend((left.node_id, right.node_id))
             left_instance = self._bind_scan(left)
             right_instance = self._bind_scan(right)
-            self.line(
+            with self.block(
                 f"if {self.helper('cdispatch')}"
                 f"(len({left_instance}) + len({right_instance})):"
-            )
-            with self.block():
+            ):
                 self.line(f"{self.helper('count_setop')}()")
-                var = self.fresh("v")
-                self.line(
+                var = self.fresh("_v")
+                with self.block(
                     f"for {var} in {self.helper('decode_all')}({self.helper(kernel)}"
                     f"({left_instance}.ids(), {right_instance}.ids())):"
-                )
-                with self.block():
+                ):
                     consume(_Row(self, node.output_type, value_var=var))
-            self.line("else:")
-            with self.block():
+            with self.block("else:"):
                 self._emit_set_op_streaming(node, consume)
             return
         self._emit_set_op_streaming(node, consume)
 
     def _emit_set_op_streaming(self, node: SetOp, consume) -> None:
         if node.kind == "union":
-            seen = self.fresh("seen")
-            add = self.fresh("add")
+            seen = self.fresh("_seen")
+            add = self.fresh("_add")
             self.line(f"{seen} = set()")
             self.line(f"{add} = {seen}.add")
 
@@ -636,24 +595,22 @@ class _Emitter:
             self.source(node.left, left_side)
 
             def right_side(row: _Row) -> None:
-                self.line(f"if {row.value()} not in {seen}:")
-                with self.block():
+                with self.block(f"if {row.value()} not in {seen}:"):
                     consume(row)
 
             self.source(node.right, right_side)
             return
         # Intersection/difference materialize the right side first, same
         # consumption order as the interpreter.
-        members = self.fresh("rset")
-        collect = self.fresh("radd")
+        members = self.fresh("_rset")
+        collect = self.fresh("_radd")
         self.line(f"{members} = set()")
         self.line(f"{collect} = {members}.add")
         self.source(node.right, lambda row: self.line(f"{collect}({row.value()})"))
         test = "in" if node.kind == "intersection" else "not in"
 
         def left_side(row: _Row) -> None:
-            self.line(f"if {row.value()} {test} {members}:")
-            with self.block():
+            with self.block(f"if {row.value()} {test} {members}:"):
                 consume(row)
 
         self.source(node.left, left_side)
@@ -752,7 +709,7 @@ def _assemble(emitter: _Emitter) -> str:
         lines.append(f"    {slot} = env[{slot!r}]")
     lines.append("    _out = []")
     lines.append("    _append = _out.append")
-    lines.extend(emitter.lines)
+    lines.extend(emitter.out.lines)
     lines.append("    return _out")
     return "\n".join(lines) + "\n"
 
@@ -762,22 +719,6 @@ def _assemble(emitter: _Emitter) -> str:
 #: lifetime (plan nodes use __slots__ without __weakref__).
 _PREPARED: dict[tuple, tuple[PlanNode, "_Fragment | None"]] = {}
 _PREPARED_LIMIT = 4096
-
-#: Process-wide compiled functions keyed by (mode flags, source text).
-#: The source is the structural key: names/constants live in env.  The caps
-#: sit above the largest working set measured: 1,000 ``serve_adhoc``
-#: queries level off at 216 functions and 518 KB of source.
-_FUNCTIONS: dict[tuple, object] = {}
-_FUNCTIONS_MAX_ENTRIES = 1024
-_FUNCTIONS_MAX_SOURCE_CHARS = 4 << 20
-
-#: Guards cache *writes* (insert + eviction) against threaded callers —
-#: the serving layer evaluates from multiple threads.  Reads stay
-#: lock-free: entries are immutable once inserted and dict reads are
-#: atomic under the GIL; the worst lock-free race is a duplicate compile
-#: whose last write wins, which the lock's eviction path must not turn
-#: into a clear-then-insert interleaving that drops a just-added entry.
-_CACHE_LOCK = threading.Lock()
 
 
 def _mode_flags() -> tuple[bool, bool]:
@@ -791,10 +732,7 @@ def _prepare(node: PlanNode, count: bool = True):
     if entry is not None and entry[0] is node:
         return entry[1]
     fragment = _emit_fragment(node, flags, count)
-    with _CACHE_LOCK:
-        if len(_PREPARED) >= _PREPARED_LIMIT:
-            _PREPARED.clear()
-        _PREPARED[key] = (node, fragment)
+    pysource.remember(_PREPARED, key, (node, fragment), _PREPARED_LIMIT)
     return fragment
 
 
@@ -805,25 +743,9 @@ def _emit_fragment(node: PlanNode, flags: tuple[bool, bool], count: bool):
     except _Unsupported:
         return None
     source = _assemble(emitter)
-    function_key = (flags, source)
-    function = _FUNCTIONS.get(function_key)
-    if function is None:
-        namespace: dict = {}
-        code = compile(source, f"<fused {sha256(source.encode()).hexdigest()[:10]}>", "exec")
-        exec(code, namespace)
-        function = namespace["_fragment"]
-        if len(source) <= _FUNCTIONS_MAX_SOURCE_CHARS:
-            with _CACHE_LOCK:
-                if len(_FUNCTIONS) >= _FUNCTIONS_MAX_ENTRIES or (
-                    sum(len(key[1]) for key in _FUNCTIONS) + len(source)
-                    > _FUNCTIONS_MAX_SOURCE_CHARS
-                ):
-                    _FUNCTIONS.clear()
-                _FUNCTIONS[function_key] = function
-        if count:
-            _CODEGEN.stats["fragments_compiled"] += 1
-    elif count:
-        _CODEGEN.stats["cache_hits"] += 1
+    function, fresh = pysource.compiled(f"fused {flags}", source, "_fragment")
+    if count:
+        _CODEGEN.stats["fragments_compiled" if fresh else "cache_hits"] += 1
     return _Fragment(
         function,
         tuple(emitter.bindings),
@@ -950,14 +872,8 @@ def compiled_predicate(condition: SelectionCondition, tuple_type):
     lines.append("    def _predicate(_r):")
     lines.append(f"        return {expression('_r')}")
     lines.append("    return _predicate")
-    source = "\n".join(lines) + "\n"
-    namespace: dict = {}
-    exec(compile(source, "<fused predicate>", "exec"), namespace)
-    env = {slot: Atom(payload) for slot, _kind, payload in emitter.bindings}
-    predicate = namespace["_make"](env)
-    with _CACHE_LOCK:
-        if len(_PREDICATES) >= _PREDICATE_LIMIT:
-            _PREDICATES.clear()
-        _PREDICATES[key] = predicate
+    make, _ = pysource.compiled("fused predicate", "\n".join(lines) + "\n", "_make")
+    predicate = make({slot: Atom(payload) for slot, _kind, payload in emitter.bindings})
+    pysource.remember(_PREDICATES, key, predicate, _PREDICATE_LIMIT)
     _CODEGEN.stats["predicates_compiled"] += 1
     return predicate

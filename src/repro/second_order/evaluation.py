@@ -7,14 +7,29 @@ range over *all* subsets of ``adom^k``.  The second-order ranges have size
 complex-object calculus evaluator: the hyper-exponential search space is the
 phenomenon the paper studies, not an accident to be optimised away.
 
-Every evaluation first compiles its formula, once, into nested closures
-(:class:`_Compiler`).  The domain is indexed once, and first-order
-variables hold domain indices in the slots of one environment list.  A
-relation of arity ``k`` — a database predicate or a candidate for a
-relation variable — is an int bitset over the row index of
-``product(domain, repeat=k)``, so an atom is a shift and a mask.  Relation
-symbols and variables are resolved lexically at compile time, and an atom
-whose arity does not match its relation is a :class:`TypingError` then.
+Every evaluation first writes its formula as Python source
+(:class:`_Compiler`), compiled once per process by
+:mod:`repro.utils.pysource`.  First-order variables are locals holding
+domain indices.  A relation of arity ``k`` — a database predicate or a
+candidate for a relation variable — is an int bitset over the row index of
+``product(domain, repeat=k)``, so an atom is an inline shift and mask.  A
+first-order quantifier is an inline ``for`` loop over the domain indices,
+a second-order one an inline loop over :func:`_iter_relations` with the
+budget check in its body, and each breaks at its first witness or
+counterexample.  Relation symbols are resolved while the source is
+written, so an atom whose arity does not match its relation, or that
+applies a non-flat predicate, is a :class:`TypingError` before anything is
+enumerated.  The predicate bitsets, the constants' indices and the domain
+are arguments of the generated factory, so the source depends only on the
+formula's structure and the budget setting.
+
+**Spill rule.**  CPython refuses a function that nests more than 20 loops
+and ``try`` blocks, or 100 indentation levels.  A subformula is written as
+a function of its own, with its free variables as parameters, once the
+function being written nests ``pysource.MAX_BLOCKS`` loops (counting the
+``try`` around the main body) or more than ``pysource.MAX_INDENT``
+indentation levels.
+
 Candidate relations are enumerated in the same order as subsets of the
 row list — by size, then in ``combinations`` order — so every answer,
 budget error and statistics counter is the one a node-by-node walk of the
@@ -23,9 +38,9 @@ formula gives.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from repro.errors import EvaluationError, TypingError
 from repro.second_order.formulas import (
@@ -46,7 +61,8 @@ from repro.second_order.formulas import (
 )
 from repro.objects.instance import DatabaseInstance
 from repro.relational.relation import Relation
-from repro.types.type_system import TupleType
+from repro.types.type_system import TupleType, U
+from repro.utils import pysource
 
 
 @dataclass
@@ -69,17 +85,6 @@ class SOEvaluationStatistics:
     relations_tried: int = 0
     first_order_bindings: int = 0
     satisfaction_calls: int = 0
-
-
-def _instance_as_tuples(database: DatabaseInstance, predicate_name: str) -> frozenset[tuple]:
-    instance = database.instance(predicate_name)
-    rows: set[tuple] = set()
-    for value in instance:
-        if hasattr(value, "components"):
-            rows.add(tuple(component.value for component in value.components))
-        else:
-            rows.add((value.value,))
-    return frozenset(rows)
 
 
 def evaluation_domain(
@@ -126,9 +131,7 @@ def evaluate_sentence(
         raise EvaluationError(
             f"free relation symbols {sorted(unknown)} are not database predicates"
         )
-    statistics = statistics or SOEvaluationStatistics()
-    compiler = _Compiler(database, evaluation_domain(formula, database), settings, statistics)
-    return compiler.formula(formula, {}, {})()
+    return _run(formula, [], database, settings, statistics)
 
 
 def evaluate_query(
@@ -152,37 +155,67 @@ def evaluate_query(
     stray = formula.free_first_order_variables() - set(head_variables)
     if stray:
         raise EvaluationError(f"free variables {sorted(stray)} are not head variables")
-    statistics = statistics or SOEvaluationStatistics()
-    domain = evaluation_domain(formula, database)
-    compiler = _Compiler(database, domain, settings, statistics)
-    # The head variables take the first slots, in order.
-    holds = compiler.formula(formula, {name: compiler.slot(None) for name in head_variables}, {})
-    env, width = compiler.env, len(head_variables)
-    rows: set[tuple] = set()
-    for binding in product(range(len(domain)), repeat=width):
-        env[:width] = binding
-        statistics.first_order_bindings += 1
-        if holds():
-            rows.add(tuple(domain[index] for index in binding))
+    rows = _run(formula, head_variables, database, settings, statistics)
     return Relation(len(head_variables), rows)
+
+
+def _run(
+    formula: SOFormula,
+    head: list[str],
+    database: DatabaseInstance,
+    settings: SOEvaluationSettings,
+    statistics: SOEvaluationStatistics | None,
+) -> bool | set[tuple]:
+    """Compile *formula* and evaluate it: its truth value when *head* is
+    empty, otherwise the set of bindings of *head* that satisfy it."""
+    domain = evaluation_domain(formula, database)
+    compiler = _Compiler(database, domain, settings)
+    source = compiler.program(formula, head)
+    factory, _ = pysource.compiled("second-order", source, "_factory", _RUNTIME)
+    statistics = statistics or SOEvaluationStatistics()
+    return factory(statistics, settings.relation_budget, domain, tuple(compiler.constants))()
 
 
 def _iter_relations(row_count: int) -> Iterator[int]:
     """Every relation over *row_count* rows as a bitset (bit ``r`` is row
     ``r``), by increasing size, then in ``combinations`` order."""
     weights = [1 << row for row in range(row_count)]
-    for size in range(row_count + 1):
-        for combo in combinations(weights, size):
-            yield sum(combo)
+    return chain.from_iterable(
+        map(sum, combinations(weights, size)) for size in range(row_count + 1)
+    )
 
 
-class _Compiler:
-    """Lowers one formula into closures that share a slot environment.
+def _over_budget(budget: int) -> EvaluationError:
+    return EvaluationError(f"second-order quantifier exceeded the relation budget of {budget}")
 
-    Slots hold domain indices (first-order variables and constants) and
-    relation bitsets (relation variables and the database predicates the
-    formula uses).  Every binder owns one slot, and every occurrence is
-    resolved to the slot of its innermost binder.
+
+#: The globals of every generated factory.
+_RUNTIME = {
+    "_over_budget": _over_budget,
+    "_product": product,
+    "_relations": _iter_relations,
+}
+
+#: The counter cells of the generated code, and the statistics they mirror.
+_COUNTERS = (
+    ("_calls", "satisfaction_calls"),
+    ("_bindings", "first_order_bindings"),
+    ("_tried", "relations_tried"),
+)
+
+
+class _Compiler(pysource.Emitter):
+    """Writes one formula as the Python source of a factory.
+
+    The factory ``_factory(_stats, _budget, _domain, _k)`` unpacks into
+    ``_k0, _k1, ...`` the bitsets of the predicates the formula uses and the
+    domain indices of its constants, and returns ``run``.  The counters
+    ``_calls``, ``_bindings`` and ``_tried`` are closure cells shared by
+    every generated function.  Every binder owns one local — ``v<n>`` for a
+    domain index, ``b<n>`` for a relation bitset — and every occurrence is
+    resolved to the local of its innermost binder.  Every formula is
+    written as statements that leave its truth value in ``r``, and a
+    subformula that would nest too deep as a function ``_s<n>``.
     """
 
     def __init__(
@@ -190,157 +223,99 @@ class _Compiler:
         database: DatabaseInstance,
         domain: tuple[object, ...],
         settings: SOEvaluationSettings,
-        statistics: SOEvaluationStatistics,
     ) -> None:
+        super().__init__("run()")
         self.database = database
-        self.domain_size = len(domain)
         self.position = {value: index for index, value in enumerate(domain)}
-        self.settings = settings
-        self.statistics = statistics
-        self.env: list = []
-        #: ``predicate name -> (slot of its bitset, arity)``, indexed on first use.
-        self.predicates: dict[str, tuple[int, int]] = {}
+        self.budget = settings.relation_budget
+        #: ``predicate name -> (constant holding its bitset, arity)``.
+        self.predicates: dict[str, tuple[str, int]] = {}
 
-    def slot(self, value: object) -> int:
-        self.env.append(value)
-        return len(self.env) - 1
+    def program(self, formula: SOFormula, head: list[str]) -> str:
+        if not head:
+            self.formula(formula, {}, {})
+            self.line("return bool(r)")
+        else:
+            variables = {name: self.fresh("v") for name in head}
+            self.line("rows = set()")
+            locals_ = ", ".join(variables.values())
+            with self.block(f"for {locals_}, in _product(_d, repeat={len(head)}):", loop=True):
+                self.line("_bindings += 1")
+                self.formula(formula, variables, {})
+                self.line("if r:")
+                values = ", ".join(f"_domain[{local}]" for local in variables.values())
+                self.line(f"    rows.add(({values},))")
+            self.line("return rows")
+        prologue = ["_n = len(_domain)", "_d = range(_n)"]
+        return self.factory("_stats, _budget, _domain", prologue, _COUNTERS)
 
-    def row_index(self, indices) -> int:
-        row = 0
-        for index in indices:
-            row = row * self.domain_size + index
-        return row
+    def formula(self, formula: SOFormula, variables: dict, relations: dict) -> None:
+        """Write statements leaving the truth value of *formula* in ``r``."""
+        if self.deep():
+            self.spill(formula, variables, relations)
+            return
+        kind = formula.__class__
+        self.out.pending += 1
+        if kind is SOEquals:
+            left = self.term(formula.left, variables)
+            self.line(f"r = {left} == {self.term(formula.right, variables)}")
+        elif kind is SORelationAtom:
+            relation = self.relation(formula, relations)
+            row, *rest = (self.term(term, variables) for term in formula.terms)
+            for index in rest:
+                row = f"{row if row.isidentifier() else f'({row})'} * _n + {index}"
+            self.line(f"r = {relation} >> {row} & 1")
+        elif kind is SONot:
+            self.formula(formula.operand, variables, relations)
+            self.line("r = not r")
+        elif kind is SOAnd or kind is SOOr or kind is SOImplies:
+            self.formula(formula.left, variables, relations)
+            with self.block("if not r:" if kind is SOOr else "if r:"):
+                self.formula(formula.right, variables, relations)
+            if kind is SOImplies:
+                self.line("else: r = True")
+        elif kind is SOExists or kind is SOForall:
+            # The loop stops at the first witness or counterexample.
+            local = self.fresh("v")
+            with self.block(f"for {local} in _d:", loop=True):
+                self.line("_bindings += 1")
+                self.formula(formula.body, {**variables, formula.variable: local}, relations)
+                self.line("if r: break" if kind is SOExists else "if not r: break")
+            self.line(f"else: r = {kind is SOForall}")
+        elif kind is SOExistsRelation or kind is SOForallRelation:
+            local = self.fresh("b")
+            with self.block(f"for {local} in _relations(_n ** {formula.arity}):", loop=True):
+                self.line("_tried += 1")
+                if self.budget is not None:
+                    self.line("if _tried > _budget: raise _over_budget(_budget)")
+                scope = {**relations, formula.relation_variable: (local, formula.arity)}
+                self.formula(formula.body, variables, scope)
+                self.line("if r: break" if kind is SOExistsRelation else "if not r: break")
+            self.line(f"else: r = {kind is SOForallRelation}")
+        else:
+            raise EvaluationError(f"unknown second-order formula class {type(formula).__name__}")
 
-    def predicate(self, name: str) -> tuple[int, int]:
-        entry = self.predicates.get(name)
-        if entry is None:
-            declared = self.database.schema.type_of(name)
-            arity = declared.arity if isinstance(declared, TupleType) else 1
-            bits = 0
-            for row in _instance_as_tuples(self.database, name):
-                bits |= 1 << self.row_index(self.position[value] for value in row)
-            entry = self.predicates[name] = (self.slot(bits), arity)
-        return entry
+    def spill(self, formula: SOFormula, variables: dict, relations: dict) -> None:
+        """Write *formula* as a function of its own, called here."""
+        parameters = [variables[name] for name in sorted(formula.free_first_order_variables())]
+        free = sorted(formula.free_relation_variables())
+        parameters += [relations[name][0] for name in free if name in relations]
+        name, previous = self.begin("_s", parameters)
+        self.formula(formula, variables, relations)
+        self.line("return r")
+        self.end(previous)
+        self.line(f"r = {name}({', '.join(parameters)})")
 
-    def term(self, term: SOTerm, variables: dict[str, int]) -> int:
+    def term(self, term: SOTerm, variables: dict) -> str:
         if isinstance(term, SOConstant):
-            return self.slot(self.position[term.value])
+            return self.constant(self.position[term.value])
         if isinstance(term, SOVariable):
             return variables[term.name]
         raise EvaluationError(f"unknown term class {type(term).__name__}")
 
-    def formula(
-        self,
-        formula: SOFormula,
-        variables: dict[str, int],
-        relations: dict[str, tuple[int, int]],
-    ) -> Callable[[], bool]:
-        stats, env = self.statistics, self.env
-
-        if isinstance(formula, SOEquals):
-            left = self.term(formula.left, variables)
-            right = self.term(formula.right, variables)
-
-            def equals() -> bool:
-                stats.satisfaction_calls += 1
-                return env[left] == env[right]
-
-            return equals
-
-        if isinstance(formula, SORelationAtom):
-            return self.relation_atom(formula, variables, relations)
-
-        if isinstance(formula, SONot):
-            operand = self.formula(formula.operand, variables, relations)
-
-            def negation() -> bool:
-                stats.satisfaction_calls += 1
-                return not operand()
-
-            return negation
-
-        if isinstance(formula, (SOAnd, SOOr, SOImplies)):
-            left_holds = self.formula(formula.left, variables, relations)
-            right_holds = self.formula(formula.right, variables, relations)
-            if isinstance(formula, SOAnd):
-
-                def conjunction() -> bool:
-                    stats.satisfaction_calls += 1
-                    return left_holds() and right_holds()
-
-                return conjunction
-            if isinstance(formula, SOOr):
-
-                def disjunction() -> bool:
-                    stats.satisfaction_calls += 1
-                    return left_holds() or right_holds()
-
-                return disjunction
-
-            def implication() -> bool:
-                stats.satisfaction_calls += 1
-                return not left_holds() or right_holds()
-
-            return implication
-
-        if isinstance(formula, (SOExists, SOForall)):
-            existential = isinstance(formula, SOExists)
-            slot = self.slot(None)
-            body = self.formula(formula.body, {**variables, formula.variable: slot}, relations)
-            indices = range(self.domain_size)
-
-            def first_order() -> bool:
-                stats.satisfaction_calls += 1
-                tried = 0
-                try:
-                    for index in indices:
-                        tried += 1
-                        env[slot] = index
-                        if body():
-                            if existential:
-                                return True
-                        elif not existential:
-                            return False
-                    return not existential
-                finally:
-                    stats.first_order_bindings += tried
-
-            return first_order
-
-        if isinstance(formula, (SOExistsRelation, SOForallRelation)):
-            existential = isinstance(formula, SOExistsRelation)
-            budget = self.settings.relation_budget
-            slot = self.slot(0)
-            scope = {**relations, formula.relation_variable: (slot, formula.arity)}
-            body = self.formula(formula.body, variables, scope)
-            row_count = self.domain_size**formula.arity
-
-            def second_order() -> bool:
-                stats.satisfaction_calls += 1
-                for bits in _iter_relations(row_count):
-                    stats.relations_tried += 1
-                    if budget is not None and stats.relations_tried > budget:
-                        raise EvaluationError(
-                            f"second-order quantifier exceeded the relation budget of {budget}"
-                        )
-                    env[slot] = bits
-                    if body():
-                        if existential:
-                            return True
-                    elif not existential:
-                        return False
-                return not existential
-
-            return second_order
-
-        raise EvaluationError(f"unknown second-order formula class {type(formula).__name__}")
-
-    def relation_atom(
-        self,
-        formula: SORelationAtom,
-        variables: dict[str, int],
-        relations: dict[str, tuple[int, int]],
-    ) -> Callable[[], bool]:
+    def relation(self, formula: SORelationAtom, relations: dict) -> str:
+        """The name holding the bitset *formula* applies, checked against
+        the number of its terms."""
         name, arity = formula.relation_name, len(formula.terms)
         if name in relations:
             relation, declared = relations[name]
@@ -356,34 +331,24 @@ class _Compiler:
             raise TypingError(
                 f"{kind} {name!r} has arity {declared} but is applied to {arity} terms"
             )
-        stats, env, size = self.statistics, self.env, self.domain_size
-        slots = [self.term(term, variables) for term in formula.terms]
-        if arity == 1:
-            (first,) = slots
+        return relation
 
-            def atom() -> bool:
-                stats.satisfaction_calls += 1
-                return env[relation] >> env[first] & 1 == 1
-
-        elif arity == 2:
-            first, second = slots
-
-            def atom() -> bool:
-                stats.satisfaction_calls += 1
-                return env[relation] >> (env[first] * size + env[second]) & 1 == 1
-
-        else:
-
-            def atom() -> bool:
-                stats.satisfaction_calls += 1
-                row = self.row_index(env[slot] for slot in slots)
-                return env[relation] >> row & 1 == 1
-
-        return atom
-
-
-def relation_variable_type(arity: int) -> TupleType:
-    """The flat tuple type ``[U,...,U]`` matching a relation variable's rows."""
-    from repro.types.type_system import relation_type
-
-    return relation_type(arity)
+    def predicate(self, name: str) -> tuple[str, int]:
+        entry = self.predicates.get(name)
+        if entry is None:
+            declared = self.database.schema.type_of(name)
+            tuples = isinstance(declared, TupleType)
+            if not (declared == U or tuples and set(declared.component_types) == {U}):
+                raise TypingError(
+                    f"predicate {name!r} has the non-flat type {declared}; "
+                    "second-order atoms apply flat relations only"
+                )
+            size, bits = len(self.position), 0
+            for value in self.database.instance(name):
+                row = 0
+                for atom in value.components if tuples else (value,):
+                    row = row * size + self.position[atom.value]
+                bits |= 1 << row
+            arity = declared.arity if tuples else 1
+            entry = self.predicates[name] = (self.constant(bits), arity)
+        return entry

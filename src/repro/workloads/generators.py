@@ -9,8 +9,9 @@ benchmark suite sees exactly the same data.
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.errors import ReproError
 from repro.algebra.expressions import (
@@ -38,6 +39,22 @@ from repro.objects.constructive import constructive_domain_size, iter_constructi
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import ComplexValue, structural_sort_key
 from repro.relational.relation import Relation
+from repro.second_order.formulas import (
+    SOAnd,
+    SOConstant,
+    SOEquals,
+    SOExists,
+    SOExistsRelation,
+    SOForall,
+    SOForallRelation,
+    SOFormula,
+    SOImplies,
+    SONot,
+    SOOr,
+    SORelationAtom,
+    SOTerm,
+    SOVariable,
+)
 from repro.types.schema import DatabaseSchema
 from repro.types.type_system import ComplexType, SetType, TupleType, U, tuple_type
 from repro.utils.iteration import bounded
@@ -650,6 +667,85 @@ def _apply_operator(
         return powerset, SetType(type_), 2.0 ** min(estimate, 10.0)
 
     raise WorkloadError(f"unknown expression operator {operator!r}")
+
+
+# -- random second-order formulas -----------------------------------------------
+
+
+def random_so_formula(
+    schema: DatabaseSchema,
+    seed: int = 0,
+    size: int = 6,
+    head: Sequence[str] = (),
+    constants: Sequence[object] = ("a", "b"),
+) -> SOFormula:
+    """Generate a deterministic random second-order formula over *schema*.
+
+    The formula has *size* nodes.  Its atoms are equalities and relation
+    atoms over the schema's flat predicates and the relation variables
+    (arity 1 or 2) quantified above them; their terms are the *head*
+    variables, the first-order variables quantified above them, and
+    *constants*.  Every other variable is bound, and no quantifier rebinds
+    a name in scope, so with an empty *head* the formula is a sentence, and
+    otherwise it is the body of a query with head *head* that
+    :func:`repro.second_order.so_query_to_calculus` accepts.
+
+    The sweeps that compare the second-order evaluator with a node-by-node
+    walk and with its calculus translation draw from it: the same seed
+    always yields the same formula, so failures reproduce.
+    """
+    if size < 1:
+        raise WorkloadError(f"formula size must be at least 1, got {size}")
+    relations: dict[str, int] = {}
+    for name in schema.predicate_names:
+        declared = schema.type_of(name)
+        if declared == U:
+            relations[name] = 1
+        elif isinstance(declared, TupleType) and set(declared.component_types) == {U}:
+            relations[name] = declared.arity
+    return _grow_so_formula(
+        random.Random(seed), size, list(head), relations, list(constants), itertools.count(1)
+    )
+
+
+def _grow_so_formula(
+    rng: random.Random,
+    size: int,
+    variables: list[str],
+    relations: dict[str, int],
+    constants: list[object],
+    names: Iterator[int],
+) -> SOFormula:
+    def term() -> SOTerm:
+        if variables and rng.random() < 0.8:
+            return SOVariable(rng.choice(variables))
+        return SOConstant(rng.choice(constants))
+
+    if size == 1:
+        if not relations or rng.random() < 0.3:
+            return SOEquals(term(), term())
+        # The last name is the innermost relation variable, when there is one.
+        name = list(relations)[-1] if rng.random() < 0.4 else rng.choice(sorted(relations))
+        return SORelationAtom(name, [term() for _ in range(relations[name])])
+    kind = rng.choice(("not", "binary", "binary", "first", "first", "second"))
+    if kind == "binary" and size >= 3:
+        left = rng.randint(1, size - 2)
+        return rng.choice((SOAnd, SOOr, SOImplies))(
+            _grow_so_formula(rng, left, variables, relations, constants, names),
+            _grow_so_formula(rng, size - 1 - left, variables, relations, constants, names),
+        )
+    if kind == "not":
+        return SONot(_grow_so_formula(rng, size - 1, variables, relations, constants, names))
+    number = next(names)
+    if kind == "second":
+        name, arity = f"X{number}", rng.choice((1, 2))
+        body = _grow_so_formula(
+            rng, size - 1, variables, {**relations, name: arity}, constants, names
+        )
+        return rng.choice((SOExistsRelation, SOForallRelation))(name, arity, body)
+    name = f"x{number}"
+    body = _grow_so_formula(rng, size - 1, [*variables, name], relations, constants, names)
+    return rng.choice((SOExists, SOForall))(name, body)
 
 
 def random_pipeline_query(

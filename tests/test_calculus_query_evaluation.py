@@ -497,10 +497,10 @@ class TestConcurrentEvaluations:
         """Threads evaluating at once share the compiled factories, which a
         small cache bound keeps evicting, but no memo or counter: every
         evaluation returns the answer and statistics of a serial run."""
-        from repro.calculus import evaluation
+        from repro.utils import pysource
 
-        monkeypatch.setattr(evaluation, "_FACTORIES", {})
-        monkeypatch.setattr(evaluation, "_FACTORY_CACHE_MAX_ENTRIES", 3)
+        monkeypatch.setattr(pysource, "_COMPILED", {})
+        monkeypatch.setattr(pysource, "_MAX_ENTRIES", 3)
         settings = EvaluationSettings(binding_budget=None)
         work = [SEMANTICS_ENTRIES[name] for name in ("superset_chain3", "even_persons4")]
         formula = Equals(var("t"), var("t"))
@@ -537,7 +537,7 @@ class TestConcurrentEvaluations:
         finally:
             sys.setswitchinterval(interval)
         assert not errors and not mismatches
-        assert len(evaluation._FACTORIES) <= 3
+        assert len(pysource._COMPILED) <= 3
 
 
 class TestScoping:

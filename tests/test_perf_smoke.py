@@ -306,12 +306,13 @@ def test_compiled_formulas_are_cached_by_source(monkeypatch):
     from repro.calculus.formulas import Equals, Not
     from repro.calculus.terms import Constant, var
     from repro.objects.instance import DatabaseInstance
+    from repro.utils import pysource
 
-    monkeypatch.setattr(evaluation, "_FACTORIES", {})
+    monkeypatch.setattr(pysource, "_COMPILED", {})
     query = grandparent_query()
     for edges in ([("a", "b"), ("b", "c")], [("x", "y"), ("y", "z"), ("z", "w")]):
         evaluation.evaluate_query(query, DatabaseInstance.build(PARENT_SCHEMA, PAR=edges))
-        assert len(evaluation._FACTORIES) == 1
+        assert len(pysource._COMPILED) == 1
 
     database = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b")])
     universe = database.active_domain()
@@ -319,14 +320,33 @@ def test_compiled_formulas_are_cached_by_source(monkeypatch):
     for constant in ("a", "b"):
         formula = Equals(var("t"), Constant(constant))
         assert evaluation.satisfies(database, formula, assignment, universe) == (constant == "a")
-    assert len(evaluation._FACTORIES) == 2
+    assert len(pysource._COMPILED) == 2
 
-    bound = evaluation._FACTORY_CACHE_MAX_ENTRIES
+    # Each new formula nests one level deeper, so the bound is lowered to
+    # keep the deepest one within the interpreter's recursion limit.
+    monkeypatch.setattr(pysource, "_MAX_ENTRIES", 128)
+    bound = pysource._MAX_ENTRIES
     formula = Equals(var("t"), var("t"))
     for depth in range(bound + 10):
         evaluation.satisfies(database, formula, assignment, universe)
-        assert len(evaluation._FACTORIES) <= bound
+        assert len(pysource._COMPILED) <= bound
         formula = Not(formula)
+
+
+def test_compiled_second_order_formulas_are_cached_by_source(monkeypatch):
+    """A second-order formula compiles once: its source does not depend on
+    the database, so evaluating it over another database, of another
+    domain size, reuses the compiled factory."""
+    from repro.objects.instance import DatabaseInstance
+    from repro.second_order import GRAPH_SCHEMA, evaluate_query, reachability_query
+    from repro.utils import pysource
+
+    monkeypatch.setattr(pysource, "_COMPILED", {})
+    head, formula = reachability_query()
+    for vertices, edges in (("ab", [("a", "b")]), ("xyz", [("x", "y"), ("y", "z")])):
+        database = DatabaseInstance.build(GRAPH_SCHEMA, V=list(vertices), E=edges)
+        assert set(evaluate_query(head, formula, database).tuples) >= set(edges)
+        assert len(pysource._COMPILED) == 1
 
 
 def test_compiled_source_cache_is_bounded_by_size(monkeypatch):
@@ -338,29 +358,30 @@ def test_compiled_source_cache_is_bounded_by_size(monkeypatch):
     from repro.calculus.formulas import Equals, Not
     from repro.calculus.terms import var
     from repro.objects.instance import DatabaseInstance
+    from repro.utils import pysource
 
     bound = 4_000
-    monkeypatch.setattr(evaluation, "_FACTORIES", {})
-    monkeypatch.setattr(evaluation, "_FACTORY_CACHE_MAX_SOURCE_CHARS", bound)
+    monkeypatch.setattr(pysource, "_COMPILED", {})
+    monkeypatch.setattr(pysource, "_MAX_SOURCE_CHARS", bound)
     database = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b")])
     universe = database.active_domain()
     assignment = {"t": Atom("a")}
     small = Equals(var("t"), var("t"))
     assert evaluation.satisfies(database, small, assignment, universe)
-    (small_source,) = evaluation._FACTORIES
+    (small_key,) = pysource._COMPILED
 
     large = small
     for _ in range(200):
         large = Not(large)
     assert evaluation.satisfies(database, large, assignment, universe)
-    assert list(evaluation._FACTORIES) == [small_source]
+    assert list(pysource._COMPILED) == [small_key]
 
     formula = small
     for _ in range(120):
         formula = Not(formula)
         evaluation.satisfies(database, formula, assignment, universe)
-        assert sum(map(len, evaluation._FACTORIES)) <= bound
-    assert max(map(len, evaluation._FACTORIES)) > bound // 2
+        assert sum(len(source) for _, source in pysource._COMPILED) <= bound
+    assert max(len(source) for _, source in pysource._COMPILED) > bound // 2
 
 
 def test_fused_function_cache_is_bounded(monkeypatch):
@@ -374,6 +395,8 @@ def test_fused_function_cache_is_bounded(monkeypatch):
     from repro.errors import EvaluationError
     from repro.workloads import random_algebra_expression, random_database
 
+    from repro.utils import pysource
+
     codegen = importlib.import_module("repro.engine.codegen")
     database = random_database(PARENT_SCHEMA, ["a", "b", "v0", "v1"], count=6, seed=3)
 
@@ -385,17 +408,19 @@ def test_fused_function_cache_is_bounded(monkeypatch):
                 evaluate_expression(expression, database)
             except EvaluationError:
                 pass
-            yield codegen._FUNCTIONS
+            yield pysource._COMPILED
         assert codegen.codegen_stats()["fragments_compiled"] - compiled > 4
 
     for caps in ((4, 1 << 20), (1024, 600)):
-        monkeypatch.setattr(codegen, "_FUNCTIONS", {})
+        monkeypatch.setattr(pysource, "_COMPILED", {})
         monkeypatch.setattr(codegen, "_PREPARED", {})
-        monkeypatch.setattr(codegen, "_FUNCTIONS_MAX_ENTRIES", caps[0])
-        monkeypatch.setattr(codegen, "_FUNCTIONS_MAX_SOURCE_CHARS", caps[1])
-        for functions in sweep():
-            assert len(functions) <= caps[0]
-            assert sum(len(source) for _flags, source in functions) <= caps[1]
+        monkeypatch.setattr(pysource, "_MAX_ENTRIES", caps[0])
+        monkeypatch.setattr(pysource, "_MAX_SOURCE_CHARS", caps[1])
+        # Fragments compile only with codegen on, which CI also ablates.
+        with codegen.codegen(True):
+            for functions in sweep():
+                assert len(functions) <= caps[0]
+                assert sum(len(source) for _generator, source in functions) <= caps[1]
 
 
 def test_finished_domains_replay_as_lists_and_partial_ones_stay_lazy(monkeypatch):

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import random
 import re
+import sys
+import threading
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EvaluationError, TypingError
+from repro.errors import BudgetExceededError, EvaluationError, TypingError
 from repro.calculus.classification import calc_classification, in_calc
 from repro.calculus.evaluation import EvaluationSettings, evaluate_query as evaluate_calculus
 from repro.objects.instance import DatabaseInstance
+from repro.objects.values import TupleValue
 from repro.relational.fixpoint import transitive_closure
 from repro.relational.relation import Relation
 from repro.second_order import (
@@ -24,7 +29,9 @@ from repro.second_order import (
     SOExistsRelation,
     SOForall,
     SOForallRelation,
+    SOImplies,
     SONot,
+    SOOr,
     SORelationAtom,
     connectivity_sentence,
     evaluate_query,
@@ -37,7 +44,14 @@ from repro.second_order import (
     so_sentence_to_calculus,
     three_colorability_sentence,
 )
-from repro.second_order.evaluation import SOEvaluationSettings, SOEvaluationStatistics
+from repro.second_order.evaluation import (
+    SOEvaluationSettings,
+    SOEvaluationStatistics,
+    evaluation_domain,
+)
+from repro.types.schema import DatabaseSchema
+from repro.types.type_system import SetType, TupleType, U
+from repro.workloads import random_so_formula
 
 
 def person_db(n: int) -> DatabaseInstance:
@@ -233,6 +247,25 @@ class TestScopingAndErrors:
         )
         assert evaluate_sentence(binary, db) is True
 
+    @pytest.mark.parametrize(
+        "declared, rows",
+        [
+            (SetType(U), [{"a", "b"}]),
+            (TupleType([U, SetType(U)]), [("a", {"b"})]),
+        ],
+    )
+    def test_non_flat_predicate_is_a_typing_error(self, declared, rows):
+        db = DatabaseInstance.build(DatabaseSchema([("S", declared)]), S=rows)
+        arity = declared.arity if isinstance(declared, TupleType) else 1
+        atom = SORelationAtom("S", ("x",) * arity)
+        message = f"predicate 'S' has the non-flat type {declared}"
+        with pytest.raises(TypingError, match=re.escape(message)):
+            evaluate_sentence(SOExists("x", atom), db)
+        with pytest.raises(TypingError, match=re.escape(message)):
+            evaluate_query(["x"], atom, db)
+        # A formula that does not mention the predicate still evaluates.
+        assert evaluate_sentence(SOExists("x", SOEquals("x", "x")), db) is True
+
     def test_constants_outside_the_active_domain(self):
         db = person_db(2)
         zed = SOConstant("zed")
@@ -339,3 +372,250 @@ class TestPropertyParityAgainstGroundTruth:
         assert set(expected.tuples) <= set(answer.tuples)
         extra = set(answer.tuples) - set(expected.tuples)
         assert not extra
+
+
+class TestDeepFormulas:
+    """Formulas nested past what one generated function may hold: CPython
+    refuses more than 20 statically nested blocks and 100 indentation
+    levels, so the evaluator spills deep subformulas into functions of
+    their own, and the counters stay those of a node-by-node walk."""
+
+    DB = DatabaseInstance.build(PERSON_SCHEMA, PERSON=["a", "b"])
+
+    @staticmethod
+    def chain():
+        same = SOEquals("x", "x")
+        formula = same
+        for depth in range(150):
+            formula = SOOr(SONot(same), formula) if depth % 2 == 0 else SOAnd(same, formula)
+        return formula
+
+    def test_alternating_quantifiers(self):
+        formula = SOEquals("x0", "x24")
+        for index in reversed(range(25)):
+            formula = (SOExists if index % 2 == 0 else SOForall)(f"x{index}", formula)
+        statistics = SOEvaluationStatistics()
+        assert evaluate_sentence(formula, self.DB, statistics=statistics) is True
+        assert (statistics.first_order_bindings, statistics.satisfaction_calls) == (16381, 16382)
+
+    def test_deep_connective_chain(self):
+        statistics = SOEvaluationStatistics()
+        assert evaluate_sentence(SOForall("x", self.chain()), self.DB, statistics=statistics)
+        assert (statistics.first_order_bindings, statistics.satisfaction_calls) == (2, 753)
+
+    def test_deep_connective_chain_under_a_relation_quantifier(self):
+        statistics = SOEvaluationStatistics()
+        formula = SOExistsRelation("M", 1, self.chain())
+        answer = evaluate_query(["x"], formula, self.DB, statistics=statistics)
+        assert answer == Relation(1, [("a",), ("b",)])
+        assert (
+            statistics.relations_tried,
+            statistics.first_order_bindings,
+            statistics.satisfaction_calls,
+        ) == (2, 2, 754)
+
+
+class TestConcurrentEvaluations:
+    def test_threads_share_compiled_code_but_no_evaluation_state(self, monkeypatch):
+        """Threads evaluating at once share the compiled factories, which a
+        small cache bound keeps evicting, but no counter: every evaluation
+        returns the answer and statistics of a serial run."""
+        from repro.utils import pysource
+
+        monkeypatch.setattr(pysource, "_COMPILED", {})
+        monkeypatch.setattr(pysource, "_MAX_ENTRIES", 3)
+        head, reachability = reachability_query()
+        triangle = graph_db("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        work = [
+            (even_cardinality_sentence(), person_db(3), []),
+            (three_colorability_sentence(), triangle, []),
+            (reachability, graph_db("abc", [("a", "b"), ("b", "c")]), head),
+        ]
+        formula = SOExistsRelation("X", 1, SORelationAtom("X", ("x",)))
+        for _ in range(4):
+            work.append((formula, person_db(2), ["x"]))
+            formula = SONot(formula)
+
+        def evaluate(index):
+            formula, database, head = work[index]
+            statistics = SOEvaluationStatistics()
+            if head:
+                return evaluate_query(head, formula, database, statistics=statistics), statistics
+            return evaluate_sentence(formula, database, statistics=statistics), statistics
+
+        serial = [evaluate(index) for index in range(len(work))]
+        mismatches: list = []
+        errors: list[Exception] = []
+
+        def run(offset: int) -> None:
+            try:
+                for step in range(3 * len(work)):
+                    index = (offset + step) % len(work)
+                    if evaluate(index) != serial[index]:
+                        mismatches.append(index)
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not mismatches
+        assert len(pysource._COMPILED) <= 3
+
+
+class _Walker:
+    """The active-domain semantics of second-order logic read node by node,
+    with the evaluator's counters and relation budget: the oracle the
+    compiled evaluator must match in answers, counters and the point where
+    a budget error fires."""
+
+    def __init__(self, database, domain, settings, statistics):
+        self.database = database
+        self.domain = domain
+        self.budget = settings.relation_budget
+        self.statistics = statistics
+
+    def rows(self, name):
+        return {
+            tuple(c.value for c in value.components)
+            if isinstance(value, TupleValue)
+            else (value.value,)
+            for value in self.database.instance(name)
+        }
+
+    def value(self, term, variables):
+        return term.value if isinstance(term, SOConstant) else variables[term.name]
+
+    def holds(self, formula, variables, relations) -> bool:
+        statistics = self.statistics
+        statistics.satisfaction_calls += 1
+        kind = type(formula)
+        if kind is SOEquals:
+            return self.value(formula.left, variables) == self.value(formula.right, variables)
+        if kind is SORelationAtom:
+            row = tuple(self.value(term, variables) for term in formula.terms)
+            name = formula.relation_name
+            return row in (relations[name] if name in relations else self.rows(name))
+        if kind is SONot:
+            return not self.holds(formula.operand, variables, relations)
+        if kind in (SOAnd, SOOr, SOImplies):
+            left = self.holds(formula.left, variables, relations)
+            if kind is SOAnd:
+                return left and self.holds(formula.right, variables, relations)
+            if kind is SOOr:
+                return left or self.holds(formula.right, variables, relations)
+            return not left or self.holds(formula.right, variables, relations)
+        if kind in (SOExists, SOForall):
+            existential = kind is SOExists
+            for value in self.domain:
+                statistics.first_order_bindings += 1
+                scope = {**variables, formula.variable: value}
+                if self.holds(formula.body, scope, relations) is existential:
+                    return existential
+            return not existential
+        existential = kind is SOExistsRelation
+        rows = list(product(self.domain, repeat=formula.arity))
+        for size in range(len(rows) + 1):
+            for subset in combinations(rows, size):
+                statistics.relations_tried += 1
+                if self.budget is not None and statistics.relations_tried > self.budget:
+                    raise EvaluationError(
+                        f"second-order quantifier exceeded the relation budget of {self.budget}"
+                    )
+                scope = {**relations, formula.relation_variable: frozenset(subset)}
+                if self.holds(formula.body, variables, scope) is existential:
+                    return existential
+        return not existential
+
+    def run(self, head, formula):
+        if not head:
+            return self.holds(formula, {}, {})
+        answer = set()
+        for binding in product(self.domain, repeat=len(head)):
+            self.statistics.first_order_bindings += 1
+            if self.holds(formula, dict(zip(head, binding)), {}):
+                answer.add(binding)
+        return Relation(len(head), answer)
+
+
+def _so_outcome(evaluate):
+    statistics = SOEvaluationStatistics()
+    try:
+        answer = evaluate(statistics)
+    except EvaluationError as error:
+        answer = str(error)
+    return answer, statistics
+
+
+def _sweep_case(seed):
+    """A database over at most three atoms, a random formula over it, its
+    head and a relation budget, all drawn from *seed*."""
+    rng = random.Random(seed)
+    atoms = rng.sample("abc", rng.randint(1, 3))
+    if rng.random() < 0.5:
+        pairs = [(x, y) for x in atoms for y in atoms]
+        database = DatabaseInstance.build(
+            GRAPH_SCHEMA,
+            V=[atom for atom in atoms if rng.random() < 0.7],
+            E=[pair for pair in pairs if rng.random() < 0.4],
+        )
+    else:
+        database = DatabaseInstance.build(PERSON_SCHEMA, PERSON=atoms)
+    head = ["h0", "h1"][: rng.choice((0, 0, 1, 2))]
+    formula = random_so_formula(
+        database.schema, seed=seed, size=rng.randint(1, 12), head=head, constants=("a", "c")
+    )
+    return database, head, formula, rng.choice((1, 4, 16, 64, 200))
+
+
+def test_random_formulas_match_a_node_by_node_walk():
+    """Over a few hundred random formulas, the evaluator gives the walker's
+    answers and counters, and raises its budget errors at the same point;
+    and every query the calculus evaluates within its binding budget has
+    the same answer after ``so_query_to_calculus``."""
+    outcomes = {"sentence": 0, "query": 0, "over relation budget": 0}
+    calculus = {"agreed": 0, "over binding budget": 0}
+    for seed in range(400):
+        database, head, formula, budget = _sweep_case(seed)
+        settings = SOEvaluationSettings(relation_budget=budget)
+        domain = evaluation_domain(formula, database)
+
+        def walk(statistics):
+            return _Walker(database, domain, settings, statistics).run(head, formula)
+
+        def evaluate(statistics):
+            if head:
+                return evaluate_query(head, formula, database, settings, statistics)
+            return evaluate_sentence(formula, database, settings, statistics)
+
+        expected = _so_outcome(walk)
+        assert _so_outcome(evaluate) == expected, (seed, str(formula))
+        answer = expected[0]
+        if isinstance(answer, str):
+            outcomes["over relation budget"] += 1
+            continue
+        outcomes["query" if head else "sentence"] += 1
+        if not head:
+            continue
+        query = so_query_to_calculus(head, formula, database.schema)
+        try:
+            rows = evaluate_calculus(query, database, EvaluationSettings(binding_budget=20_000))
+        except BudgetExceededError:
+            calculus["over binding budget"] += 1
+            continue
+        assert {tuple(c.value for c in row.components) for row in rows} == set(answer.tuples), (
+            seed,
+            str(formula),
+        )
+        calculus["agreed"] += 1
+    assert outcomes["sentence"] >= 150 and outcomes["query"] >= 120, outcomes
+    assert outcomes["over relation budget"] >= 40, outcomes
+    assert calculus["agreed"] >= 120, calculus

@@ -26,10 +26,36 @@ bound free variables are the parameters, its loop variable is a local, and
 the atoms and connectives of its body are inlined as statements; the call
 site probes the quantifier memo inline and calls the function only on a
 miss.  Everything that is fixed per formula node is resolved then: the kind
-of each term, each quantifier's sorted free variables, enumeration-counter
-key and domain, and the strategy and memoisation settings.  What varies
-between evaluations — predicate instances, constant atoms, memo node ids,
-domain views — is passed to the generated factory as arguments, so the
+and type of each term, each quantifier's sorted free variables,
+enumeration-counter key and domain, and the strategy and memoisation
+settings.
+
+**Positions.**  A variable of type ``T`` — bound by a quantifier, or the
+query's target — holds its value's *position* in ``cons_X(T)``, an int
+(see :mod:`repro.objects.constructive`): an atom's index among the sorted
+universe atoms, a tuple's mixed-radix number, a set's bitset of element
+positions.  A quantifier loops over the position enumeration of its type,
+in the order of the value enumeration, and every atom the t-wff rules
+license is an int operation: ``=`` is ``==``, ``e ∈ c`` is
+``c >> e & 1``, ``x.i`` is ``x // stride % radix``, and ``P(t)`` probes a
+frozenset of the positions of ``P``'s values, encoded once per evaluation.
+Memo keys are tuples of ints.  Answers stay values: each output candidate
+is enumerated as a value and encoded once.
+
+**Where values remain.**  Names bound by the caller of :func:`satisfies`
+have no static type, so they hold values, and so does a constant outside
+the universe (which only :func:`satisfies` can be given).  An atom with
+such a term, or one the t-wff rules do not license — a cross-type ``=``,
+membership in a non-set or with an element of another type, a predicate
+applied to a term of another type, a coordinate of a non-tuple — decodes
+its typed terms to values and takes the checked path on values, so it
+answers and raises exactly as before.  Positions of different types may
+coincide (the empty set is ``0`` in every set type), so a subformula shared
+by two places whose free variables have different types keys its memo on
+values too.
+
+Strides, radices, constant positions, predicate positions, decoders and
+domain views are passed to the generated factory as arguments, so the
 source text depends only on the formula's structure and the settings, and
 compiled factories are cached by that text in the process-wide cache of
 :mod:`repro.utils.pysource`.  The cache pays off when a structure repeats;
@@ -66,9 +92,10 @@ from repro.calculus.formulas import (
 from repro.calculus.query import CalculusQuery
 from repro.calculus.terms import Constant, CoordinateTerm, Term, VariableTerm
 from repro.objects.constructive import (
-    constructive_domain,
-    constructive_domain_view,
+    Positions,
+    constructive_positions,
     iter_constructive_domain,
+    position_domain,
 )
 from repro.objects.domain import belongs_to
 from repro.objects.instance import DatabaseInstance, Instance
@@ -186,14 +213,16 @@ def evaluate_query_detailed(
     _check_schema(query, database)
     stats = EvaluationStatistics()
     universe = evaluation_universe(query, database, settings)
+    positions = Positions(universe)
     holds = _compile(
         query.formula,
         {query.target_variable: query.target_type},
         database,
-        universe,
+        positions,
         settings,
         stats,
     )
+    encode = partial(positions.encode, type_=query.target_type)
     answers: list[ComplexValue] = []
     candidates = iter_constructive_domain(
         query.target_type, _output_atoms(query, database, settings, universe)
@@ -201,7 +230,7 @@ def evaluate_query_detailed(
     for candidate in bounded(candidates, settings.binding_budget, what="output candidates"):
         stats.output_candidates += 1
         stats.note_binding(settings.binding_budget)
-        if holds(candidate):
+        if holds(encode(candidate)):
             answers.append(candidate)
     stats.answers = len(answers)
     return EvaluationResult(
@@ -232,15 +261,16 @@ def check_membership(
     universe = evaluation_universe(query, database, settings)
     if not candidate.atoms() <= _output_atoms(query, database, settings, universe):
         return False
+    positions = Positions(universe)
     holds = _compile(
         query.formula,
         {query.target_variable: query.target_type},
         database,
-        universe,
+        positions,
         settings,
         EvaluationStatistics(),
     )
-    return holds(candidate)
+    return holds(positions.encode(candidate, query.target_type))
 
 
 def satisfies(
@@ -261,7 +291,12 @@ def satisfies(
     settings = settings or EvaluationSettings()
     statistics = statistics or EvaluationStatistics()
     holds = _compile(
-        formula, dict.fromkeys(assignment), database, universe_atoms, settings, statistics
+        formula,
+        dict.fromkeys(assignment),
+        database,
+        Positions(universe_atoms),
+        settings,
+        statistics,
     )
     return holds(*assignment.values())
 
@@ -290,19 +325,24 @@ def _compile(
     formula: Formula,
     bound: dict[str, ComplexType | None],
     database: DatabaseInstance,
-    universe_atoms: frozenset[object],
+    positions: Positions,
     settings: EvaluationSettings,
     statistics: EvaluationStatistics,
 ) -> Callable[..., bool]:
     """Compile *formula* into ``holds``, which decides it.
 
-    ``holds`` takes the values of the names in *bound*, in order.  A name's
-    type, when given, promises that its values lie in ``cons(type)``; the
-    generated code then reads coordinates and tests membership without the
-    checks a value of unknown shape needs.
+    ``holds`` takes the names in *bound*, in order: for a name with a type,
+    the position of its value in ``cons(type)`` under *positions*; for a
+    name without one, its value.
     """
-    compiler = _Compiler(database, universe_atoms, settings)
+    compiler = _Compiler(database, positions, settings)
     source = compiler.program(formula, bound)
+    if compiler.conflicts:
+        # A shared subformula is reached with differently typed free
+        # variables, whose positions may coincide: rewrite it to key its
+        # memo on their values.
+        compiler = _Compiler(database, positions, settings, value_keyed=compiler.conflicts)
+        source = compiler.program(formula, bound)
     factory, _ = pysource.compiled("calculus", source, "_factory", _RUNTIME)
     memo = {} if settings.memoize_quantifiers else None
     return factory(statistics, settings.binding_budget, memo, tuple(compiler.constants))
@@ -367,43 +407,56 @@ class _Compiler(pysource.Emitter):
     """Writes one formula as the Python source of a factory.
 
     The factory ``_factory(_stats, _budget, _memo, _k)`` unpacks the
-    constants ``_k`` into ``_k0, _k1, ...`` — predicate instances, constant
-    atoms, memo node ids, domain views, enumeration keys and the subjects
-    of error messages — and returns ``holds``, which decides the formula
-    for the values of the caller's bound names.  The counters
-    (``_calls``, ``_bindings``, ``_hits``, ``_misses`` and one ``_e<n>``
-    per enumeration key) are closure cells shared by every generated
-    function; ``holds`` loads them from the statistics when it starts and
-    stores them back in a ``finally``.
+    constants ``_k`` into ``_k0, _k1, ...`` — predicate positions and
+    instances, constant positions and atoms, strides and radices, decoders,
+    memo node ids, domain views, enumeration keys and the subjects of error
+    messages — and returns ``holds``, which decides the formula for the
+    caller's bound names.  The counters (``_calls``, ``_bindings``,
+    ``_hits``, ``_misses`` and one ``_e<n>`` per enumeration key) are
+    closure cells shared by every generated function; ``holds`` loads them
+    from the statistics when it starts and stores them back in a
+    ``finally``.
 
     Each quantifier becomes a function ``_q<n>`` whose parameters are its
     bound free variables.  Every binder — a quantifier, or a name the
     caller binds — owns one local ``v<n>``, and every variable occurrence
-    is resolved to the local of its innermost binder; a variable with no
-    binder reads ``_UNBOUND`` in memo keys and raises when its value is
-    needed.  Every other formula is emitted as statements that leave its
-    truth value in ``r``, spilled into a function ``_s<n>`` of its own when
-    it would nest deeper than ``pysource.MAX_INDENT``.
+    is resolved to the local of its innermost binder and that binder's
+    type (``None`` for a name the caller binds); a variable with no binder
+    reads ``_UNBOUND`` in memo keys and raises when its value is needed.
+    Every other formula is emitted as statements that leave its truth
+    value in ``r``, spilled into a function ``_s<n>`` of its own when it
+    would nest deeper than ``pysource.MAX_INDENT``.
     """
 
     def __init__(
         self,
         database: DatabaseInstance,
-        universe_atoms: frozenset[object],
+        positions: Positions,
         settings: EvaluationSettings,
+        value_keyed: set[int] | frozenset[int] = frozenset(),
     ) -> None:
         super().__init__("holds()")
         self.database = database
-        self.universe_atoms = universe_atoms
+        self.positions = positions
         self.settings = settings
         #: Enumeration key -> (its counter cell, the constant holding it).
         self.enumerations: dict[str, tuple[str, str]] = {}
+        #: Constants fixed by the structure alone (a stride, a decoder, a
+        #: predicate's positions), written once each.
+        self.shared: dict[tuple, str] = {}
+        #: Memoised quantifier id -> the types of its free variables where
+        #: it was first reached.
+        self.signatures: dict[int, tuple] = {}
+        #: Quantifiers reached with differently typed free variables.
+        self.conflicts: set[int] = set()
+        #: Quantifiers whose memo keys hold values, not positions.
+        self.value_keyed = value_keyed
 
     def program(self, formula: Formula, bound: dict[str, ComplexType | None]) -> str:
         scope = {name: (self.fresh("v"), type_) for name, type_ in bound.items()}
         self.out.signature = f"holds({', '.join(local for local, _ in scope.values())})"
         self.formula(formula, scope)
-        self.line("return r")
+        self.line("return bool(r)")
         prologue = ["_enumerations = _stats.quantifier_enumerations"]
         if self.settings.memoize_quantifiers:
             prologue.append("_memo_get = _memo.get")
@@ -418,6 +471,13 @@ class _Compiler(pysource.Emitter):
         ]
         return self.factory("_stats, _budget, _memo", prologue, _COUNTERS, cells)
 
+    def once(self, key: tuple, make: Callable[[], object]) -> str:
+        """The constant for *key*, made by *make* the first time."""
+        name = self.shared.get(key)
+        if name is None:
+            name = self.shared[key] = self.constant(make())
+        return name
+
     # Formulas ------------------------------------------------------------
     def formula(self, formula: Formula, scope: dict) -> None:
         """Emit statements leaving the truth value of *formula* in ``r``."""
@@ -427,19 +487,16 @@ class _Compiler(pysource.Emitter):
         kind = formula.__class__
         self.out.pending += 1
         if kind is Equals:
-            left, _ = self.term(formula.left, scope)
-            right, _ = self.term(formula.right, scope)
+            left, left_type = self.term(formula.left, scope)
+            right, right_type = self.term(formula.right, scope)
+            if left_type is None or left_type != right_type:
+                left = self.value(formula.left, left, left_type)
+                right = self.value(formula.right, right, right_type)
             self.line(f"r = {left} == {right}")
         elif kind is Membership:
             self.membership(formula, scope)
         elif kind is PredicateAtom:
-            argument, _ = self.term(formula.argument, scope)
-            name = formula.predicate_name
-            if name in self.database.schema:
-                values = self.database.instance(name).values
-            else:
-                values = _MissingPredicate(self.database, name)
-            self.line(f"r = {argument} in {self.constant(values)}")
+            self.predicate(formula, scope)
         elif kind is Not:
             self.formula(formula.operand, scope)
             self.line("r = not r")
@@ -456,8 +513,13 @@ class _Compiler(pysource.Emitter):
             raise EvaluationError(f"unknown formula class {type(formula).__name__}")
 
     def membership(self, formula: Membership, scope: dict) -> None:
-        element, _ = self.term(formula.element, scope)
+        element, element_type = self.term(formula.element, scope)
         container, container_type = self.term(formula.container, scope)
+        if isinstance(container_type, SetType) and container_type.element_type == element_type:
+            self.line(f"r = {container} >> {element} & 1")
+            return
+        element = self.value(formula.element, element, element_type)
+        container = self.value(formula.container, container, container_type)
         if isinstance(container_type, SetType):
             self.line(f"r = {element} in {container}")
             return
@@ -466,6 +528,30 @@ class _Compiler(pysource.Emitter):
         self.line("if not isinstance(c, _SetValue):")
         self.line(f"    _raise_not_a_set({self.constant(formula)}, c)")
         self.line(f"r = {element} in c")
+
+    def predicate(self, formula: PredicateAtom, scope: dict) -> None:
+        argument, argument_type = self.term(formula.argument, scope)
+        name, schema = formula.predicate_name, self.database.schema
+        if name not in schema:
+            values = self.constant(_MissingPredicate(self.database, name))
+        elif argument_type is not None and argument_type == schema.type_of(name):
+            values = self.once(("P", name), partial(self.encoded, name, argument_type))
+        else:
+            argument = self.value(formula.argument, argument, argument_type)
+            values = self.constant(self.database.instance(name).values)
+        self.line(f"r = {argument} in {values}")
+
+    def encoded(self, name: str, type_: ComplexType) -> frozenset[int]:
+        """The positions of the values of predicate *name*.  A value with an
+        atom outside the universe has none, and no position equals it."""
+        encode = self.positions.encode
+        positions = set()
+        for value in self.database.instance(name).values:
+            try:
+                positions.add(encode(value, type_))
+            except KeyError:
+                continue
+        return frozenset(positions)
 
     def spill(self, formula: Formula, scope: dict) -> None:
         """Emit *formula* as a function of its own, called here."""
@@ -484,8 +570,17 @@ class _Compiler(pysource.Emitter):
         if not self.settings.memoize_quantifiers:
             self.line(f"r = {call}")
             return
-        key = [self.constant(id(formula))]
-        key += [scope[name][0] if name in scope else "_UNBOUND" for name in free]
+        node = id(formula)
+        signature = tuple(scope[name][1] if name in scope else _UNBOUND for name in free)
+        if self.signatures.setdefault(node, signature) != signature:
+            self.conflicts.add(node)
+        key = [self.constant(node)]
+        for name in free:
+            if name not in scope:
+                key.append("_UNBOUND")
+                continue
+            local, type_ = scope[name]
+            key.append(self.decoded(local, type_) if node in self.value_keyed else local)
         self.line(f"m = ({', '.join(key)},)")
         self.line("r = _memo_get(m)")
         self.line("if r is None:")
@@ -498,21 +593,23 @@ class _Compiler(pysource.Emitter):
         """Emit the function deciding *formula* by enumerating its domain."""
         name, previous = self.begin("_q", parameters)
         settings, variable_type = self.settings, formula.variable_type
+        atom_count = len(self.positions.atoms)
         key = str(variable_type)
         if key not in self.enumerations:
             self.enumerations[key] = (f"_e{len(self.enumerations)}", self.constant(key))
         counter = self.enumerations[key][0]
         if settings.strategy is QuantifierStrategy.EAGER:
             materialize = partial(
-                constructive_domain,
+                constructive_positions,
                 variable_type,
-                self.universe_atoms,
+                atom_count,
                 budget=settings.binding_budget,
             )
             self.line(f"d = {self.constant(materialize)}()")
             domain = "d"
         else:
-            domain = self.constant(constructive_domain_view(variable_type, self.universe_atoms))
+            view = partial(position_domain, variable_type, atom_count)
+            domain = self.once(("domain", variable_type), view)
         variable = self.fresh("v")
         self.line(f"if {counter} is None:")
         self.line(f"    {counter} = 0")
@@ -532,15 +629,18 @@ class _Compiler(pysource.Emitter):
 
     # Terms ---------------------------------------------------------------
     def term(self, term: Term, scope: dict) -> tuple[str, ComplexType | None]:
-        """A Python expression for *term*, and the type its values are known
-        to have: ``None`` when that is unknown or the expression may raise."""
+        """A Python expression for *term*, and the type in whose ``cons`` it
+        gives a position: ``None`` when it gives a value instead, or raises."""
         if isinstance(term, VariableTerm):
             binding = scope.get(term.name)
             if binding is None:
                 return f"_raise_unbound({self.constant(term.name)})", None
             return binding
         if isinstance(term, Constant):
-            return self.constant(term.as_atom()), U
+            position = self.positions.index.get(term.value)
+            if position is None:
+                return self.constant(term.as_atom()), None
+            return self.constant(position), U
         if isinstance(term, CoordinateTerm):
             binding = scope.get(term.variable_name)
             if binding is None:
@@ -548,6 +648,33 @@ class _Compiler(pysource.Emitter):
             local, type_ = binding
             index = term.index
             if isinstance(type_, TupleType) and index <= len(type_.component_types):
-                return f"{local}.components[{index - 1}]", type_.component_types[index - 1]
-            return f"_coordinate({local}, {index}, {self.constant(term)})", None
+                return self.coordinate(local, type_, index), type_.component_types[index - 1]
+            value = self.decoded(local, type_)
+            return f"_coordinate({value}, {index}, {self.constant(term)})", None
         raise EvaluationError(f"unknown term class {type(term).__name__}")
+
+    def coordinate(self, local: str, type_: TupleType, index: int) -> str:
+        """``x.index`` of the position *local* of a tuple type."""
+        component = type_.component_types[index - 1]
+        radix = self.once(("radix", component), partial(self.positions.size, component))
+        if index == len(type_.component_types):
+            return f"{local} % {radix}"
+        stride = self.once(("stride", type_, index), partial(self.positions.stride, type_, index))
+        if index == 1:
+            return f"{local} // {stride}"
+        return f"{local} // {stride} % {radix}"
+
+    def value(self, term: Term, code: str, type_: ComplexType | None) -> str:
+        """An expression for the value of *term*, which :meth:`term` wrote
+        as *code* of *type_*."""
+        if type_ is not None and isinstance(term, Constant):
+            return self.constant(term.as_atom())
+        return self.decoded(code, type_)
+
+    def decoded(self, code: str, type_: ComplexType | None) -> str:
+        """An expression for the value at the position *code* of *type_*;
+        *code* itself when it is a value already (*type_* is ``None``)."""
+        if type_ is None:
+            return code
+        decode = self.once(("decode", type_), lambda: partial(self.positions.decode, type_=type_))
+        return f"{decode}({code})"

@@ -39,7 +39,6 @@ from repro.objects.constructive import (
     clear_constructive_domain_cache,
     constructive_domain,
     constructive_domain_size,
-    constructive_domain_view,
     iter_constructive_domain,
 )
 from repro.objects.instance import DatabaseInstance, Instance
@@ -75,7 +74,6 @@ __all__ = [
     "clear_constructive_domain_cache",
     "constructive_domain",
     "constructive_domain_size",
-    "constructive_domain_view",
     "iter_constructive_domain",
     "DatabaseInstance",
     "Instance",

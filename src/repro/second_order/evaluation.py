@@ -10,18 +10,22 @@ phenomenon the paper studies, not an accident to be optimised away.
 Every evaluation first writes its formula as Python source
 (:class:`_Compiler`), compiled once per process by
 :mod:`repro.utils.pysource`.  First-order variables are locals holding
-domain indices.  A relation of arity ``k`` — a database predicate or a
-candidate for a relation variable — is an int bitset over the row index of
-``product(domain, repeat=k)``, so an atom is an inline shift and mask.  A
-first-order quantifier is an inline ``for`` loop over the domain indices,
-a second-order one an inline loop over :func:`_iter_relations` with the
-budget check in its body, and each breaks at its first witness or
-counterexample.  Relation symbols are resolved while the source is
-written, so an atom whose arity does not match its relation, or that
-applies a non-flat predicate, is a :class:`TypingError` before anything is
-enumerated.  The predicate bitsets, the constants' indices and the domain
-are arguments of the generated factory, so the source depends only on the
-formula's structure and the budget setting.
+domain indices: an atom's index is its position in ``cons(U)``
+(:class:`repro.objects.constructive.Positions`), which alone decides the
+order of the domain.  A relation of arity ``k`` — a database predicate or
+a candidate for a relation variable — is an int bitset over the row index
+of ``product(domain, repeat=k)``, so an atom is an inline shift and mask.
+A first-order quantifier is an inline ``for`` loop over the domain indices,
+a second-order one an inline loop over the subset bitsets of
+:func:`repro.objects.constructive.subset_bitsets` with the budget check in
+its body, and each breaks at its first witness or counterexample.  A
+predicate's bitset is the position of its extension in ``cons({T})``.
+Relation symbols are resolved while the source is written, so an atom
+whose arity does not match its relation, or that applies a non-flat
+predicate, is a :class:`TypingError` before anything is enumerated.  The
+predicate bitsets, the constants' indices and the domain are arguments of
+the generated factory, so the source depends only on the formula's
+structure and the budget setting.
 
 **Spill rule.**  CPython refuses a function that nests more than 20 loops
 and ``try`` blocks, or 100 indentation levels.  A subformula is written as
@@ -38,9 +42,8 @@ formula gives.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import product
 
 from repro.errors import EvaluationError, TypingError
 from repro.second_order.formulas import (
@@ -59,6 +62,7 @@ from repro.second_order.formulas import (
     SOTerm,
     SOVariable,
 )
+from repro.objects.constructive import Positions, subset_bitsets
 from repro.objects.instance import DatabaseInstance
 from repro.relational.relation import Relation
 from repro.types.type_system import TupleType, U
@@ -90,14 +94,21 @@ class SOEvaluationStatistics:
 def evaluation_domain(
     formula: SOFormula, database: DatabaseInstance
 ) -> tuple[object, ...]:
-    """The active domain of the database plus the constants of the formula."""
+    """The active domain of the database plus the constants of the formula,
+    in the order of their domain indices."""
+    return _positions(formula, database).atoms
+
+
+def _positions(formula: SOFormula, database: DatabaseInstance) -> Positions:
+    """The domain indices of the atoms of :func:`evaluation_domain`: an
+    atom's index is its position in ``cons(U)``."""
     constants = {
         term.value
         for sub in formula.subformulas()
         for term in _terms_of(sub)
         if isinstance(term, SOConstant)
     }
-    return tuple(sorted(database.active_domain() | constants, key=lambda a: (type(a).__name__, repr(a))))
+    return Positions(database.active_domain() | constants)
 
 
 def _terms_of(formula: SOFormula) -> tuple[SOTerm, ...]:
@@ -168,21 +179,13 @@ def _run(
 ) -> bool | set[tuple]:
     """Compile *formula* and evaluate it: its truth value when *head* is
     empty, otherwise the set of bindings of *head* that satisfy it."""
-    domain = evaluation_domain(formula, database)
-    compiler = _Compiler(database, domain, settings)
+    positions = _positions(formula, database)
+    compiler = _Compiler(database, positions, settings)
     source = compiler.program(formula, head)
     factory, _ = pysource.compiled("second-order", source, "_factory", _RUNTIME)
     statistics = statistics or SOEvaluationStatistics()
-    return factory(statistics, settings.relation_budget, domain, tuple(compiler.constants))()
-
-
-def _iter_relations(row_count: int) -> Iterator[int]:
-    """Every relation over *row_count* rows as a bitset (bit ``r`` is row
-    ``r``), by increasing size, then in ``combinations`` order."""
-    weights = [1 << row for row in range(row_count)]
-    return chain.from_iterable(
-        map(sum, combinations(weights, size)) for size in range(row_count + 1)
-    )
+    constants = tuple(compiler.constants)
+    return factory(statistics, settings.relation_budget, positions.atoms, constants)()
 
 
 def _over_budget(budget: int) -> EvaluationError:
@@ -193,7 +196,7 @@ def _over_budget(budget: int) -> EvaluationError:
 _RUNTIME = {
     "_over_budget": _over_budget,
     "_product": product,
-    "_relations": _iter_relations,
+    "_relations": subset_bitsets,
 }
 
 #: The counter cells of the generated code, and the statistics they mirror.
@@ -221,12 +224,12 @@ class _Compiler(pysource.Emitter):
     def __init__(
         self,
         database: DatabaseInstance,
-        domain: tuple[object, ...],
+        positions: Positions,
         settings: SOEvaluationSettings,
     ) -> None:
         super().__init__("run()")
         self.database = database
-        self.position = {value: index for index, value in enumerate(domain)}
+        self.positions = positions
         self.budget = settings.relation_budget
         #: ``predicate name -> (constant holding its bitset, arity)``.
         self.predicates: dict[str, tuple[str, int]] = {}
@@ -284,7 +287,7 @@ class _Compiler(pysource.Emitter):
             self.line(f"else: r = {kind is SOForall}")
         elif kind is SOExistsRelation or kind is SOForallRelation:
             local = self.fresh("b")
-            with self.block(f"for {local} in _relations(_n ** {formula.arity}):", loop=True):
+            with self.block(f"for {local} in _relations(range(_n ** {formula.arity})):", loop=True):
                 self.line("_tried += 1")
                 if self.budget is not None:
                     self.line("if _tried > _budget: raise _over_budget(_budget)")
@@ -308,7 +311,7 @@ class _Compiler(pysource.Emitter):
 
     def term(self, term: SOTerm, variables: dict) -> str:
         if isinstance(term, SOConstant):
-            return self.constant(self.position[term.value])
+            return self.constant(self.positions.index[term.value])
         if isinstance(term, SOVariable):
             return variables[term.name]
         raise EvaluationError(f"unknown term class {type(term).__name__}")
@@ -343,12 +346,8 @@ class _Compiler(pysource.Emitter):
                     f"predicate {name!r} has the non-flat type {declared}; "
                     "second-order atoms apply flat relations only"
                 )
-            size, bits = len(self.position), 0
-            for value in self.database.instance(name):
-                row = 0
-                for atom in value.components if tuples else (value,):
-                    row = row * size + self.position[atom.value]
-                bits |= 1 << row
+            # The relation's bitset is the position of its extension in cons({T}).
+            bits = self.positions.bitset(self.database.instance(name).values, declared)
             arity = declared.arity if tuples else 1
             entry = self.predicates[name] = (self.constant(bits), arity)
         return entry

@@ -50,19 +50,18 @@ from repro.types.type_system import SetType, TupleType, U, relation_type
 
 
 class _Translator:
-    """Stateful translator carrying the schema and fresh-name counter."""
+    """Stateful translator carrying the schema and fresh-name counter.
 
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        head_variables: list[str],
-        target_variable: str,
-        relation_arities: dict[str, int],
-    ) -> None:
+    The scope is passed down the recursion: *variables* maps each
+    first-order name to the calculus term it stands for — a head variable
+    to its coordinate of the target, a quantified name to itself — and
+    *relations* maps each quantified relation variable to its arity.  A
+    quantifier extends a copy for its body, so it shadows an outer binding
+    of its name only there.
+    """
+
+    def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
-        self.head_variables = head_variables
-        self.target_variable = target_variable
-        self.relation_arities = dict(relation_arities)
         self._counter = 0
 
     def fresh(self, prefix: str = "_q") -> str:
@@ -70,55 +69,55 @@ class _Translator:
         return f"{prefix}{self._counter}"
 
     # Terms -------------------------------------------------------------
-    def term(self, so: SOTerm) -> Term:
+    def term(self, so: SOTerm, variables: dict[str, Term]) -> Term:
         if isinstance(so, SOConstant):
             return Constant(so.value)
         if isinstance(so, SOVariable):
-            if so.name in self.head_variables:
-                index = self.head_variables.index(so.name) + 1
-                return VariableTerm(self.target_variable).coordinate(index)
-            return VariableTerm(so.name)
+            return variables[so.name]
         raise TypingError(f"unknown second-order term class {type(so).__name__}")
 
     # Formulas ------------------------------------------------------------
-    def formula(self, so: SOFormula) -> Formula:
+    def formula(
+        self, so: SOFormula, variables: dict[str, Term], relations: dict[str, int]
+    ) -> Formula:
         if isinstance(so, SOEquals):
-            return Equals(self.term(so.left), self.term(so.right))
+            return Equals(self.term(so.left, variables), self.term(so.right, variables))
 
         if isinstance(so, SORelationAtom):
-            return self.relation_atom(so)
+            return self.relation_atom(so, variables, relations)
 
+        scope = (variables, relations)
         if isinstance(so, SONot):
-            return Not(self.formula(so.operand))
+            return Not(self.formula(so.operand, *scope))
         if isinstance(so, SOAnd):
-            return And(self.formula(so.left), self.formula(so.right))
+            return And(self.formula(so.left, *scope), self.formula(so.right, *scope))
         if isinstance(so, SOOr):
-            return Or(self.formula(so.left), self.formula(so.right))
+            return Or(self.formula(so.left, *scope), self.formula(so.right, *scope))
         if isinstance(so, SOImplies):
-            return Implies(self.formula(so.left), self.formula(so.right))
+            return Implies(self.formula(so.left, *scope), self.formula(so.right, *scope))
 
-        if isinstance(so, SOExists):
-            return Exists(so.variable, U, self.formula(so.body))
-        if isinstance(so, SOForall):
-            return Forall(so.variable, U, self.formula(so.body))
+        if isinstance(so, (SOExists, SOForall)):
+            inner = {**variables, so.variable: VariableTerm(so.variable)}
+            constructor = Exists if isinstance(so, SOExists) else Forall
+            return constructor(so.variable, U, self.formula(so.body, inner, relations))
 
         if isinstance(so, (SOExistsRelation, SOForallRelation)):
             variable_type = SetType(relation_type(so.arity))
-            self.relation_arities[so.relation_variable] = so.arity
-            body = self.formula(so.body)
-            self.relation_arities.pop(so.relation_variable, None)
+            body = self.formula(so.body, variables, {**relations, so.relation_variable: so.arity})
             constructor = Exists if isinstance(so, SOExistsRelation) else Forall
             return constructor(so.relation_variable, variable_type, body)
 
         raise TypingError(f"unknown second-order formula class {type(so).__name__}")
 
-    def relation_atom(self, atom: SORelationAtom) -> Formula:
+    def relation_atom(
+        self, atom: SORelationAtom, variables: dict[str, Term], relations: dict[str, int]
+    ) -> Formula:
         name = atom.relation_name
-        terms = [self.term(t) for t in atom.terms]
+        terms = [self.term(t, variables) for t in atom.terms]
 
-        if name in self.relation_arities:
+        if name in relations:
             # A quantified relation variable: [t1,...,tm] ∈ X.
-            arity = self.relation_arities[name]
+            arity = relations[name]
             if arity != len(terms):
                 raise TypingError(
                     f"relation variable {name!r} has arity {arity} but is applied to "
@@ -191,8 +190,9 @@ def so_query_to_calculus(
         raise TypingError(
             f"free relation symbols {sorted(unknown)} are not database predicates"
         )
-    translator = _Translator(schema, list(head_variables), target_variable, {})
-    body = translator.formula(formula)
+    target = VariableTerm(target_variable)
+    head = {name: target.coordinate(index) for index, name in enumerate(head_variables, start=1)}
+    body = _Translator(schema).formula(formula, head, {})
     return CalculusQuery(schema, target_variable, relation_type(len(head_variables)), body, name=name)
 
 
@@ -214,8 +214,7 @@ def so_sentence_to_calculus(
             "a sentence may not have free first-order variables: "
             f"{sorted(formula.free_first_order_variables())}"
         )
-    translator = _Translator(schema, [], "t", {})
-    body = translator.formula(formula)
+    body = _Translator(schema).formula(formula, {}, {})
     target = VariableTerm("t")
     if witness_predicate is not None:
         declared = schema.type_of(witness_predicate)

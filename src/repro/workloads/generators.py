@@ -685,10 +685,12 @@ def random_so_formula(
     atoms over the schema's flat predicates and the relation variables
     (arity 1 or 2) quantified above them; their terms are the *head*
     variables, the first-order variables quantified above them, and
-    *constants*.  Every other variable is bound, and no quantifier rebinds
-    a name in scope, so with an empty *head* the formula is a sentence, and
-    otherwise it is the body of a query with head *head* that
-    :func:`repro.second_order.so_query_to_calculus` accepts.
+    *constants*.  Every other variable is bound, so with an empty *head*
+    the formula is a sentence, and otherwise it is the body of a query with
+    head *head* that :func:`repro.second_order.so_query_to_calculus`
+    accepts.  About one quantifier in four rebinds a name already in scope
+    — a head variable, a first-order variable, or a relation variable of
+    the same arity — and so shadows it in its body.
 
     The sweeps that compare the second-order evaluator with a node-by-node
     walk and with its calculus translation draw from it: the same seed
@@ -704,8 +706,12 @@ def random_so_formula(
         elif isinstance(declared, TupleType) and set(declared.component_types) == {U}:
             relations[name] = declared.arity
     return _grow_so_formula(
-        random.Random(seed), size, list(head), relations, list(constants), itertools.count(1)
+        random.Random(seed), size, list(head), relations, (), list(constants), itertools.count(1)
     )
+
+
+#: The chance that a quantifier rebinds a name in scope.
+_SO_REBIND_PROBABILITY = 0.25
 
 
 def _grow_so_formula(
@@ -713,6 +719,7 @@ def _grow_so_formula(
     size: int,
     variables: list[str],
     relations: dict[str, int],
+    relation_variables: tuple[str, ...],
     constants: list[object],
     names: Iterator[int],
 ) -> SOFormula:
@@ -727,25 +734,43 @@ def _grow_so_formula(
         # The last name is the innermost relation variable, when there is one.
         name = list(relations)[-1] if rng.random() < 0.4 else rng.choice(sorted(relations))
         return SORelationAtom(name, [term() for _ in range(relations[name])])
+
+    def grow(size, variables=variables, relations=relations, relation_variables=relation_variables):
+        return _grow_so_formula(
+            rng, size, variables, relations, relation_variables, constants, names
+        )
+
     kind = rng.choice(("not", "binary", "binary", "first", "first", "second"))
     if kind == "binary" and size >= 3:
         left = rng.randint(1, size - 2)
-        return rng.choice((SOAnd, SOOr, SOImplies))(
-            _grow_so_formula(rng, left, variables, relations, constants, names),
-            _grow_so_formula(rng, size - 1 - left, variables, relations, constants, names),
-        )
+        return rng.choice((SOAnd, SOOr, SOImplies))(grow(left), grow(size - 1 - left))
     if kind == "not":
-        return SONot(_grow_so_formula(rng, size - 1, variables, relations, constants, names))
-    number = next(names)
+        return SONot(grow(size - 1))
+    rebind = rng.random() < _SO_REBIND_PROBABILITY
     if kind == "second":
-        name, arity = f"X{number}", rng.choice((1, 2))
-        body = _grow_so_formula(
-            rng, size - 1, variables, {**relations, name: arity}, constants, names
+        if rebind and relation_variables:
+            # A rebound relation variable keeps its arity: the calculus
+            # translation types it as {[U,...,U]}, and a t-wff may not
+            # rebind a variable at another type.
+            name = rng.choice(relation_variables)
+            arity = relations[name]
+        else:
+            name, arity = f"X{next(names)}", rng.choice((1, 2))
+        # The innermost relation variable stays last.
+        inner = {other: k for other, k in relations.items() if other != name}
+        inner[name] = arity
+        body = grow(
+            size - 1, relations=inner, relation_variables=_rebound(relation_variables, name)
         )
         return rng.choice((SOExistsRelation, SOForallRelation))(name, arity, body)
-    name = f"x{number}"
-    body = _grow_so_formula(rng, size - 1, [*variables, name], relations, constants, names)
+    name = rng.choice(variables) if rebind and variables else f"x{next(names)}"
+    body = grow(size - 1, variables=list(_rebound(variables, name)))
     return rng.choice((SOExists, SOForall))(name, body)
+
+
+def _rebound(names: Sequence[str], name: str) -> tuple[str, ...]:
+    """*names* with *name* bound innermost."""
+    return (*(other for other in names if other != name), name)
 
 
 def random_pipeline_query(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.classification import alg_classification, in_alg, intermediate_types
 from repro.algebra.derived import join, nest, unnest
-from repro.algebra.evaluation import evaluate_expression
+from repro.algebra.evaluation import evaluate_expression, evaluate_expression_legacy
 from repro.algebra.expressions import (
     Collapse,
     ConstantOperand,
@@ -24,9 +24,11 @@ from repro.algebra.translate import algebra_to_calculus
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.calculus.classification import calc_classification
 from repro.calculus.evaluation import EvaluationSettings, evaluate_query
+from repro.errors import BudgetExceededError
 from repro.objects.instance import DatabaseInstance
 from repro.types.parser import parse_type
 from repro.types.type_system import SetType, TupleType, U
+from repro.workloads import random_algebra_expression
 
 PAR = PredicateExpression("PAR")
 SETTINGS = EvaluationSettings(binding_budget=None)
@@ -91,6 +93,30 @@ class TestTranslationAgreement:
         alg = alg_classification(power, PARENT_SCHEMA)
         calc = calc_classification(query)
         assert (alg.k, alg.i) == (calc.k, calc.i)
+
+
+def test_random_expressions_translate_to_the_same_answer():
+    """Theorem 3.8 as a randomized oracle: a random algebra expression, its
+    calculus translation, the engine and the legacy interpreter agree on a
+    small parent relation with an int atom.  Translations whose search space
+    passes the binding budget are counted, and enough must evaluate for the
+    sweep to mean something."""
+    database = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b"), ("b", "c"), ("c", 2)])
+    settings = EvaluationSettings(binding_budget=50_000)
+    counts = {"agreed": 0, "over binding budget": 0}
+    for seed in range(60):
+        expression = random_algebra_expression(PARENT_SCHEMA, seed=seed, size=4)
+        engine = set(evaluate_expression(expression, database).values)
+        assert set(evaluate_expression_legacy(expression, database).values) == engine, seed
+        query = algebra_to_calculus(expression, PARENT_SCHEMA)
+        try:
+            answer = evaluate_query(query, database, settings)
+        except BudgetExceededError:
+            counts["over binding budget"] += 1
+            continue
+        assert set(answer.values) == engine, (seed, str(expression))
+        counts["agreed"] += 1
+    assert counts["agreed"] >= 50, counts
 
 
 class TestAlgClassification:

@@ -453,6 +453,88 @@ class TestSatisfiesDirectly:
         assert satisfies(parent_db, formula, assignment, parent_db.active_domain())
 
 
+class TestPositionsAndValues:
+    """Typed variables hold positions in ``cons(T)``; names the caller binds
+    hold values, and so do atoms the t-wff rules do not license.  Either
+    way the answers and counters are those of the values themselves."""
+
+    UNIVERSE = frozenset({"a", "b"})
+    DATABASE = DatabaseInstance.build(PERSON_SCHEMA, PERSON=["a", "b"])
+
+    @pytest.mark.parametrize(
+        ("left", "right"),
+        [("{U}", "{[U, U]}"), ("[U, {U}]", "[U, {[U, U]}]")],
+        ids=["empty-set", "pair-with-empty-set"],
+    )
+    def test_a_cross_type_equality_compares_values(self, left, right):
+        # Positions of different types coincide (0, or i * 2^n against
+        # i * 2^(n^2)); the values are equal only through the empty set.
+        same = Equals(var("y"), var("z"))
+        formula = Exists("y", parse_type(left), Exists("z", parse_type(right), same))
+        statistics = EvaluationStatistics()
+        assert satisfies(self.DATABASE, formula, {}, self.UNIVERSE, statistics=statistics) is True
+        assert statistics.bindings_tried == 2
+
+    @pytest.mark.parametrize(("pair", "expected"), [(("b", "a"), True), (("a", "c"), False)])
+    def test_a_bound_tuple_is_compared_with_a_quantified_variable(self, pair, expected):
+        formula = Exists("y", PAIR, Equals(var("y"), var("x")))
+        statistics = EvaluationStatistics()
+        holds = satisfies(
+            self.DATABASE, formula, {"x": make_tuple(*pair)}, self.UNIVERSE, statistics=statistics
+        )
+        assert holds is expected
+        assert statistics.bindings_tried == (3 if expected else 4)
+
+    def test_a_payload_equal_constant_finds_its_atom(self):
+        database = DatabaseInstance.build(PERSON_SCHEMA, PERSON=[True, "p"])
+        formula = And(PredicateAtom("PERSON", var("t")), Equals(var("t"), Constant(1)))
+        query = CalculusQuery(PERSON_SCHEMA, "t", U, formula)
+        assert {atom.value for atom in evaluate_query(query, database).values} == {True}
+        assert check_membership(query, database, Atom(1)) is True
+
+    def test_a_subformula_shared_by_a_bound_and_a_quantified_name_keys_its_memo_on_values(self):
+        # psi's memo entry for x = a, made with the caller's value, is hit
+        # again under the quantifier, where x holds a's position.
+        psi = Exists("y", U, Equals(var("y"), var("x")))
+        statistics = EvaluationStatistics()
+        formula = And(psi, Exists("x", U, psi))
+        assert satisfies(
+            self.DATABASE, formula, {"x": Atom("a")}, self.UNIVERSE, statistics=statistics
+        )
+        counters = (statistics.memo_hits, statistics.memo_misses, statistics.bindings_tried)
+        assert counters == (1, 2, 2)
+
+    def test_membership_is_a_bitset_test_and_holds_returns_bools(self):
+        formula = Exists("s", parse_type("{U}"), Membership(var("x"), var("s")))
+        assert satisfies(self.DATABASE, formula, {"x": Atom("b")}, self.UNIVERSE) is True
+        query = CalculusQuery(
+            PERSON_SCHEMA, "t", parse_type("{U}"), Membership(Constant("a"), var("t"))
+        )
+        assert check_membership(query, self.DATABASE, make_set(["a", "b"])) is True
+        assert {str(value) for value in evaluate_query(query, self.DATABASE).values} == {
+            "{a}",
+            "{a, b}",
+        }
+
+    @pytest.mark.parametrize("name", sorted(SEMANTICS_ENTRIES))
+    def test_the_semantics_queries_run_on_positions_only(self, name, monkeypatch):
+        from repro.calculus import evaluation
+        from repro.utils import pysource
+
+        sources = []
+        compiled = pysource.compiled
+
+        def recording(generator, source, *rest):
+            sources.append(source)
+            return compiled(generator, source, *rest)
+
+        monkeypatch.setattr(evaluation.pysource, "compiled", recording)
+        evaluate_query(*SEMANTICS_ENTRIES[name])
+        assert len(sources) == 1
+        for fragment in (".components", "_SetValue", "_coordinate"):
+            assert fragment not in sources[0]
+
+
 class TestDeepFormulas:
     """Formulas nested deeper than a generated function may be: the
     evaluator must still compile them, and count as a tree walk does."""

@@ -4,13 +4,18 @@ import pytest
 
 from repro.errors import BudgetExceededError, ObjectModelError
 from repro.objects.active_domain import active_domain, active_domain_of_instance
+from repro.objects import constructive
 from repro.objects.constructive import (
+    Positions,
+    clear_constructive_domain_cache,
     constructive_domain,
     constructive_domain_size,
+    constructive_positions,
     iter_constructive_domain,
+    position_domain,
 )
 from repro.objects.domain import belongs_to, check_belongs, infer_types
-from repro.objects.values import make_set, make_tuple, value_from_python
+from repro.objects.values import Atom, make_set, make_tuple, value_from_python
 from repro.types.parser import parse_type
 from repro.types.type_system import SetType, TupleType, U
 
@@ -136,3 +141,70 @@ class TestConstructiveDomain:
     def test_negative_atom_count_rejected(self):
         with pytest.raises(ObjectModelError):
             constructive_domain_size(U, -1)
+
+
+POSITION_TYPES = ["U", "[U, U]", "{U}", "{[U, U]}", "[U, {U}]", "{{U}}", "[{U}, U]"]
+
+
+class TestPositions:
+    """Positions in ``cons_Y(T)``: the enumeration of positions mirrors the
+    enumeration of values, and encoding and decoding are inverse."""
+
+    @pytest.mark.parametrize("text", POSITION_TYPES)
+    @pytest.mark.parametrize("atom_count", [0, 1, 2, 3])
+    def test_decoding_the_positions_gives_the_value_enumeration(self, text, atom_count):
+        type_ = parse_type(text)
+        atoms = ["b", 1, "a"][:atom_count]
+        positions = Positions(atoms)
+        values = list(iter_constructive_domain(type_, atoms))
+        enumerated = list(position_domain(type_, atom_count))
+        assert [positions.decode(position, type_) for position in enumerated] == values
+        assert [positions.encode(value, type_) for value in values] == enumerated
+        assert sorted(enumerated) == list(range(constructive_domain_size(type_, atom_count)))
+
+    def test_an_atom_is_found_by_payload(self):
+        positions = Positions([1, "a"])
+        assert positions.encode(Atom(True), U) == positions.encode(Atom(1), U) == 0
+        set_of_atoms = parse_type("{U}")
+        assert positions.decode(positions.encode(make_set([True]), set_of_atoms), set_of_atoms) == (
+            make_set([1])
+        )
+
+    def test_tuples_are_mixed_radix_and_sets_are_bitsets(self):
+        positions = Positions(["a", "b", "c"])
+        assert positions.encode(make_tuple("b", "c"), parse_type("[U, U]")) == 1 * 3 + 2
+        assert positions.encode(make_set(["a", "c"]), parse_type("{U}")) == 0b101
+        mixed = parse_type("[U, {U}]")
+        assert (positions.stride(mixed, 1), positions.stride(mixed, 2)) == (8, 1)
+        assert positions.encode(make_tuple("c", frozenset({"b"})), mixed) == 2 * 8 + 0b010
+
+    def test_set_free_types_enumerate_as_ranges(self):
+        assert position_domain(parse_type("[U, U]"), 3) == range(9)
+        assert position_domain(U, 0) == range(0)
+
+    def test_a_partly_consumed_set_domain_has_generated_only_its_prefix(self, monkeypatch):
+        type_ = parse_type("{[U, U]}")
+        generated = []
+        enumerate_ = constructive._enumerate_positions
+
+        def counting(enumerated_type, atom_count):
+            for position in enumerate_(enumerated_type, atom_count):
+                if enumerated_type == type_:
+                    generated.append(position)
+                yield position
+
+        monkeypatch.setattr(constructive, "_enumerate_positions", counting)
+        clear_constructive_domain_cache()
+        view = position_domain(type_, 2)
+        first, second = iter(view), iter(view)
+        pulled = [next(first) for _ in range(3)] + [next(second) for _ in range(5)]
+        assert pulled[:3] == pulled[3:6] == generated[:3]
+        assert generated == [0, 1, 2, 4, 8]
+        assert list(view) == [0, 1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15] == generated
+        assert position_domain(type_, 2) is view
+
+    def test_materialised_positions_keep_the_domain_budget_message(self):
+        message = r"cons\(\{\[U, U\]\}\) exceeded budget of 10"
+        with pytest.raises(BudgetExceededError, match=message):
+            constructive_positions(parse_type("{[U, U]}"), 3, budget=10)
+        assert constructive_positions(parse_type("{U}"), 2) == [0, 1, 2, 3]

@@ -441,7 +441,7 @@ def test_finished_domains_replay_as_lists_and_partial_ones_stay_lazy(monkeypatch
 
     monkeypatch.setattr(constructive, "_enumerate", counting)
     clear_constructive_domain_cache()
-    view = constructive.constructive_domain_view(type_, frozenset({"a", "b"}))
+    view = constructive._domain_view(type_, ("a", "b"))
     first, second = iter(view), iter(view)
     pulled = [next(first) for _ in range(3)] + [next(second) for _ in range(5)]
     assert len(generated) == 5

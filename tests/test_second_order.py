@@ -173,6 +173,18 @@ class TestQueryEvaluation:
         )
         assert answer == Relation(1, [("p1",)])
 
+    def test_payload_equal_atom_sets_keep_their_own_atoms_and_order(self):
+        # {True, 0} == {0, 1} as sets: an evaluation over {0, 1} must not
+        # lend its atoms or their order to a later one over {True, 0}.
+        schema = DatabaseSchema([("P", U), ("D", U)])
+        applied = SORelationAtom("P", ("x",))
+        first = DatabaseInstance.build(schema, P=[1], D=[0])
+        assert set(evaluate_query(["x"], applied, first).tuples) == {(1,)}
+        db = DatabaseInstance.build(schema, P=[True], D=[0])
+        rows = evaluate_query(["x"], applied, db).tuples
+        assert [(type(v), v) for row in rows for v in row] == [(bool, True)]
+        assert [(type(a), a) for a in evaluation_domain(applied, db)] == [(bool, True), (int, 0)]
+
 
 class TestScopingAndErrors:
     """Lexical scoping of the compiled form, and the errors it raises."""
@@ -337,6 +349,27 @@ class TestTranslationToCalculus:
     def test_translation_rejects_stray_free_variables(self):
         with pytest.raises(TypingError):
             so_query_to_calculus(["x"], SOEquals("x", "y"), PERSON_SCHEMA)
+
+    def test_a_quantifier_rebinding_a_head_variable_shadows_it(self):
+        schema = DatabaseSchema([("P", U), ("D", U)])
+        db = DatabaseInstance.build(schema, P=["a"], D=["a", "b"])
+        # {x | P(x) ∧ ∃x ¬P(x)}: the inner x is not the head coordinate.
+        applied = SORelationAtom("P", ("x",))
+        formula = SOAnd(applied, SOExists("x", SONot(applied)))
+        assert set(evaluate_query(["x"], formula, db).tuples) == {("a",)}
+        answer = evaluate_calculus(so_query_to_calculus(["x"], formula, schema), db)
+        assert {tuple(c.value for c in row.components) for row in answer} == {("a",)}
+
+    def test_a_nested_relation_quantifier_shadows_only_its_body(self):
+        schema = DatabaseSchema([("P", U), ("D", U)])
+        db = DatabaseInstance.build(schema, P=["a"], D=["a", "b"])
+        applied = SORelationAtom("X", (SOConstant("a"),))
+        # ∃X/1 (∃X/1 ¬X(a) ∧ X(a)): the last X(a) is the outer X.
+        inner = SOExistsRelation("X", 1, SONot(applied))
+        sentence = SOExistsRelation("X", 1, SOAnd(inner, applied))
+        assert evaluate_sentence(sentence, db) is True
+        query = so_sentence_to_calculus(sentence, schema)
+        assert evaluate_calculus(query, db).values == db.instance("D").values
 
     def test_sentence_translation_rejects_non_atomic_witness(self):
         with pytest.raises(TypingError):

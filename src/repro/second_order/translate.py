@@ -54,19 +54,44 @@ class _Translator:
 
     The scope is passed down the recursion: *variables* maps each
     first-order name to the calculus term it stands for — a head variable
-    to its coordinate of the target, a quantified name to itself — and
-    *relations* maps each quantified relation variable to its arity.  A
-    quantifier extends a copy for its body, so it shadows an outer binding
-    of its name only there.
+    to its coordinate of the target, a quantified name to its calculus
+    variable — and *relations* maps each quantified relation variable to
+    its calculus variable and arity.  A quantifier extends a copy for its
+    body, so it shadows an outer binding of its name only there.
+
+    The calculus has one namespace, shared with the target variable and
+    the auxiliary ``_row<n>`` variables, so names are kept apart: a
+    quantifier whose name is already bound in its scope (as the target,
+    a head variable, or by an enclosing quantifier of either kind) binds
+    a fresh calculus variable instead, and fresh names avoid every name
+    of the formula.
     """
 
-    def __init__(self, schema: DatabaseSchema) -> None:
+    def __init__(self, schema: DatabaseSchema, formula: SOFormula, target: str) -> None:
         self.schema = schema
+        self.target = target
         self._counter = 0
+        self._taken = {target} | formula.free_first_order_variables()
+        self._taken |= formula.free_relation_variables()
+        for sub in formula.subformulas():
+            if isinstance(sub, (SOExists, SOForall)):
+                self._taken.add(sub.variable)
+            elif isinstance(sub, (SOExistsRelation, SOForallRelation)):
+                self._taken.add(sub.relation_variable)
 
-    def fresh(self, prefix: str = "_q") -> str:
+    def fresh(self, prefix: str) -> str:
         self._counter += 1
+        while f"{prefix}{self._counter}" in self._taken:
+            self._counter += 1
         return f"{prefix}{self._counter}"
+
+    def binder(
+        self, name: str, variables: dict[str, Term], relations: dict[str, tuple[str, int]]
+    ) -> str:
+        """The calculus variable a quantifier of *name* binds."""
+        if name == self.target or name in variables or name in relations:
+            return self.fresh("_q")
+        return name
 
     # Terms -------------------------------------------------------------
     def term(self, so: SOTerm, variables: dict[str, Term]) -> Term:
@@ -78,7 +103,10 @@ class _Translator:
 
     # Formulas ------------------------------------------------------------
     def formula(
-        self, so: SOFormula, variables: dict[str, Term], relations: dict[str, int]
+        self,
+        so: SOFormula,
+        variables: dict[str, Term],
+        relations: dict[str, tuple[str, int]],
     ) -> Formula:
         if isinstance(so, SOEquals):
             return Equals(self.term(so.left, variables), self.term(so.right, variables))
@@ -97,33 +125,39 @@ class _Translator:
             return Implies(self.formula(so.left, *scope), self.formula(so.right, *scope))
 
         if isinstance(so, (SOExists, SOForall)):
-            inner = {**variables, so.variable: VariableTerm(so.variable)}
+            name = self.binder(so.variable, variables, relations)
+            inner = {**variables, so.variable: VariableTerm(name)}
             constructor = Exists if isinstance(so, SOExists) else Forall
-            return constructor(so.variable, U, self.formula(so.body, inner, relations))
+            return constructor(name, U, self.formula(so.body, inner, relations))
 
         if isinstance(so, (SOExistsRelation, SOForallRelation)):
+            name = self.binder(so.relation_variable, variables, relations)
             variable_type = SetType(relation_type(so.arity))
-            body = self.formula(so.body, variables, {**relations, so.relation_variable: so.arity})
+            inner = {**relations, so.relation_variable: (name, so.arity)}
+            body = self.formula(so.body, variables, inner)
             constructor = Exists if isinstance(so, SOExistsRelation) else Forall
-            return constructor(so.relation_variable, variable_type, body)
+            return constructor(name, variable_type, body)
 
         raise TypingError(f"unknown second-order formula class {type(so).__name__}")
 
     def relation_atom(
-        self, atom: SORelationAtom, variables: dict[str, Term], relations: dict[str, int]
+        self,
+        atom: SORelationAtom,
+        variables: dict[str, Term],
+        relations: dict[str, tuple[str, int]],
     ) -> Formula:
         name = atom.relation_name
         terms = [self.term(t, variables) for t in atom.terms]
 
         if name in relations:
             # A quantified relation variable: [t1,...,tm] ∈ X.
-            arity = relations[name]
+            set_variable, arity = relations[name]
             if arity != len(terms):
                 raise TypingError(
                     f"relation variable {name!r} has arity {arity} but is applied to "
                     f"{len(terms)} terms"
                 )
-            return self._tuple_membership(terms, name, arity)
+            return self._tuple_membership(terms, set_variable, arity)
 
         if name in self.schema:
             declared = self.schema.type_of(name)
@@ -192,7 +226,7 @@ def so_query_to_calculus(
         )
     target = VariableTerm(target_variable)
     head = {name: target.coordinate(index) for index, name in enumerate(head_variables, start=1)}
-    body = _Translator(schema).formula(formula, head, {})
+    body = _Translator(schema, formula, target_variable).formula(formula, head, {})
     return CalculusQuery(schema, target_variable, relation_type(len(head_variables)), body, name=name)
 
 
@@ -214,7 +248,7 @@ def so_sentence_to_calculus(
             "a sentence may not have free first-order variables: "
             f"{sorted(formula.free_first_order_variables())}"
         )
-    body = _Translator(schema).formula(formula, {}, {})
+    body = _Translator(schema, formula, "t").formula(formula, {}, {})
     target = VariableTerm("t")
     if witness_predicate is not None:
         declared = schema.type_of(witness_predicate)

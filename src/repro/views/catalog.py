@@ -137,9 +137,9 @@ class View:
         _count("view_repairs")
         return self
 
-    def _degraded(self, compute):
-        """Serve a quarantined read: *compute* the value from the current
-        database (cached per database version) and count the degradation."""
+    def _degraded(self):
+        """Serve a quarantined read: :meth:`compute_at` over the current
+        database (cached per database version), counting the degradation."""
         self.stats["degraded_reads"] += 1
         _count("degraded_reads")
         version = self._database.version
@@ -147,7 +147,7 @@ class View:
         if cached is not None and cached[0] == version:
             return cached[1]
         try:
-            value = compute()
+            value = self.compute_at(self._database.snapshot())
         except Exception as error:
             raise ViewError(
                 f"view {self.name!r} is quarantined ({self._quarantined}) and its "
@@ -191,13 +191,8 @@ class AlgebraView(View):
         super().__init__(name, database)
         self.expression = expression
         self._powerset_budget = powerset_budget
-        self._maintainer = _Maintainer(
-            expression, database.schema, powerset_budget=powerset_budget
-        )
-        self._members = self._maintainer.initialize(database.snapshot())
+        self._rebuild()
         self.output_type = self._maintainer.root.output_type
-        self._column = _MaintainedColumn()
-        self._served: Instance | None = None
 
     def _maintain(self, batch: UpdateBatch, journal: UndoJournal) -> None:
         self._apply_batch(batch, journal)
@@ -225,12 +220,15 @@ class AlgebraView(View):
         return delta
 
     def _rebuild(self) -> None:
-        self._maintainer = _Maintainer(
+        """Load the view over the database's current state: a fresh
+        maintainer takes it as its first delta batch."""
+        maintainer = _Maintainer(
             self.expression, self._database.schema, powerset_budget=self._powerset_budget
         )
-        self._members = self._maintainer.initialize(self._database.snapshot())
+        self._members = maintainer.initialize(self._database.snapshot())
+        self._maintainer = maintainer
         self._column = _MaintainedColumn()
-        self._served = None
+        self._served: Instance | None = None
 
     def _roll_column(self, delta: Delta) -> None:
         if not columnar_dispatch(len(self._members)):
@@ -251,13 +249,7 @@ class AlgebraView(View):
         quarantined views degrade to an engine recompute over the current
         database, honoring the view's powerset budget."""
         if self._quarantined is not None:
-            return self._degraded(
-                lambda: evaluate_expression(
-                    self.expression,
-                    self._database.snapshot(),
-                    AlgebraEvaluationSettings(powerset_budget=self._powerset_budget),
-                )
-            )
+            return self._degraded()
         served = self._served
         if served is None:
             if columnar_dispatch(len(self._members)) and self._column.ids is None:
@@ -335,18 +327,7 @@ class RelationalView(View):
         """The current materialized relation (cached until it changes);
         quarantined views degrade to an engine recompute."""
         if self._quarantined is not None:
-            def recompute() -> Relation:
-                instance = evaluate_expression(
-                    self.expression,
-                    self._database.snapshot(),
-                    AlgebraEvaluationSettings(
-                        powerset_budget=self._inner._powerset_budget
-                    ),
-                )
-                return Relation(
-                    self.arity, {_flat_row(value) for value in instance.values}
-                )
-            return self._degraded(recompute)
+            return self._degraded()
         served = self._served
         if served is None:
             served = Relation(self.arity, self._rows)
@@ -460,11 +441,7 @@ class DatalogView(View):
         quarantined views degrade to a fresh fixpoint over the current
         database (which does not touch the quarantined evaluation)."""
         if self._quarantined is not None:
-            return self._degraded(
-                lambda: SemiNaiveProgram(
-                    self.program, self._current_edb(), statistics=self.statistics
-                ).relations()
-            )
+            return self._degraded()
         served = self._served
         if served is None:
             served = self._evaluation.relations()

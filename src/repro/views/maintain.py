@@ -10,9 +10,10 @@ plan's topological order, and every node derives its own output delta
 from its children's:
 
 * **Scan** — the base delta itself;
-* **Filter** — the delta batch masked through the vectorized selection
-  compiler (:mod:`repro.algebra.vectorized`) when it applies, per-tuple
-  ``condition_holds`` otherwise; no state;
+* **Filter** — the delta's rows that pass the condition, checked by the
+  engine's cached compiled predicate (the inline expression fused
+  fragments run) or, outside codegen's family, per-tuple
+  ``condition_holds``; no state;
 * **Project / Collapse** — per-output-row **support counts**: a projected
   row appears when its first witness arrives and disappears only when its
   last witness is deleted;
@@ -30,6 +31,15 @@ from its children's:
   maintained states, and its old/new outputs are diffed back into a
   delta so the rest of the DAG stays incremental.
 
+**Loading is the first batch.**  A maintainer starts as the empty view —
+empty support counts, join indexes, side sets and kept outputs — and a
+view over a database *D* is loaded by one :meth:`_Maintainer.apply` of
+every scanned predicate's instance as an insert-only delta, since the
+view over *D* is the empty view plus the delta of inserting *D*.  Only
+that first batch treats two operators specially: a constant scan emits
+its one row, and a powerset recomputes even when its child delta is
+empty (P(∅) = {∅}).
+
 The module-level counters (:func:`views_stats`) record which path each
 node application took; the differential sweep in ``tests/test_views.py``
 asserts the delta counters move (and the recompute ones don't) on
@@ -46,7 +56,6 @@ from itertools import combinations
 from repro.errors import EvaluationError
 from repro.algebra.evaluation import condition_holds, flatten_value
 from repro.algebra.expressions import AlgebraExpression
-from repro.algebra.vectorized import compile_condition, vectorized_dispatch
 from repro.engine.codegen import compiled_predicate
 from repro.engine.compile import CompileOptions, compile_expression
 from repro.engine.execute import DEFAULT_POWERSET_BUDGET, _components_key
@@ -79,7 +88,6 @@ from repro.engine.plan import (
 )
 from repro.reliability.faults import fault_point, register_fault_site
 from repro.types.schema import DatabaseSchema
-from repro.types.type_system import TupleType
 
 # The named fault sites of the maintenance path (see
 # :mod:`repro.reliability.faults`): each stateful delta rule announces
@@ -115,7 +123,6 @@ class _ViewsState:
             "delta_batches": 0,
             "delta_node_applications": 0,
             "recompute_node_applications": 0,
-            "full_recomputes": 0,
             "rows_delta_in": 0,
             "rows_delta_out": 0,
             "datalog_resumes": 0,
@@ -136,7 +143,11 @@ _VIEWS = _ViewsState()
 
 
 def views_stats() -> dict[str, int]:
-    """A snapshot of the maintenance counters (tests assert deltas)."""
+    """A snapshot of the maintenance counters (tests assert deltas).
+
+    A view load is its first delta batch, so defining or repairing an
+    algebra view counts one ``delta_batches`` and moves the node and row
+    counters like any other batch."""
     return dict(_VIEWS.stats)
 
 
@@ -292,123 +303,55 @@ class _Maintainer:
         options = replace(options, join_ordering=False) if options else None
         self.plan = compile_expression(expression, schema, options)
         self.root = self.plan.root
-        # Per-node state, keyed by node_id.
+        # Per-node state for the empty view, keyed by node_id; the load
+        # (initialize) fills it like any later batch.
         self._supports: dict[int, _Supports] = {}
         self._joins: dict[int, tuple[IncrementalIndex, IncrementalIndex]] = {}
         self._sides: dict[int, tuple[set, set]] = {}
         self._columns: dict[int, tuple[_MaintainedColumn, _MaintainedColumn, _MaintainedColumn]] = {}
-        self._outputs: dict[int, set] = {}
-        self._filters: dict[int, object] = {}
         # Nodes whose full output must stay materialized: the root (it is
         # served), and the children of scoped-recompute operators.
         keep = {self.root.node_id}
         for node in self.plan.nodes:
-            if isinstance(node, PowersetNode):
+            if isinstance(node, (Project, CollapseNode)):
+                self._supports[node.node_id] = _Supports()
+            elif isinstance(node, HashJoin):
+                # No dictionary encode (unlike the executor's transient
+                # per-join dictionary): these indexes outlive the batch,
+                # so they key on the component values themselves, whose
+                # structural hashes the value runtime caches.
+                self._joins[node.node_id] = (
+                    IncrementalIndex((), key=_components_key(node.left_keys)),
+                    IncrementalIndex((), key=_components_key(node.right_keys)),
+                )
+            elif isinstance(node, NestedLoopProduct):
+                self._sides[node.node_id] = (set(), set())
+            elif isinstance(node, SetOp):
+                self._sides[node.node_id] = (set(), set())
+                self._columns[node.node_id] = (
+                    _MaintainedColumn(),
+                    _MaintainedColumn(),
+                    _MaintainedColumn(),
+                )
+            elif isinstance(node, PowersetNode):
                 keep.add(node.node_id)
                 keep.add(node.child.node_id)
-        self._keep_output = keep
+        self._outputs: dict[int, set] = {node_id: set() for node_id in keep}
+        self._loaded = False
 
-    # -- initialization -------------------------------------------------------
     def initialize(self, database: DatabaseInstance) -> set:
-        """Evaluate every node bottom-up once, retaining the per-node state
-        the delta rules need; returns the root's output set."""
-        outputs: dict[int, set] = {}
-        for node in self.plan.nodes:
-            outputs[node.node_id] = self._initial_output(node, outputs, database)
-        for node_id in self._keep_output:
-            self._outputs[node_id] = set(outputs[node_id])
-        # The caller gets (an alias of) the root's kept output set: the
-        # delta loop updates it in place, so a view can serve from it
-        # without copying per batch.
-        return self._outputs[self.root.node_id]
+        """Load the view over *database* as its first delta batch — every
+        scanned predicate's instance inserted into the empty view — and
+        return the root's output set.
 
-    def _initial_output(self, node: PlanNode, outputs: dict[int, set], database) -> set:
-        if isinstance(node, Scan):
-            return set(database.instance(node.predicate_name).values)
-        if isinstance(node, ConstantScan):
-            return {Atom(node.value)}
-        if isinstance(node, Filter):
-            child_rows = outputs[node.child.node_id]
-            return set(self._filter_rows(node, child_rows))
-        if isinstance(node, Project):
-            supports = self._supports.setdefault(node.node_id, _Supports())
-            contributions: dict[object, int] = {}
-            for row in outputs[node.child.node_id]:
-                projected = _project_row(row, node.coordinates)
-                contributions[projected] = contributions.get(projected, 0) + 1
-            delta = supports.apply(contributions)
-            return set(delta.added)
-        if isinstance(node, UntupleNode):
-            return {_untuple_row(row) for row in outputs[node.child.node_id]}
-        if isinstance(node, CollapseNode):
-            supports = self._supports.setdefault(node.node_id, _Supports())
-            contributions = {}
-            for value in outputs[node.child.node_id]:
-                for element in _collapse_elements(value):
-                    contributions[element] = contributions.get(element, 0) + 1
-            delta = supports.apply(contributions)
-            return set(delta.added)
-        if isinstance(node, HashJoin):
-            left_rows = [
-                flatten_value(value, node.left_type)
-                for value in outputs[node.left.node_id]
-            ]
-            right_rows = [
-                flatten_value(value, node.right_type)
-                for value in outputs[node.right.node_id]
-            ]
-            # No dictionary encode (unlike the executor's transient
-            # per-join dictionary): these indexes outlive the batch, so
-            # they key on the component values themselves, whose
-            # structural hashes the value runtime caches.
-            left_index = IncrementalIndex(left_rows, key=_components_key(node.left_keys))
-            right_index = IncrementalIndex(right_rows, key=_components_key(node.right_keys))
-            self._joins[node.node_id] = (left_index, right_index)
-            result = set()
-            right_lookup = right_index.get
-            left_key = left_index.key
-            for left_row in left_rows:
-                for right_row in right_lookup(left_key(left_row)):
-                    combined = TupleValue(left_row + right_row)
-                    if node.residual is None or condition_holds(node.residual, combined):
-                        result.add(combined)
-            return result
-        if isinstance(node, NestedLoopProduct):
-            left_rows = {
-                flatten_value(value, node.left_type)
-                for value in outputs[node.left.node_id]
-            }
-            right_rows = {
-                flatten_value(value, node.right_type)
-                for value in outputs[node.right.node_id]
-            }
-            self._sides[node.node_id] = (left_rows, right_rows)
-            return {
-                TupleValue(left + right) for left in left_rows for right in right_rows
-            }
-        if isinstance(node, SetOp):
-            left = set(outputs[node.left.node_id])
-            right = set(outputs[node.right.node_id])
-            self._sides[node.node_id] = (left, right)
-            self._columns[node.node_id] = (
-                _MaintainedColumn(),
-                _MaintainedColumn(),
-                _MaintainedColumn(),
-            )
-            if node.kind == "union":
-                return left | right
-            if node.kind == "intersection":
-                return left & right
-            if node.kind == "difference":
-                return left - right
-            raise EvaluationError(f"unknown set operation kind {node.kind!r}")
-        if isinstance(node, PowersetNode):
-            return self._powerset_output(outputs[node.child.node_id])
-        if isinstance(node, Materialize):
-            return set(outputs[node.child.node_id])
-        raise EvaluationError(
-            f"unknown plan operator {type(node).__name__} in view maintenance"
-        )
+        The caller gets (an alias of) the root's kept output set: the
+        delta loop updates it in place, so a view can serve from it
+        without copying per batch.
+        """
+        scanned = {node.predicate_name for node in self.plan.nodes if isinstance(node, Scan)}
+        self.apply({name: Delta(database.instance(name).values) for name in scanned})
+        self._loaded = True
+        return self._outputs[self.root.node_id]
 
     # -- delta propagation ----------------------------------------------------
     def apply(self, base_deltas: dict[str, Delta], journal=None) -> Delta:
@@ -452,7 +395,9 @@ class _Maintainer:
         if isinstance(node, Scan):
             return base_deltas.get(node.predicate_name, _EMPTY_DELTA)
         if isinstance(node, ConstantScan):
-            return _EMPTY_DELTA
+            # The constant's one row is in the view from the start, so
+            # the load (the first batch) inserts it.
+            return _EMPTY_DELTA if self._loaded else Delta((Atom(node.value),))
         if isinstance(node, Materialize):
             return deltas[node.child.node_id]
         if isinstance(node, PowersetNode):
@@ -495,40 +440,17 @@ class _Maintainer:
         )
 
     # -- per-operator delta rules ---------------------------------------------
-    def _filter_rows(self, node: Filter, rows) -> list:
-        """The rows of *rows* passing the node's condition — vectorized over
-        the delta batch when the compiled mask program and the dispatch
-        threshold allow, per-tuple otherwise."""
-        rows = rows if isinstance(rows, list) else list(rows)
-        compiled = self._compiled_condition(node)
-        if compiled is not None and vectorized_dispatch(len(rows)):
-            return compiled.filter_values(rows)
+    def _filter_delta(self, node: Filter, child: Delta) -> Delta:
         condition = node.condition
-        # Sub-threshold batches reuse the engine's process-wide compiled
-        # predicate cache (the same inline expressions fused fragments
-        # run) instead of the per-tuple condition_holds tree walk.
+        # The engine's process-wide compiled predicate cache (the same
+        # inline expressions fused fragments run) instead of the
+        # per-tuple condition_holds tree walk, when codegen covers it.
         predicate = compiled_predicate(condition, node.output_type)
         if predicate is not None:
-            return [row for row in rows if predicate(row.components)]
-        return [row for row in rows if condition_holds(condition, row)]
-
-    def _compiled_condition(self, node: Filter):
-        cached = self._filters.get(node.node_id, _UNSET)
-        if cached is _UNSET:
-            output_type = node.output_type
-            cached = (
-                compile_condition(node.condition, output_type)
-                if isinstance(output_type, TupleType)
-                else None
-            )
-            self._filters[node.node_id] = cached
-        return cached
-
-    def _filter_delta(self, node: Filter, child: Delta) -> Delta:
-        return Delta(
-            self._filter_rows(node, list(child.added)),
-            self._filter_rows(node, list(child.removed)),
-        )
+            passing = lambda rows: [row for row in rows if predicate(row.components)]
+        else:
+            passing = lambda rows: [row for row in rows if condition_holds(condition, row)]
+        return Delta(passing(child.added), passing(child.removed))
 
     def _project_delta(self, node: Project, child: Delta, journal=None) -> Delta:
         contributions: dict[object, int] = {}
@@ -640,16 +562,16 @@ class _Maintainer:
             combined = TupleValue(left_row + right_row)
             contributions[combined] = contributions.get(combined, 0) + sign
 
-        for left_row, sign in [(r, 1) for r in added_left] + [(r, -1) for r in removed_left]:
+        left_changes = [(r, 1) for r in added_left] + [(r, -1) for r in removed_left]
+        right_changes = [(r, 1) for r in added_right] + [(r, -1) for r in removed_right]
+        for left_row, sign in left_changes:
             for right_row in right_rows:
                 contribute(left_row, right_row, sign)
-        for right_row, sign in [(r, 1) for r in added_right] + [(r, -1) for r in removed_right]:
+        for right_row, sign in right_changes:
             for left_row in left_rows:
                 contribute(left_row, right_row, sign)
-        for left_row, left_sign in [(r, 1) for r in added_left] + [(r, -1) for r in removed_left]:
-            for right_row, right_sign in (
-                [(r, 1) for r in added_right] + [(r, -1) for r in removed_right]
-            ):
+        for left_row, left_sign in left_changes:
+            for right_row, right_sign in right_changes:
                 contribute(left_row, right_row, left_sign * right_sign)
 
         self._update_side_set(left_rows, added_left, removed_left, journal)
@@ -775,8 +697,9 @@ class _Maintainer:
     def _recompute_delta(self, node: PlanNode, deltas: dict[int, Delta]) -> Delta:
         """Re-evaluate one non-incrementalizable node from its children's
         maintained outputs and express the change as a delta — the rest of
-        the DAG stays on the delta path."""
-        if not any(deltas[child.node_id] for child in node.children()):
+        the DAG stays on the delta path.  The load recomputes even with no
+        child delta: a powerset of the empty set is not empty."""
+        if self._loaded and not any(deltas[child.node_id] for child in node.children()):
             return _EMPTY_DELTA
         _count("recompute_node_applications")
         fault_point(SITE_MAINTAIN_RECOMPUTE)
@@ -806,9 +729,6 @@ class _Maintainer:
             for combo in combinations(members, size):
                 result.add(SetValue(combo))
         return result
-
-
-_UNSET = object()
 
 
 def _project_row(row, coordinates) -> TupleValue:

@@ -371,6 +371,34 @@ class TestTranslationToCalculus:
         query = so_sentence_to_calculus(sentence, schema)
         assert evaluate_calculus(query, db).values == db.instance("D").values
 
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            # {x | ∃t (V(t) ∧ t = x)}: t is the calculus target's name.
+            SOExists("t", SOAnd(SORelationAtom("V", ("t",)), SOEquals("t", "x"))),
+            # {x | ∃_row1 E(_row1, x)}: the atom's auxiliary is a _row<n>.
+            SOExists("_row1", SORelationAtom("E", ("_row1", "x"))),
+            # {x | ∃t/1 (t(x) ∧ ∀y (t(y) → V(y)))}: a relation named t.
+            SOExistsRelation(
+                "t",
+                1,
+                SOAnd(
+                    SORelationAtom("t", ("x",)),
+                    SOForall(
+                        "y", SOImplies(SORelationAtom("t", ("y",)), SORelationAtom("V", ("y",)))
+                    ),
+                ),
+            ),
+        ],
+        ids=["target-name", "auxiliary-name", "relation-target-name"],
+    )
+    def test_binders_named_like_translation_variables_are_renamed(self, formula):
+        db = graph_db("abc", [("a", "b"), ("b", "c"), ("c", "c")])
+        answer = evaluate_calculus(so_query_to_calculus(["x"], formula, GRAPH_SCHEMA), db)
+        rows = {tuple(c.value for c in row.components) for row in answer}
+        assert rows == set(evaluate_query(["x"], formula, db).tuples)
+        assert rows
+
     def test_sentence_translation_rejects_non_atomic_witness(self):
         with pytest.raises(TypingError):
             so_sentence_to_calculus(

@@ -35,7 +35,6 @@ from repro.algebra.expressions import (
     Union,
     Untuple,
 )
-from repro.algebra.vectorized import vectorized_filter
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import Atom, ComplexValue, SetValue, TupleValue, structural_sort_key
 from repro.types.schema import DatabaseSchema
@@ -171,14 +170,7 @@ def _evaluate(
         expression.condition.validate(operand_type)
         operand = _evaluate(expression.operand, database, schema, settings, types)
         condition = expression.condition
-        filtered = vectorized_filter(condition, operand, operand_type)
-        if filtered is not None:
-            return set(filtered)
-        return {
-            value
-            for value in operand
-            if condition_holds(condition, value)
-        }
+        return {value for value in operand if condition_holds(condition, value)}
 
     if isinstance(expression, Product):
         left_type = _node_type(expression.left, schema, types)

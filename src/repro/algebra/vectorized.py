@@ -1,13 +1,14 @@
 """Vectorized (column-at-a-time) evaluation of selection conditions.
 
-The scan path's last per-element hot loop was the selection predicate:
-``Selection`` in the legacy interpreter, the engine's ``Filter`` node and
-the residual check after a ``HashJoin`` probe all called
-:func:`repro.algebra.evaluation.condition_holds` once per tuple — a
+A selection over a **stored** container — a predicate's
+:class:`~repro.objects.instance.Instance` or a flat
+:class:`~repro.relational.relation.Relation` — need not call
+:func:`repro.algebra.evaluation.condition_holds` once per tuple (a
 recursive tree-walk that re-resolves operands, re-constructs constant
-atoms and re-compares values for every row.  With dictionary-encoded id
-columns in place (PR 3, :mod:`repro.objects.columnar`), flat conditions
-can instead run **column-at-a-time**:
+atoms and re-compares values for every row).  Both containers cache
+row-aligned per-coordinate id columns over
+:data:`~repro.objects.columnar.VALUE_DICTIONARY`, so a flat condition can
+run **column-at-a-time** over them:
 
 1. **classify** — :func:`compile_condition` walks the
    :class:`~repro.algebra.expressions.SelectionCondition` tree once and
@@ -16,12 +17,10 @@ can instead run **column-at-a-time**:
    coordinate operands (and ``eq`` against constants) compiles; an ``in``
    atom whose container is not a coordinate does not — its per-row error
    semantics (the container is never a set) stay with the scalar path;
-2. **encode** — each referenced coordinate becomes a row-aligned
-   ``array("I")`` id column over
-   :data:`~repro.objects.columnar.VALUE_DICTIONARY` (equal values share
-   an id, so id comparisons are value comparisons).  ``Instance`` and
-   ``Relation`` cache these per-coordinate columns, so steady-state scans
-   skip the encode entirely;
+2. **columns** — each referenced coordinate is the container's cached
+   ``array("I")`` id column (equal values share an id, so id comparisons
+   are value comparisons), encoded once per stored object, never per
+   query;
 3. **mask** — each atom materializes one boolean mask (``bytearray``,
    one 0/1 byte per row): coordinate equality compares two columns
    element-wise, constant equality scans for a single target id with
@@ -38,13 +37,21 @@ can instead run **column-at-a-time**:
 5. **decode** — only the surviving rows are selected
    (``itertools.compress``); nothing else is materialized or decoded.
 
+The consumers are the engine's ``Filter`` directly over a ``Scan`` (in the
+interpreting executor and in fused codegen fragments) and
+:func:`repro.relational.algebra.select_where`.  Rows no stored container
+holds — a filter over any other operator, a hash-join residual, the legacy
+interpreter's and the nested algebra's selections, view deltas — are
+checked per tuple, so :data:`~repro.objects.columnar.VALUE_DICTIONARY`
+never labels a transient row.
+
 The ablation switch :func:`set_vectorized_filters` /
-:func:`vectorized_filters` mirrors ``set_columnar``: disabling it restores
-the historical per-tuple path everywhere, and
-``tests/test_vectorized_filter.py`` pins identical answers across the
-full (vectorized × columnar) mode cube.  Batches below
-:func:`~repro.objects.columnar.columnar_threshold` rows also keep the
-per-tuple path — below it, the constant factors of building columns win.
+:func:`vectorized_filters` restores the per-tuple path for those
+consumers too, and ``tests/test_vectorized_filter.py`` pins identical
+answers across the full (vectorized × columnar) mode cube.  Containers
+below :func:`~repro.objects.columnar.columnar_threshold` rows also keep
+the per-tuple path — below it, the constant factors of building columns
+win.
 """
 
 from __future__ import annotations
@@ -100,10 +107,9 @@ def vectorized_enabled() -> bool:
 def set_vectorized_filters(enabled: bool) -> bool:
     """Enable/disable vectorized selection; returns the previous setting.
 
-    Disabling restores the historical per-tuple ``condition_holds`` loop
-    in the legacy interpreter, the engine's ``Filter`` operator, the
-    hash-join residual check, the nested algebra and the flat relational
-    layer; answers are identical in both modes.
+    Disabling restores the per-tuple ``condition_holds`` loop in the
+    engine's ``Filter`` over a scan and in the flat relational layer's
+    ``select_where``; answers are identical in both modes.
     """
     previous = _VECTORIZED.enabled
     _VECTORIZED.enabled = bool(enabled)
@@ -127,8 +133,8 @@ def vectorized_stats() -> dict[str, int]:
 
 def vectorized_dispatch(row_count: int) -> bool:
     """The dispatch policy every consumer applies before taking the
-    vectorized path: the switch is on and the batch clears the (shared)
-    columnar size threshold."""
+    vectorized path: the switch is on and the stored container clears the
+    (shared) columnar size threshold."""
     return _VECTORIZED.enabled and row_count >= columnar_threshold()
 
 
@@ -136,9 +142,8 @@ class CompiledCondition:
     """A selection condition compiled to a column-at-a-time mask program.
 
     ``coordinates`` lists the (1-based) tuple coordinates the condition
-    reads; callers supply one row-aligned id column per coordinate (built
-    with :meth:`encode_columns`, or served from a container's cache) and
-    get back the row-survival mask / the surviving rows.
+    reads; callers supply one row-aligned id column per coordinate (a
+    stored container's cached column) and get back the row-survival mask.
     """
 
     __slots__ = ("condition", "coordinates", "_program")
@@ -156,37 +161,6 @@ class CompiledCondition:
         result = self._program(columns, count)
         stats["rows_out"] += sum(result)
         return result
-
-    def encode_columns(self, rows) -> dict[int, array]:
-        """Row-aligned id columns for *rows* (a sequence of tuple values),
-        one per referenced coordinate."""
-        encode = VALUE_DICTIONARY.encode
-        return {
-            coordinate: array(
-                ID_TYPECODE, [encode(row.coordinate(coordinate)) for row in rows]
-            )
-            for coordinate in self.coordinates
-        }
-
-    def filter_values(self, rows) -> list:
-        """The rows of *rows* (tuple values) satisfying the condition."""
-        rows = rows if isinstance(rows, list) else list(rows)
-        mask = self.mask(self.encode_columns(rows), len(rows))
-        return list(compress(rows, mask))
-
-    def filter_component_rows(self, rows: list[tuple]) -> list[tuple]:
-        """The rows of *rows* (flattened component tuples, 0-indexed by
-        ``coordinate - 1``) satisfying the condition — the hash-join
-        residual shape, filtered *before* any output tuple is built."""
-        encode = VALUE_DICTIONARY.encode
-        columns = {
-            coordinate: array(
-                ID_TYPECODE, [encode(row[coordinate - 1]) for row in rows]
-            )
-            for coordinate in self.coordinates
-        }
-        mask = self.mask(columns, len(rows))
-        return list(compress(rows, mask))
 
 
 def compile_condition(
@@ -229,20 +203,6 @@ def compile_condition(
         return None
     stats["conditions_compiled"] += 1
     return CompiledCondition(condition, tuple(sorted(coordinates)), program)
-
-
-def vectorized_filter(condition, rows, tuple_type) -> list | None:
-    """The one dispatch sequence every set-at-a-time consumer applies:
-    threshold check, classify/compile against the operand type, then
-    batch-filter.  Returns the surviving rows, or ``None`` when the
-    per-tuple path should run instead (switch off, batch too small, or
-    the condition does not compile)."""
-    if not vectorized_dispatch(len(rows)):
-        return None
-    compiled = compile_condition(condition, tuple_type)
-    if compiled is None:
-        return None
-    return compiled.filter_values(list(rows))
 
 
 def _compile(condition: SelectionCondition, coordinates: set[int]):

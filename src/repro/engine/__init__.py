@@ -89,7 +89,9 @@ def run_expression(
 
     With tracing on (:func:`repro.observability.tracing_enabled`) the call
     runs under an ``engine.query`` span, per-node execution spans carry
-    estimated/actual cardinalities, and one structured query-log record is
+    estimated/actual cardinalities (a traced compile gets statistics with
+    join ordering off too, and is cached apart from an untraced one),
+    and one structured query-log record is
     appended (:mod:`repro.observability.querylog`).  The off path takes a
     separate branch so steady-state traffic pays one guard check.
     """
@@ -109,7 +111,10 @@ def _cached_plan(
     schema = database.schema
     # Expressions and schemas are immutable; key on identity and pin both
     # objects in the cache entry so their ids cannot be recycled underneath.
-    key = (id(expression), id(schema), options)
+    # Tracing is in the key too: a traced plan carries the estimates its
+    # spans report, which an untraced compile may have skipped.
+    traced = tracing_enabled()
+    key = (id(expression), id(schema), options, traced)
     entry = _plan_cache.get(key)
     if entry is not None:
         signature = entry[3]
@@ -120,13 +125,14 @@ def _cached_plan(
             del _plan_cache[key]
             entry = None
     if entry is None:
-        statistics = (
-            PlanStatistics(database)
-            if options.join_ordering and joinorder_enabled()
-            else None
-        )
+        # Statistics feed join ordering and, with tracing on, the estimates
+        # every ``plan.*`` span carries.  Only join ordering's choices
+        # depend on them, so only a plan compiled with it keeps a
+        # staleness signature.
+        ordering = options.join_ordering and joinorder_enabled()
+        statistics = PlanStatistics(database) if ordering or traced else None
         plan = compile_expression(expression, schema, options, statistics=statistics)
-        signature = statistics.signature() if statistics is not None else None
+        signature = statistics.signature() if ordering else None
         if len(_plan_cache) >= _PLAN_CACHE_LIMIT:
             # Evict the oldest entry (dict preserves insertion order) so the
             # hot fixpoint expressions the cache exists for stay compiled.

@@ -18,7 +18,7 @@ paths are observably equivalent.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations, compress, islice
+from itertools import combinations, compress
 
 from repro.errors import EvaluationError
 from repro.algebra.evaluation import condition_holds, flatten_value
@@ -35,7 +35,6 @@ from repro.objects.columnar import (
     _count,
     columnar_dispatch,
     columnar_enabled,
-    columnar_threshold,
     difference_ids,
     intersect_ids,
     union_ids,
@@ -76,10 +75,6 @@ _SET_OP_KERNELS = {
     "intersection": intersect_ids,
     "difference": difference_ids,
 }
-
-#: Rows per vectorized-filter batch on pipelined inputs: large enough to
-#: amortize mask building, small enough to keep filter chains streaming.
-FILTER_BATCH_SIZE = 1024
 
 
 def _components_key(keys: tuple[int, ...], encode=None):
@@ -231,50 +226,25 @@ class _Executor:
 
     def _filter(self, node: Filter) -> Iterator[ComplexValue]:
         condition = node.condition
-        compiled = (
-            compile_condition(condition, node.output_type)
-            if vectorized_enabled()
-            else None
-        )
-        if compiled is not None:
-            child = node.child
-            if isinstance(child, Scan) and isinstance(child.output_type, TupleType):
-                # Scan fast path: mask the instance's cached per-coordinate
-                # id columns directly — no per-batch encode, no decode of
-                # rejected rows (the stored values stream through compress).
+        child = node.child
+        if isinstance(child, Scan) and vectorized_enabled():
+            # Scan fast path: mask the stored instance's cached
+            # per-coordinate id columns — no decode of rejected rows (the
+            # stored values stream through compress).  Any other child's
+            # rows are transient, so they take the per-tuple check below.
+            compiled = compile_condition(condition, node.output_type)
+            if compiled is not None:
                 instance = self.database.instance(child.predicate_name)
                 if vectorized_dispatch(len(instance)):
                     columns = {
                         coordinate: instance.coordinate_ids(coordinate)
                         for coordinate in compiled.coordinates
                     }
-                    mask = compiled.mask(columns, len(instance))
-                    yield from compress(instance, mask)
+                    yield from compress(instance, compiled.mask(columns, len(instance)))
                     return
-            else:
-                yield from self._filter_batched(node, compiled)
-                return
-        for value in self.rows(node.child):
+        for value in self.rows(child):
             if condition_holds(condition, value):
                 yield value
-
-    def _filter_batched(self, node: Filter, compiled) -> Iterator[ComplexValue]:
-        """Chunked vectorized filtering of a pipelined child: consume rows
-        in fixed-size batches, mask each batch column-at-a-time, and keep
-        the per-tuple path for a sub-threshold tail."""
-        condition = node.condition
-        threshold = columnar_threshold()
-        rows = self.rows(node.child)
-        while True:
-            batch = list(islice(rows, FILTER_BATCH_SIZE))
-            if not batch:
-                return
-            if len(batch) >= threshold:
-                yield from compiled.filter_values(batch)
-            else:
-                for value in batch:
-                    if condition_holds(condition, value):
-                        yield value
 
     def _project(self, node: Project) -> Iterator[ComplexValue]:
         coordinates = node.coordinates
@@ -322,27 +292,6 @@ class _Executor:
                 right_key=_components_key(node.right_keys),
             )
         residual = node.residual
-        if residual is not None and vectorized_enabled():
-            compiled = compile_condition(residual, node.output_type)
-            if compiled is not None:
-                # Batched residual check over the raw component rows: the
-                # output TupleValue is only built for surviving matches.
-                threshold = columnar_threshold()
-                while True:
-                    batch = list(islice(pairs, FILTER_BATCH_SIZE))
-                    if not batch:
-                        return
-                    rows = [left + right for left, right in batch]
-                    if len(rows) >= threshold:
-                        survivors = compiled.filter_component_rows(rows)
-                    else:
-                        survivors = [
-                            row
-                            for row in rows
-                            if condition_holds(residual, TupleValue(row))
-                        ]
-                    for row in survivors:
-                        yield TupleValue(row)
         for left_components, right_components in pairs:
             combined = TupleValue(left_components + right_components)
             if residual is None or condition_holds(residual, combined):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.errors import EvaluationError
 from repro.algebra.evaluation import condition_holds
-from repro.algebra.vectorized import vectorized_filter
 from repro.nested.expressions import (
     Nest,
     NestedDifference,
@@ -72,11 +71,6 @@ def _evaluate(
     if isinstance(expression, NestedSelection):
         operand = _as_tuples(_evaluate(expression.operand, database, schema))
         condition = expression.condition
-        filtered = vectorized_filter(
-            condition, operand, expression.operand.output_type(schema)
-        )
-        if filtered is not None:
-            return set(filtered)
         return {value for value in operand if condition_holds(condition, value)}
 
     if isinstance(expression, NestedProduct):
@@ -146,5 +140,5 @@ def _components_of(value: ComplexValue) -> list[ComplexValue]:
 
 
 # Condition evaluation is shared with the full algebra: NestedSelection
-# uses the canonical ``repro.algebra.evaluation.condition_holds`` (and the
-# vectorized mask path above it), so the two dialects cannot drift.
+# uses the canonical ``repro.algebra.evaluation.condition_holds``, so the
+# two dialects cannot drift.

@@ -80,8 +80,6 @@ class _ColumnarState:
             "kernel_membership": 0,
             "kernel_mask_eq": 0,
             "kernel_mask_combine": 0,
-            "kernel_subtract": 0,
-            "kernel_apply_delta": 0,
             "engine_set_ops": 0,
             "columns_built": 0,
         }
@@ -363,67 +361,6 @@ def difference_ids(a: array, b: array) -> array:
     if i < la:
         out += a[i:la]
     return out
-
-
-def subtract_sorted(base: array, removals: array, strict: bool = False) -> array:
-    """Remove *removals* from *base* (both sorted duplicate-free columns).
-
-    The deletion kernel of the delta-maintenance path
-    (:mod:`repro.views.maintain`): unlike :func:`difference_ids` it exists
-    to *mutate a maintained state column*, so with ``strict=True`` it
-    verifies that every removed id was actually present — a maintained
-    view deleting a row its state never held is a consistency bug worth
-    failing loudly on, not a silent no-op.
-    """
-    _count("kernel_subtract")
-    la, lb = len(base), len(removals)
-    if not lb:
-        return array(ID_TYPECODE, base)
-    if not la or base[-1] < removals[0] or removals[-1] < base[0]:
-        if strict and lb:
-            raise ValueError("subtract_sorted: removals not present in the base column")
-        return array(ID_TYPECODE, base)
-    out = array(ID_TYPECODE)
-    removed = 0
-    i = j = 0
-    while i < la and j < lb:
-        x, y = base[i], removals[j]
-        if x == y:
-            run = _shared_run_length(base, i, removals, j, la, lb)
-            removed += run
-            i += run
-            j += run
-        elif x < y:
-            k = bisect_left(base, y, i, la)
-            out += base[i:k]
-            i = k
-        else:
-            j = bisect_left(removals, x, j + 1, lb)
-    if i < la:
-        out += base[i:la]
-    if strict and removed != lb:
-        raise ValueError(
-            f"subtract_sorted: {lb - removed} of {lb} removals were not present in the base column"
-        )
-    return out
-
-
-def apply_delta(base: array, additions: array, removals: array) -> array:
-    """Apply one insert/delete batch to a sorted duplicate-free id column.
-
-    The single entry point delta maintenance uses to roll a state column
-    forward: removals are subtracted (:func:`subtract_sorted`), additions
-    merged back in (:func:`union_ids`) — two galloping passes whose cost
-    is dominated by block copies of the unchanged runs, not by the column
-    length.  *additions* and *removals* must themselves be sorted,
-    duplicate-free and disjoint, and additions must be new to the base
-    (the delta contract the maintenance layer guarantees).
-    """
-    _count("kernel_apply_delta")
-    shrunk = subtract_sorted(base, removals) if len(removals) else base
-    if not len(additions):
-        return array(ID_TYPECODE, shrunk) if shrunk is base else shrunk
-    return union_ids(shrunk, additions)
 
 
 def contains_id(ids: array, id_: int) -> bool:

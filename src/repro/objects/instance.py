@@ -40,12 +40,7 @@ class Instance:
         self._coordinate_ids: dict[int, object] = {}
 
     @classmethod
-    def _from_trusted(
-        cls,
-        type_: ComplexType,
-        values: frozenset,
-        ids=None,
-    ) -> "Instance":
+    def _from_trusted(cls, type_: ComplexType, values: frozenset) -> "Instance":
         """An instance over already-validated canonical values.
 
         The read path of the mutable database / materialized-view layer
@@ -56,16 +51,14 @@ class Instance:
         and build a *new* object from a frozen copy of it on the first
         read after a commit, never on the commit itself — the sorted
         view, the ``ids`` column and the per-coordinate id columns are
-        per-object caches, so reconstruction is what invalidates them.
-        *values* must not be mutated afterwards.  *ids* optionally seeds
-        the columnar id column when the caller maintained it
-        incrementally (see :func:`repro.objects.columnar.apply_delta`).
+        per-object caches, built on first use, so reconstruction is what
+        invalidates them.  *values* must not be mutated afterwards.
         """
         self = cls.__new__(cls)
         self._type = type_
         self._values = values
         self._sorted = None
-        self._ids = ids
+        self._ids = None
         self._coordinate_ids = {}
         return self
 

@@ -10,7 +10,7 @@ materialized views defined by algebra expressions, flat relational
 queries or Datalog programs, each maintained **incrementally** from the
 exact delta of every committed batch by the delta compiler in
 :mod:`repro.views.maintain` — reusing the engine's optimized plan DAGs,
-its compiled selection predicates, the columnar id-delta kernels and the
+its compiled selection predicates, its incremental join indexes and the
 semi-naive Datalog machinery rather than reinventing any of them.
 
 Quick tour (also ``examples/views_tour.py``)::

@@ -43,7 +43,6 @@ from repro.algebra.expressions import AlgebraExpression
 from repro.datalog.ast import Program
 from repro.datalog.evaluation import DatalogStatistics, SemiNaiveProgram
 from repro.engine.execute import DEFAULT_POWERSET_BUDGET
-from repro.objects.columnar import columnar_dispatch
 from repro.objects.instance import Instance
 from repro.observability.trace import maybe_span
 from repro.objects.values import Atom, TupleValue
@@ -52,14 +51,7 @@ from repro.reliability.faults import fault_point, register_fault_site
 from repro.reliability.staging import UndoJournal
 
 from repro.views.database import Database, UpdateBatch, flat_arity
-from repro.views.maintain import (
-    Delta,
-    _count,
-    _encode_sorted_delta,
-    _MaintainedColumn,
-    _Maintainer,
-    apply_delta,
-)
+from repro.views.maintain import Delta, _count, _Maintainer
 
 SITE_MAINTAIN_DATALOG = register_fault_site(
     "maintain.datalog", "a Datalog view's resume/recompute step"
@@ -173,12 +165,11 @@ class View:
 class AlgebraView(View):
     """A view defined by an algebra expression, served as an ``Instance``.
 
-    The materialized value lives as a mutable member set (the maintainer's
-    root output, updated in place per batch) plus — in columnar mode — a
-    sorted id column rolled forward by
-    :func:`~repro.objects.columnar.apply_delta`, so serving builds an
-    :class:`~repro.objects.instance.Instance` whose columnar cache is
-    already warm.
+    The materialized value is one mutable member set (the maintainer's
+    root output, updated in place per batch).  The first read after a
+    change serves a new :class:`~repro.objects.instance.Instance` over a
+    frozen copy of it, which builds its own id columns only if a consumer
+    asks for them.
     """
 
     def __init__(
@@ -204,19 +195,12 @@ class AlgebraView(View):
         self.stats["delta_batches"] += 1
         if delta:
             if journal is not None:
-                def undo(
-                    self=self,
-                    version=self._version,
-                    served=self._served,
-                    ids=self._column.ids,
-                ) -> None:
+                def undo(self=self, version=self._version, served=self._served) -> None:
                     self._version = version
                     self._served = served
-                    self._column.ids = ids
                 journal.record(undo)
             self._version += 1
             self._served = None
-            self._roll_column(delta)
         return delta
 
     def _rebuild(self) -> None:
@@ -227,22 +211,7 @@ class AlgebraView(View):
         )
         self._members = maintainer.initialize(self._database.snapshot())
         self._maintainer = maintainer
-        self._column = _MaintainedColumn()
         self._served: Instance | None = None
-
-    def _roll_column(self, delta: Delta) -> None:
-        if not columnar_dispatch(len(self._members)):
-            self._column.ids = None
-            return
-        if self._column.ids is None:
-            # Seed from the post-batch members (the delta is already in).
-            self._column.ids = _encode_sorted_delta(self._members)
-            return
-        self._column.ids = apply_delta(
-            self._column.ids,
-            _encode_sorted_delta(delta.added),
-            _encode_sorted_delta(delta.removed),
-        )
 
     def value(self) -> Instance:
         """The current materialized instance (cached until it changes);
@@ -252,11 +221,7 @@ class AlgebraView(View):
             return self._degraded()
         served = self._served
         if served is None:
-            if columnar_dispatch(len(self._members)) and self._column.ids is None:
-                self._column.ids = _encode_sorted_delta(self._members)
-            served = Instance._from_trusted(
-                self.output_type, frozenset(self._members), ids=self._column.ids
-            )
+            served = Instance._from_trusted(self.output_type, frozenset(self._members))
             self._served = served
         return served
 

@@ -22,14 +22,16 @@ from its children's:
   index (ΔL ⋈ R  ∪  L ⋈ ΔR  ∪  ΔL ⋈ ΔR, with signed counts so an
   insert-plus-delete batch nets out exactly), then both indexes are
   rolled forward;
-* **SetOp** — per-side membership transitions, with the state columns of
-  flat operands maintained by the columnar id-delta kernels
-  (:func:`repro.objects.columnar.apply_delta` /
-  :func:`~repro.objects.columnar.subtract_sorted`);
+* **SetOp** — per-side membership sets and an O(|delta|) membership
+  transition: only values in some side's delta are probed;
 * **Powerset** (and any operator without a delta rule) — **scoped
   recompute**: only that node is re-evaluated from its children's
   maintained states, and its old/new outputs are diffed back into a
   delta so the rest of the DAG stays incremental.
+
+No rule dictionary-encodes a row.  Delta rows and maintained state
+belong to no stored container, and the process-wide value dictionary is
+append-only, so encoding them would pin every value a view ever saw.
 
 **Loading is the first batch.**  A maintainer starts as the empty view —
 empty support counts, join indexes, side sets and kept outputs — and a
@@ -49,9 +51,9 @@ fake a pass.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import replace
 from itertools import combinations
+from operator import itemgetter
 
 from repro.errors import EvaluationError
 from repro.algebra.evaluation import condition_holds, flatten_value
@@ -60,15 +62,6 @@ from repro.engine.codegen import compiled_predicate
 from repro.engine.compile import CompileOptions, compile_expression
 from repro.engine.execute import DEFAULT_POWERSET_BUDGET, _components_key
 from repro.engine.join import IncrementalIndex
-from repro.objects.columnar import (
-    ID_TYPECODE,
-    VALUE_DICTIONARY,
-    apply_delta,
-    columnar_dispatch,
-    difference_ids,
-    intersect_ids,
-    union_ids,
-)
 from repro.objects.instance import DatabaseInstance
 from repro.objects.values import Atom, SetValue, TupleValue
 from repro.engine.plan import (
@@ -180,51 +173,9 @@ class Delta:
 _EMPTY_DELTA = Delta()
 
 
-def _encode_sorted_delta(values) -> array:
-    """A sorted duplicate-free id column for one side of a delta batch."""
-    encode = VALUE_DICTIONARY.encode
-    return array(ID_TYPECODE, sorted({encode(value) for value in values}))
-
-
-class _MaintainedColumn:
-    """A sorted id column rolled forward by :func:`apply_delta`.
-
-    Built lazily from the owning set the first time columnar dispatch
-    engages; marked stale (and rebuilt on next use) if a batch is applied
-    while columnar storage is disabled, so mode toggles mid-life never
-    serve a column that missed an update.
-    """
-
-    __slots__ = ("ids",)
-
-    def __init__(self) -> None:
-        self.ids: array | None = None
-
-    def seed(self, members) -> array:
-        """The current column, built from the (pre-batch) *members* on
-        first use."""
-        if self.ids is None:
-            self.ids = _encode_sorted_delta(members)
-        return self.ids
-
-    def apply(self, delta: Delta, members, enabled: bool) -> array | None:
-        """Roll the column forward by one batch.  *members* must be the
-        **pre-batch** membership (used only to seed a missing column)."""
-        if not enabled:
-            self.ids = None
-            return None
-        self.seed(members)
-        if delta:
-            self.ids = apply_delta(
-                self.ids,
-                _encode_sorted_delta(delta.added),
-                _encode_sorted_delta(delta.removed),
-            )
-        return self.ids
-
-
 class _Supports:
-    """Per-output-value derivation counts (deletions on flat views).
+    """Per-output-value derivation counts (deletions on flat views), keyed
+    by the value itself or, for a projection, by its component tuple.
 
     ``apply`` folds a signed contribution map into the counts and returns
     the *set-level* delta: values whose support crossed zero.  It runs in
@@ -276,9 +227,6 @@ class _Supports:
         return Delta(added, removed)
 
 
-_SETOP_KERNELS = {"union": union_ids, "intersection": intersect_ids, "difference": difference_ids}
-
-
 class _Maintainer:
     """The per-view maintenance state over one compiled physical plan."""
 
@@ -308,7 +256,6 @@ class _Maintainer:
         self._supports: dict[int, _Supports] = {}
         self._joins: dict[int, tuple[IncrementalIndex, IncrementalIndex]] = {}
         self._sides: dict[int, tuple[set, set]] = {}
-        self._columns: dict[int, tuple[_MaintainedColumn, _MaintainedColumn, _MaintainedColumn]] = {}
         # Nodes whose full output must stay materialized: the root (it is
         # served), and the children of scoped-recompute operators.
         keep = {self.root.node_id}
@@ -324,15 +271,8 @@ class _Maintainer:
                     IncrementalIndex((), key=_components_key(node.left_keys)),
                     IncrementalIndex((), key=_components_key(node.right_keys)),
                 )
-            elif isinstance(node, NestedLoopProduct):
+            elif isinstance(node, (NestedLoopProduct, SetOp)):
                 self._sides[node.node_id] = (set(), set())
-            elif isinstance(node, SetOp):
-                self._sides[node.node_id] = (set(), set())
-                self._columns[node.node_id] = (
-                    _MaintainedColumn(),
-                    _MaintainedColumn(),
-                    _MaintainedColumn(),
-                )
             elif isinstance(node, PowersetNode):
                 keep.add(node.node_id)
                 keep.add(node.child.node_id)
@@ -453,15 +393,24 @@ class _Maintainer:
         return Delta(passing(child.added), passing(child.removed))
 
     def _project_delta(self, node: Project, child: Delta, journal=None) -> Delta:
-        contributions: dict[object, int] = {}
-        coordinates = node.coordinates
-        for row in child.added:
-            projected = _project_row(row, coordinates)
-            contributions[projected] = contributions.get(projected, 0) + 1
-        for row in child.removed:
-            projected = _project_row(row, coordinates)
-            contributions[projected] = contributions.get(projected, 0) - 1
-        return self._supports[node.node_id].apply(contributions, journal)
+        # Supports key on the projected component tuple (equal exactly
+        # when the projected values are); a TupleValue is built only for
+        # a value whose support crosses zero.
+        key = _projection_key(node.coordinates)
+        contributions: dict[tuple, int] = {}
+        for rows, sign in ((child.added, 1), (child.removed, -1)):
+            for row in rows:
+                try:
+                    projected = key(row.components)
+                except AttributeError:
+                    raise EvaluationError(
+                        f"projection applied to the non-tuple value {row}"
+                    ) from None
+                contributions[projected] = contributions.get(projected, 0) + sign
+        delta = self._supports[node.node_id].apply(contributions, journal)
+        if not delta:
+            return delta
+        return Delta(map(TupleValue, delta.added), map(TupleValue, delta.removed))
 
     def _collapse_delta(self, node: CollapseNode, child: Delta, journal=None) -> Delta:
         contributions: dict[object, int] = {}
@@ -584,60 +533,39 @@ class _Maintainer:
         return Delta(added, removed)
 
     def _setop_delta(self, node: SetOp, left: Delta, right: Delta, journal=None) -> Delta:
+        """The membership transition of each value in some side's delta:
+        O(|delta|) probes of the pre-batch side sets, which then roll
+        forward."""
         left_members, right_members = self._sides[node.node_id]
-        left_column, right_column, out_column = self._columns[node.node_id]
-        if journal is not None:
-            # The columns are rolled forward by whole-array replacement,
-            # so restoring the old references is an exact rewind.
-            def undo_columns(
-                columns=(left_column, right_column, out_column),
-                ids=(left_column.ids, right_column.ids, out_column.ids),
-            ) -> None:
-                for column, old in zip(columns, ids):
-                    column.ids = old
-            journal.record(undo_columns)
-        columnar = columnar_dispatch(len(left_members) + len(right_members))
-        result: Delta
-        if columnar:
-            # Kernel path: roll both side columns forward with apply_delta,
-            # recompute the output column with the galloping set kernel and
-            # diff it against the maintained output column — only the diff
-            # (the delta) is ever decoded back to values.
-            if out_column.ids is None:
-                out_column.ids = _encode_sorted_delta(
-                    self._setop_members(node.kind, left_members, right_members)
-                )
-            old_out = out_column.ids
-            new_left = left_column.apply(left, left_members, True)
-            new_right = right_column.apply(right, right_members, True)
-            new_out = _SETOP_KERNELS[node.kind](new_left, new_right)
-            added_ids = difference_ids(new_out, old_out)
-            removed_ids = difference_ids(old_out, new_out)
-            out_column.ids = new_out
-            decode = VALUE_DICTIONARY.decode_all
-            result = (
-                Delta(decode(added_ids), decode(removed_ids))
-                if len(added_ids) or len(removed_ids)
-                else _EMPTY_DELTA
-            )
-            self._apply_side_sets(left_members, right_members, left, right, journal)
-            return result
-        result = self._setop_delta_members(node.kind, left_members, right_members, left, right)
-        self._apply_side_sets(left_members, right_members, left, right, journal)
-        left_column.apply(left, left_members, False)
-        right_column.apply(right, right_members, False)
-        out_column.ids = None
-        return result
-
-    @staticmethod
-    def _setop_members(kind: str, left_members, right_members):
-        """The *pre-batch* output members (for seeding the output column
-        lazily the first time the kernel path engages)."""
+        kind = node.kind
         if kind == "union":
-            return left_members | right_members
-        if kind == "intersection":
-            return left_members & right_members
-        return left_members - right_members
+            judge = lambda in_left, in_right: in_left or in_right
+        elif kind == "intersection":
+            judge = lambda in_left, in_right: in_left and in_right
+        elif kind == "difference":
+            judge = lambda in_left, in_right: in_left and not in_right
+        else:
+            raise EvaluationError(f"unknown set operation kind {kind!r}")
+        added_left, removed_left = set(left.added), set(left.removed)
+        added_right, removed_right = set(right.added), set(right.removed)
+        added: list = []
+        removed: list = []
+        for value in added_left | removed_left | added_right | removed_right:
+            old_left = value in left_members
+            old_right = value in right_members
+            new_left = (old_left and value not in removed_left) or value in added_left
+            new_right = (old_right and value not in removed_right) or value in added_right
+            before = judge(old_left, old_right)
+            after = judge(new_left, new_right)
+            if after and not before:
+                added.append(value)
+            elif before and not after:
+                removed.append(value)
+        self._update_side_set(left_members, left.added, left.removed, journal)
+        self._update_side_set(right_members, right.added, right.removed, journal)
+        if not added and not removed:
+            return _EMPTY_DELTA
+        return Delta(added, removed)
 
     @staticmethod
     def _update_side_set(members: set, added, removed, journal=None) -> None:
@@ -651,47 +579,6 @@ class _Maintainer:
                 members.difference_update(added)
                 members.update(removed)
             journal.record(undo)
-
-    @classmethod
-    def _apply_side_sets(
-        cls, left_members, right_members, left: Delta, right: Delta, journal=None
-    ) -> None:
-        cls._update_side_set(left_members, left.added, left.removed, journal)
-        cls._update_side_set(right_members, right.added, right.removed, journal)
-
-    @staticmethod
-    def _setop_delta_members(
-        kind: str, left_members, right_members, left: Delta, right: Delta
-    ) -> Delta:
-        """Membership-transition delta over the side sets (object path):
-        O(|delta|) probes, no column in sight."""
-        affected = set(left.added) | set(left.removed) | set(right.added) | set(right.removed)
-        added_left, removed_left = set(left.added), set(left.removed)
-        added_right, removed_right = set(right.added), set(right.removed)
-        if kind == "union":
-            judge = lambda in_left, in_right: in_left or in_right
-        elif kind == "intersection":
-            judge = lambda in_left, in_right: in_left and in_right
-        elif kind == "difference":
-            judge = lambda in_left, in_right: in_left and not in_right
-        else:
-            raise EvaluationError(f"unknown set operation kind {kind!r}")
-        added: list = []
-        removed: list = []
-        for value in affected:
-            old_left = value in left_members
-            old_right = value in right_members
-            new_left = (old_left and value not in removed_left) or value in added_left
-            new_right = (old_right and value not in removed_right) or value in added_right
-            before = judge(old_left, old_right)
-            after = judge(new_left, new_right)
-            if after and not before:
-                added.append(value)
-            elif before and not after:
-                removed.append(value)
-        if not added and not removed:
-            return _EMPTY_DELTA
-        return Delta(added, removed)
 
     # -- scoped recompute -----------------------------------------------------
     def _recompute_delta(self, node: PlanNode, deltas: dict[int, Delta]) -> Delta:
@@ -731,10 +618,12 @@ class _Maintainer:
         return result
 
 
-def _project_row(row, coordinates) -> TupleValue:
-    if not isinstance(row, TupleValue):
-        raise EvaluationError(f"projection applied to the non-tuple value {row}")
-    return TupleValue([row.coordinate(c) for c in coordinates])
+def _projection_key(coordinates):
+    """A row's components → its projected component tuple."""
+    if len(coordinates) == 1:
+        index = coordinates[0] - 1
+        return lambda components: (components[index],)
+    return itemgetter(*(c - 1 for c in coordinates))
 
 
 def _untuple_row(row):

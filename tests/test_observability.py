@@ -41,6 +41,7 @@ from repro.algebra.expressions import (
 )
 from repro.engine import clear_plan_cache, plan_structural_key, run_expression
 from repro.engine.codegen import codegen
+from repro.engine.joinorder import join_ordering
 from repro.errors import ServingError
 from repro.objects.columnar import columnar_storage
 from repro.observability import (
@@ -289,6 +290,29 @@ def test_engine_trace_has_node_spans_with_estimates():
     scans = [r for r in spans if r["name"] == "plan.Scan"]
     assert len(scans) == 2
     assert all(index[s["parent_id"]]["name"] == "plan.HashJoin" for s in scans)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])
+def test_traced_plans_carry_estimates_without_join_ordering(warm):
+    """Statistics are built for a traced compile even with join ordering
+    off, so every ``plan.*`` span carries ``est_rows`` — also when an
+    untraced run of the same expression compiled and cached its plan
+    first."""
+    db = _database()
+    expression = _join_expression()
+    with join_ordering(False), codegen(False):
+        if warm:
+            run_expression(expression, db.snapshot())
+        with tracing(True):
+            result = run_expression(expression, db.snapshot())
+    assert len(result) == 6
+    _, spans = latest_trace()
+    plan_spans = [record for record in spans if record["name"].startswith("plan.")]
+    assert sorted(record["name"] for record in plan_spans) == [
+        "plan.HashJoin", "plan.Project", "plan.Scan", "plan.Scan",
+    ]
+    for record in plan_spans:
+        assert record["attributes"].get("est_rows") is not None, record["name"]
 
 
 def test_query_log_schema_and_round_trip(tmp_path):

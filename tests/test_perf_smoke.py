@@ -270,10 +270,10 @@ def test_commits_apply_deltas_in_place_and_reads_build_the_instance(monkeypatch)
     builds = []
     trusted = Instance._from_trusted.__func__
 
-    def counting(cls, type_, values, ids=None):
+    def counting(cls, type_, values):
         if type_ == fact_type:
             builds.append(len(values))
-        return trusted(cls, type_, values, ids)
+        return trusted(cls, type_, values)
 
     monkeypatch.setattr(Instance, "_from_trusted", classmethod(counting))
     for batch in stream[:200]:

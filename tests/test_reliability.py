@@ -399,10 +399,6 @@ def _maintainer_fingerprint(maintainer) -> dict:
         "outputs": {
             node: rows(output) for node, output in maintainer._outputs.items()
         },
-        "columns": {
-            node: [None if c.ids is None else list(c.ids) for c in columns]
-            for node, columns in maintainer._columns.items()
-        },
     }
 
 

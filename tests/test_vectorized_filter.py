@@ -31,9 +31,9 @@ from repro.algebra.expressions import (
     ConstantOperand,
     PredicateExpression,
     Product,
+    Projection,
     Selection,
     SelectionCondition,
-    Union,
 )
 from repro.engine.codegen import codegen
 from repro.algebra.vectorized import (
@@ -227,58 +227,115 @@ def test_membership_evaluates_once_per_distinct_id():
         assert evaluate_expression(expression, db, STRICT) == answer
 
 
-def test_hash_join_residual_takes_the_vectorized_path():
-    """A non-join conjunct left on a HashJoin must be vectorized over the
-    concatenated rows, with identical answers to the scalar residual."""
-    from repro.objects.instance import DatabaseInstance
+def _transient_hash_join(names, flat, nested):
+    from repro.engine.plan import HashJoin
 
-    rows = [(f"v{i}", f"v{i + 1}") for i in range(120)]
-    db = DatabaseInstance.build(PARENT_SCHEMA, PAR=rows)
     condition = SelectionCondition.conjunction(
         SelectionCondition.eq(2, 3),
-        SelectionCondition.negation(SelectionCondition.eq(1, ConstantOperand("v3"))),
+        SelectionCondition.negation(SelectionCondition.eq(1, ConstantOperand(names[3]))),
     )
     expression = Selection(Product(PAR, PAR), condition)
-    # Pin the *interpreting* executor: fused codegen fragments check the
-    # residual with an inline in-loop predicate instead of batched masks
-    # (tests/test_codegen.py covers that axis).
-    with codegen(False), representation(True, True):
-        before = vectorized_stats()
-        vectorized = evaluate_expression(expression, db, STRICT)
-        after = vectorized_stats()
-    assert after["batches"] > before["batches"]
-    with representation(False, True):
-        scalar = evaluate_expression(expression, db, STRICT)
-    assert vectorized == scalar == evaluate_expression_legacy(expression, db)
-    assert len(vectorized) == 118  # 119 joined pairs minus the v3 head
-
-
-def test_pipelined_filter_batches_non_scan_children():
-    """A Filter over a non-Scan child (here a union) takes the chunked
-    batching path and still equals the scalar answer."""
-    db = random_database(
-        DatabaseSchema([("A", parse_type("[U, U]")), ("B", parse_type("[U, U]"))]),
-        ATOMS,
-        count=20,
-        seed=7,
+    plan = _transient_plan(expression)
+    assert any(
+        isinstance(node, HashJoin) and node.residual is not None for node in plan.nodes
     )
-    condition = SelectionCondition.eq(1, 2)
-    expression = Selection(Union(PredicateExpression("A"), PredicateExpression("B")), condition)
-    # Codegen off: a fused filter-over-union fragment inlines the
-    # predicate per row and never reaches the chunked batching path.
-    with codegen(False), representation(True, True):
-        before = vectorized_stats()
-        vectorized = evaluate_expression(expression, db, STRICT)
-        after = vectorized_stats()
-    assert after["batches"] > before["batches"]
-    with representation(False, True):
-        assert evaluate_expression(expression, db, STRICT) == vectorized
+    rows = list(flat.instance("PAR"))
+    candidates = [TupleValue(left.components + right.components) for left in rows for right in rows]
+    return condition, lambda: _transient_engine(expression, flat), candidates, len(names) - 1
+
+
+def _transient_filter_over_project(names, flat, nested):
+    from repro.engine.plan import Filter, Project
+
+    condition = SelectionCondition.disjunction(
+        SelectionCondition.eq(1, ConstantOperand(names[5])),
+        SelectionCondition.eq(2, ConstantOperand(names[9])),
+    )
+    expression = Selection(Projection(PAR, (2, 1)), condition)
+    plan = _transient_plan(expression)
+    assert isinstance(plan.root, Filter) and isinstance(plan.root.child, Project)
+    swapped = [TupleValue((row.coordinate(2), row.coordinate(1))) for row in flat.instance("PAR")]
+    return condition, lambda: _transient_engine(expression, flat), swapped, 2
+
+
+def _transient_legacy_selection(names, flat, nested):
+    condition = SelectionCondition.negation(SelectionCondition.eq(2, ConstantOperand(names[7])))
+    expression = Selection(PAR, condition)
+    evaluate = lambda: evaluate_expression_legacy(expression, flat)
+    return condition, evaluate, list(flat.instance("PAR")), len(names) - 1
+
+
+def _transient_nested_selection(names, flat, nested):
+    condition = SelectionCondition.member(2, 3)
+    expression = NestedSelection(NestedPredicate("S"), condition)
+    evaluate = lambda: evaluate_nested(expression, nested)
+    return condition, evaluate, list(nested.instance("S")), 1
+
+
+def _transient_plan(expression):
+    """The strict plan the engine runs for *expression*.  Join ordering is
+    off as well: its statistics profile the stored PAR's columns, which a
+    stored container may encode."""
+    from repro.engine import CompileOptions, compile_expression
+
+    options = CompileOptions(logical_optimize=False, join_ordering=False)
+    return compile_expression(expression, PARENT_SCHEMA, options)
+
+
+def _transient_engine(expression, database):
+    settings = AlgebraEvaluationSettings(
+        engine_logical_optimize=False, engine_join_ordering=False
+    )
+    with codegen(False):
+        return evaluate_expression(expression, database, settings)
+
+
+#: The selections whose rows belong to no stored container, one builder
+#: each: it returns the condition, a thunk evaluating the selection, the
+#: candidate rows and the expected answer size.
+TRANSIENT_SELECTIONS = {
+    "hash-join-residual": _transient_hash_join,
+    "filter-over-project": _transient_filter_over_project,
+    "legacy-selection": _transient_legacy_selection,
+    "nested-selection": _transient_nested_selection,
+}
+
+
+@pytest.mark.parametrize("path", sorted(TRANSIENT_SELECTIONS))
+def test_selections_over_transient_rows_encode_no_values(path):
+    """Only a filter over a scan masks stored id columns.  A hash-join
+    residual, a filter over a projection (both in the interpreting
+    executor), the legacy interpreter's Selection and the nested algebra's
+    NestedSelection check their rows per tuple: over 48 rows of never-seen
+    atoms (past the default columnar threshold) each answer equals the
+    per-tuple ``condition_holds`` one, and the process-wide value
+    dictionary gains no id."""
+    from repro.objects.columnar import VALUE_DICTIONARY, columnar_threshold
+    from repro.objects.instance import DatabaseInstance
+
+    names = [f"transient-{path}-{i}" for i in range(48)]
+    assert len(names) >= columnar_threshold()
+    assert all(VALUE_DICTIONARY.id_of(Atom(name)) is None for name in names)
+    pairs = [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))]
+    flat = DatabaseInstance.build(PARENT_SCHEMA, PAR=pairs)
+    nested = DatabaseInstance.build(
+        NESTED_SCHEMA,
+        R=[],
+        S=[(left, right, frozenset({left, names[0]})) for left, right in pairs],
+    )
+    condition, evaluate, candidates, expected = TRANSIENT_SELECTIONS[path](names, flat, nested)
+
+    size = len(VALUE_DICTIONARY)
+    answer = evaluate().values
+    assert len(VALUE_DICTIONARY) == size
+    assert answer == {row for row in candidates if condition_holds(condition, row)}
+    assert len(answer) == expected
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_nested_selection_agrees_across_modes(seed):
     """The nested algebra's selection shares the canonical condition
-    semantics and the vectorized path."""
+    semantics, so its answer is the same in every mode."""
     rng = random.Random(seed)
     db = random_database(NESTED_SCHEMA, ["a", "b", "v0"], count=10, seed=seed)
     condition = _random_condition(parse_type("[U, U, {U}]"), rng)

@@ -12,9 +12,6 @@ Selectable standalone with ``pytest -m views``.
 
 from __future__ import annotations
 
-import random
-from array import array
-
 import pytest
 
 from repro.errors import ReproError, SchemaError
@@ -38,13 +35,8 @@ from repro.calculus.builders import PARENT_SCHEMA
 from repro.datalog import evaluate_program, transitive_closure_program
 from repro.datalog.builders import non_reachable_program
 from repro.engine.join import IncrementalIndex
-from repro.objects.columnar import (
-    apply_delta,
-    columnar_settings,
-    columnar_stats,
-    subtract_sorted,
-)
-from repro.objects.values import SetValue, clear_intern_tables
+from repro.objects.columnar import VALUE_DICTIONARY, columnar_settings, columnar_threshold
+from repro.objects.values import Atom, SetValue, clear_intern_tables
 from repro.algebra.vectorized import vectorized_filters
 from repro.relational.algebra import project as relational_project
 from repro.types.parser import parse_type
@@ -257,25 +249,59 @@ def test_random_views_track_recompute(seed, mode):
         raise
 
 
-def test_setop_views_use_the_delta_kernels(mode):
-    """In columnar mode the set-op state columns are rolled forward by
-    apply_delta (and the view column too); in object mode they are not."""
-    vectorized_on, columnar_on, _fresh_tables = mode
-    base = random_database(PARENT_SCHEMA, ATOMS, count=10, seed=5)
-    db = Database.from_instance(base)
-    view = db.views.define_algebra(
-        "u", Union(Projection(PAR, (1,)), Projection(PAR, (2,)))
+def _assert_views_encode_no_values(prefix: str) -> None:
+    """Define select, project, join, union, intersection and difference
+    views over a 47-row ``PAR`` of atoms named after *prefix*, commit 20
+    batches of never-seen atoms, and read every view after each commit:
+    the process-wide value dictionary gains no id, and each view equals
+    recompute."""
+    names = [f"{prefix}-{i}" for i in range(48)]
+    pairs = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+    db = Database(PARENT_SCHEMA, {"PAR": pairs})
+    p1, p2 = Projection(PAR, (1,)), Projection(PAR, (2,))
+    definitions = {
+        "select": Selection(PAR, SelectionCondition.eq(1, ConstantOperand(names[3]))),
+        "project": p2,
+        "join": Selection(Product(PAR, PAR), SelectionCondition.eq(2, 3)),
+        "union": Union(p1, p2),
+        "intersection": Intersection(p1, p2),
+        "difference": Difference(p1, p2),
+    }
+    views = {
+        name: db.views.define_algebra(name, expression)
+        for name, expression in definitions.items()
+    }
+    for batch in range(20):
+        fresh = f"{prefix}-new-{batch}"
+        assert VALUE_DICTIONARY.id_of(Atom(fresh)) is None
+        inserts = [(names[3], fresh), (fresh, names[batch]), (fresh, fresh + "-leaf")]
+        size = len(VALUE_DICTIONARY)
+        db.transact({"PAR": (inserts, [pairs[batch]])})
+        served = {name: view.value() for name, view in views.items()}
+        assert len(VALUE_DICTIONARY) == size, batch
+        snapshot = db.snapshot()
+        for name, view in views.items():
+            assert served[name] == evaluate_expression(view.expression, snapshot), (name, batch)
+
+
+def test_view_commits_and_reads_encode_no_values():
+    """Algebra views keep plain member sets, so committing batches of
+    never-seen atoms and reading every view adds no id to the process-wide
+    value dictionary — at the default columnar threshold, with every
+    set-operation side past it — and each view still equals recompute."""
+    assert 48 >= columnar_threshold()
+    _assert_views_encode_no_values("view-dict")
+
+
+def test_view_commits_and_reads_encode_no_values_in_every_mode(mode):
+    """Views read no ablation switch: in every cell of the mode cube —
+    including columnar storage at threshold 1, where every delta and side
+    set is past the dispatch threshold — maintenance and reads encode no
+    value and each view equals recompute."""
+    vectorized_on, columnar_on, fresh_tables = mode
+    _assert_views_encode_no_values(
+        f"view-dict-{vectorized_on:d}{columnar_on:d}{fresh_tables:d}"
     )
-    stream = random_update_stream(
-        PARENT_SCHEMA, ATOMS, batches=3, batch_size=4, seed=9, initial=base
-    )
-    before = columnar_stats()
-    _drive(db, {"u": view}, stream)
-    after = columnar_stats()
-    if columnar_on:
-        assert after["kernel_apply_delta"] > before["kernel_apply_delta"]
-    else:
-        assert after["kernel_apply_delta"] == before["kernel_apply_delta"]
 
 
 # -- relational views -------------------------------------------------------------
@@ -469,8 +495,8 @@ def test_served_view_instances_are_replaced_not_mutated(mode):
     second = view.value()
     assert second is not first
     assert len(second) == 2 and len(first) == 1
-    # In columnar mode the served instance's id column is delta-maintained
-    # and must agree with a cold rebuild.
+    # The served instance builds its own id column on first use; it must
+    # agree with the base instance's.
     assert second.ids() == db.instance("PAR").ids()
 
 
@@ -504,34 +530,7 @@ def test_snapshot_is_exported_through_io():
     assert io.snapshot_database is snapshot_database
 
 
-# -- kernels and index hooks ------------------------------------------------------
-
-def _ids(*values) -> array:
-    return array("I", values)
-
-
-def test_subtract_sorted_removes_runs_and_checks_strictness():
-    assert list(subtract_sorted(_ids(1, 2, 3, 5, 9), _ids(2, 3, 9))) == [1, 5]
-    assert list(subtract_sorted(_ids(1, 2), _ids())) == [1, 2]
-    assert list(subtract_sorted(_ids(), _ids(1))) == []
-    with pytest.raises(ValueError):
-        subtract_sorted(_ids(1, 2), _ids(3), strict=True)
-    with pytest.raises(ValueError):
-        subtract_sorted(_ids(10, 20), _ids(1, 2), strict=True)
-
-
-def test_apply_delta_matches_set_algebra():
-    rng = random.Random(4)
-    for _ in range(50):
-        base = sorted(rng.sample(range(60), rng.randint(0, 20)))
-        removals = sorted(rng.sample(base, min(len(base), rng.randint(0, 5))))
-        additions = sorted(
-            rng.sample([x for x in range(60) if x not in base], rng.randint(0, 5))
-        )
-        expected = sorted((set(base) - set(removals)) | set(additions))
-        got = list(apply_delta(_ids(*base), _ids(*additions), _ids(*removals)))
-        assert got == expected, (base, additions, removals)
-
+# -- index hooks ------------------------------------------------------------------
 
 def test_incremental_index_remove():
     index = IncrementalIndex([(1, "a"), (2, "a"), (3, "b")], key=lambda row: row[1])

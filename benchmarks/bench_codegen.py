@@ -4,10 +4,11 @@ Measures the engine's pipelined plan fragments with codegen **on**
 (maximal Scan→Filter→Project chains and hash-join probe loops fused into
 one compiled Python function per fragment, :mod:`repro.engine.codegen`)
 versus **off** (the historical interpreting executor: one generator per
-operator, chained).  Vectorized filters are pinned **off** in both modes
-so the *only* variable is fusion — the mask kernels are benchmarked
-separately by ``bench_filter.py``, which symmetrically pins codegen off;
-interning and columnar storage stay at their defaults:
+operator, chained).  The columnar dispatch threshold is pinned at
+``sys.maxsize`` in both modes, so no mask runs and the *only* variable is
+fusion — the mask kernels are benchmarked separately by
+``bench_filter.py``, which symmetrically pins codegen off; interning
+stays on:
 
 * **scan→filter→project over 10k rows** — ``π_3(σ_{2='y'}(R))`` on a
   10 000-row flat instance, 50% selectivity, 97 distinct projected
@@ -54,10 +55,10 @@ from repro.algebra import (
     Selection,
     SelectionCondition,
     evaluate_expression,
-    vectorized_filters,
 )
 from repro.algebra.expressions import ConstantOperand, Product, Projection
 from repro.engine import codegen, codegen_stats
+from repro.objects.columnar import columnar_settings
 from repro.objects.instance import DatabaseInstance
 from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
@@ -135,13 +136,13 @@ def join_workload(rows: int = ROW_COUNT, build: int = BUILD_COUNT):
 def measure_pipeline(name: str, expression, database) -> dict:
     """Steady-state engine evaluation of *expression*, fused vs interpreted.
 
-    Vectorized filters are pinned off in both modes (see module docstring);
-    the fused mode asserts via the runtime counters that fragments really
-    ran — a silent wholesale fallback would invalidate the comparison.
+    The masks are pinned off in both modes (see module docstring); the
+    fused mode asserts via the runtime counters that fragments really ran
+    — a silent wholesale fallback would invalidate the comparison.
     """
     seconds = {}
     cardinality = {}
-    with vectorized_filters(False):
+    with columnar_settings(threshold=sys.maxsize):
         for mode, label in ((True, "fused"), (False, "interpreted")):
             with codegen(mode):
                 run = lambda: evaluate_expression(expression, database)

@@ -1,10 +1,11 @@
 """X22 — engineering ablation: columnar id-array set storage.
 
 Measures the bulk-set hot paths with columnar storage **on** (sorted
-dense-id columns + merge kernels, :mod:`repro.objects.columnar`) versus
-**off** (the historical frozenset-of-objects path, restored by
-``set_columnar(False)``), interning enabled in both modes so the *only*
-variable is the representation:
+dense-id columns + merge kernels, :mod:`repro.objects.columnar`, at the
+default dispatch threshold) versus **off** (the frozenset-of-objects path
+every set below the threshold takes, here forced by a threshold of
+``sys.maxsize``), interning enabled in both modes so the *only* variable
+is the representation:
 
 * **bulk union / intersection over 10k-element sets** — steady-state
   ``SetValue.union`` / ``SetValue.intersection`` of two 10 000-element
@@ -42,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import write_bench_report
 from repro.engine.join import build_index, build_index_with_keys, probe, probe_with_keys
-from repro.objects.columnar import VALUE_DICTIONARY, columnar_storage
+from repro.objects.columnar import VALUE_DICTIONARY, columnar_settings, columnar_threshold
 from repro.objects.values import clear_intern_tables, make_set
 
 #: Elements per input set (the ISSUE's 10k-element bulk-set workload).
@@ -88,8 +89,8 @@ def measure_bulk_set_op(operation: str, size: int = SET_SIZE) -> dict:
     """Steady-state bulk *operation* on 50%-overlapping sets, per mode."""
     seconds = {}
     cardinality = {}
-    for mode, label in ((True, "columnar"), (False, "object")):
-        with columnar_storage(mode):
+    for threshold, label in ((columnar_threshold(), "columnar"), (sys.maxsize, "object")):
+        with columnar_settings(threshold=threshold):
             clear_intern_tables()
             left, right = _overlapping_sets(size)
             run = lambda: getattr(left, operation)(right)
@@ -150,9 +151,8 @@ def measure_join_build_probe(size: int = SET_SIZE) -> dict:
 
 @pytest.mark.parametrize("size", [10_000])
 def test_bench_bulk_union_modes(benchmark, representation_mode, size):
-    with columnar_storage(representation_mode == "columnar"):
-        left, right = _overlapping_sets(size)
-        answer = benchmark(lambda: left.union(right))
+    left, right = _overlapping_sets(size)
+    answer = benchmark(lambda: left.union(right))
     assert len(answer) == size + size // 2
 
 

@@ -2,10 +2,11 @@
 
 Measures the selection scan path with vectorized filters **on**
 (column-at-a-time masks over cached per-coordinate id columns,
-:mod:`repro.algebra.vectorized`) versus **off** (the historical per-tuple
-``condition_holds`` loop, restored by ``set_vectorized_filters(False)``),
-interning and columnar storage at their defaults in both modes so the
-*only* variable is how the predicate is evaluated:
+:mod:`repro.algebra.vectorized`, at the default columnar dispatch
+threshold) versus **off** (the per-tuple ``condition_holds`` loop every
+instance below the threshold takes, here forced by a threshold of
+``sys.maxsize``), interning on in both modes so the *only* variable is
+how the predicate is evaluated:
 
 * **equality selection over 10k rows** — ``σ_{2='v0007'}(R)`` through the
   engine (``Filter`` over ``Scan``) on a 10 000-row flat instance with 1%
@@ -49,9 +50,9 @@ from repro.algebra import (
     Selection,
     SelectionCondition,
     evaluate_expression,
-    vectorized_filters,
 )
 from repro.algebra.expressions import ConstantOperand
+from repro.objects.columnar import columnar_settings, columnar_threshold
 from repro.objects.instance import DatabaseInstance
 from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
@@ -131,13 +132,13 @@ def measure_selection(name: str, expression, database) -> dict:
     Fused codegen is pinned off in both modes so the measured variable
     stays the predicate-evaluation mechanism alone — the fused fragments
     inline the same predicates and would otherwise speed up the per-tuple
-    baseline; ``bench_codegen.py`` symmetrically pins vectorized filters
-    off while measuring fusion.
+    baseline; ``bench_codegen.py`` symmetrically keeps the masks off (at
+    threshold ``sys.maxsize``) while measuring fusion.
     """
     seconds = {}
     cardinality = {}
-    for mode, label in ((True, "vectorized"), (False, "per_tuple")):
-        with codegen(False), vectorized_filters(mode):
+    for threshold, label in ((columnar_threshold(), "vectorized"), (sys.maxsize, "per_tuple")):
+        with codegen(False), columnar_settings(threshold=threshold):
             run = lambda: evaluate_expression(expression, database)
             cardinality[label] = len(run())  # warm columns / intern tables
             seconds[label] = _best_of(run)

@@ -9,9 +9,9 @@ cost nearly nothing — one predicate check at each seam, no context
 managers, no allocation.
 
 This benchmark prices that contract on the X25 fused-pipeline chain
-workload (``π_3(σ_{2='y'}(R))`` over 10k rows, codegen on, vectorized
-filters pinned off — the fastest steady-state path, where a fixed
-per-query overhead is proportionally largest):
+workload (``π_3(σ_{2='y'}(R))`` over 10k rows, codegen on, masks pinned
+off by a columnar threshold of ``sys.maxsize`` — the fastest steady-state
+path, where a fixed per-query overhead is proportionally largest):
 
 * **direct** — ``execute_plan`` on a precompiled plan: the guard-free
   baseline an uninstrumented engine would run;
@@ -39,7 +39,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.bench_codegen import ROW_COUNT, _best_of, chain_workload
 from benchmarks.conftest import write_bench_report
-from repro.algebra import vectorized_filters
 from repro.engine import (
     clear_plan_cache,
     codegen,
@@ -47,6 +46,7 @@ from repro.engine import (
     execute_plan,
     run_expression,
 )
+from repro.objects.columnar import columnar_settings
 from repro.observability import (
     clear_query_log,
     clear_traces,
@@ -73,7 +73,7 @@ def measure_chain() -> dict:
     clear_query_log()
     seconds: dict[str, float] = {}
     cardinality: dict[str, int] = {}
-    with vectorized_filters(False), codegen(True):
+    with columnar_settings(threshold=sys.maxsize), codegen(True):
         plan = compile_expression(expression, database.schema)
         direct = lambda: execute_plan(plan, database)
         cardinality["direct"] = len(direct())  # warm fragment cache

@@ -9,6 +9,7 @@ EXPERIMENTS.md (who wins, growth rates, crossovers).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,11 +53,13 @@ def unbounded_settings() -> EvaluationSettings:
 def representation_mode(request) -> str:
     """Parametrize a benchmark over the set-storage representations.
 
-    Yields the mode name with the columnar switch set accordingly, so one
-    benchmark body measures both the id-array kernels and the historical
-    object path (see ``bench_columnar.py``).
+    Yields the mode name with the columnar threshold set accordingly (its
+    default for ``columnar``, ``sys.maxsize`` for ``object``), so one
+    benchmark body measures both the id-array kernels and the object path
+    (see ``bench_columnar.py``).
     """
-    from repro.objects.columnar import columnar_storage
+    from repro.objects.columnar import columnar_settings, columnar_threshold
 
-    with columnar_storage(request.param == "columnar"):
+    columnar = request.param == "columnar"
+    with columnar_settings(threshold=columnar_threshold() if columnar else sys.maxsize):
         yield request.param

@@ -34,9 +34,6 @@ from repro.algebra.evaluation import (
 from repro.algebra.vectorized import (
     CompiledCondition,
     compile_condition,
-    set_vectorized_filters,
-    vectorized_enabled,
-    vectorized_filters,
     vectorized_stats,
 )
 from repro.algebra.classification import alg_classification, expression_types, in_alg
@@ -74,9 +71,6 @@ __all__ = [
     "evaluate_expression_legacy",
     "CompiledCondition",
     "compile_condition",
-    "set_vectorized_filters",
-    "vectorized_enabled",
-    "vectorized_filters",
     "vectorized_stats",
     "alg_classification",
     "expression_types",

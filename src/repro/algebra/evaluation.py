@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ObjectModelError
 from repro.algebra.expressions import (
     AlgebraExpression,
     Collapse,
@@ -239,36 +239,52 @@ def flatten_value(value: ComplexValue, value_type) -> tuple[ComplexValue, ...]:
 def condition_holds(condition: SelectionCondition, value: TupleValue) -> bool:
     """Whether the selection *condition* holds on the tuple *value*.
 
-    Shared with the engine's ``Filter``/``HashJoin`` operators so both
-    evaluation paths agree on condition semantics by construction.
+    Shared with the engine's ``Filter`` operator, the nested algebra and
+    view maintenance so every evaluation path agrees on condition
+    semantics by construction: it is :func:`components_hold` on the
+    tuple's components.
     """
-    if condition.kind == "eq":
-        return _operand_value(condition.operands[0], value) == _operand_value(
-            condition.operands[1], value
+    return components_hold(condition, value.components)
+
+
+def components_hold(condition: SelectionCondition, components: tuple) -> bool:
+    """Whether *condition* holds on the tuple whose components are
+    *components* — the one implementation of the condition semantics.  The
+    engine's hash join checks its residual here on each combined component
+    row, so it builds a ``TupleValue`` only for the pairs that pass.
+    """
+    kind = condition.kind
+    if kind == "eq":
+        return _operand_value(condition.operands[0], components) == _operand_value(
+            condition.operands[1], components
         )
-    if condition.kind == "in":
-        container = _operand_value(condition.operands[1], value)
+    if kind == "in":
+        container = _operand_value(condition.operands[1], components)
         if not isinstance(container, SetValue):
             raise EvaluationError(
                 f"selection membership evaluated against the non-set value {container}"
             )
-        return container.contains(_operand_value(condition.operands[0], value))
-    if condition.kind == "not":
-        return not condition_holds(condition.operands[0], value)
-    if condition.kind == "and":
-        return condition_holds(condition.operands[0], value) and condition_holds(
-            condition.operands[1], value
+        return container.contains(_operand_value(condition.operands[0], components))
+    if kind == "not":
+        return not components_hold(condition.operands[0], components)
+    if kind == "and":
+        return components_hold(condition.operands[0], components) and components_hold(
+            condition.operands[1], components
         )
-    if condition.kind == "or":
-        return condition_holds(condition.operands[0], value) or condition_holds(
-            condition.operands[1], value
+    if kind == "or":
+        return components_hold(condition.operands[0], components) or components_hold(
+            condition.operands[1], components
         )
-    raise EvaluationError(f"unknown selection condition kind {condition.kind!r}")
+    raise EvaluationError(f"unknown selection condition kind {kind!r}")
 
 
-def _operand_value(operand, value: TupleValue) -> ComplexValue:
+def _operand_value(operand, components: tuple) -> ComplexValue:
     if isinstance(operand, ConstantOperand):
         return Atom(operand.value)
     if isinstance(operand, int):
-        return value.coordinate(operand)
+        if not 1 <= operand <= len(components):
+            raise ObjectModelError(
+                f"coordinate {operand} out of range for tuple of arity {len(components)}"
+            )
+        return components[operand - 1]
     raise EvaluationError(f"unknown selection operand {operand!r}")

@@ -45,19 +45,18 @@ interpreter's and the nested algebra's selections, view deltas — are
 checked per tuple, so :data:`~repro.objects.columnar.VALUE_DICTIONARY`
 never labels a transient row.
 
-The ablation switch :func:`set_vectorized_filters` /
-:func:`vectorized_filters` restores the per-tuple path for those
-consumers too, and ``tests/test_vectorized_filter.py`` pins identical
-answers across the full (vectorized × columnar) mode cube.  Containers
-below :func:`~repro.objects.columnar.columnar_threshold` rows also keep
-the per-tuple path — below it, the constant factors of building columns
-win.
+Those consumers mask only a container that clears
+:func:`~repro.objects.columnar.columnar_dispatch`, the size threshold
+that also selects columnar set storage; smaller containers keep the
+per-tuple path, whose constant factors win there.  There is no switch
+beyond the threshold: ``tests/test_vectorized_filter.py`` pins identical
+answers with it at 1 (masks on every stored container) and at
+``sys.maxsize`` (masks off).
 """
 
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from itertools import compress
 
 from repro.errors import EvaluationError, TypingError
@@ -65,7 +64,6 @@ from repro.algebra.expressions import ConstantOperand, SelectionCondition
 from repro.objects.columnar import (
     ID_TYPECODE,
     VALUE_DICTIONARY,
-    columnar_threshold,
     mask_and,
     mask_eq_columns,
     mask_eq_target,
@@ -78,12 +76,11 @@ from repro.types.type_system import TupleType
 
 
 class _VectorizedState:
-    """The process-wide vectorized-filter switch and engagement counters."""
+    """The process-wide vectorized-filter engagement counters."""
 
-    __slots__ = ("enabled", "stats")
+    __slots__ = ("stats",)
 
     def __init__(self) -> None:
-        self.enabled = True
         self.stats = {
             "conditions_compiled": 0,
             "conditions_rejected": 0,
@@ -100,42 +97,15 @@ _VECTORIZED = _VectorizedState()
 
 
 def vectorized_enabled() -> bool:
-    """Whether selection consumers may dispatch to the mask kernels."""
-    return _VECTORIZED.enabled
-
-
-def set_vectorized_filters(enabled: bool) -> bool:
-    """Enable/disable vectorized selection; returns the previous setting.
-
-    Disabling restores the per-tuple ``condition_holds`` loop in the
-    engine's ``Filter`` over a scan and in the flat relational layer's
-    ``select_where``; answers are identical in both modes.
-    """
-    previous = _VECTORIZED.enabled
-    _VECTORIZED.enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def vectorized_filters(enabled: bool = True):
-    """Context-manager form of :func:`set_vectorized_filters`."""
-    previous = set_vectorized_filters(enabled)
-    try:
-        yield
-    finally:
-        set_vectorized_filters(previous)
+    """Always ``True``: vectorized filters have no switch; the columnar size
+    threshold selects them.  Kept only because ``perfbench/program.py``
+    still imports it to check its configuration."""
+    return True
 
 
 def vectorized_stats() -> dict[str, int]:
     """A snapshot of the engagement counters (tests assert deltas)."""
     return dict(_VECTORIZED.stats)
-
-
-def vectorized_dispatch(row_count: int) -> bool:
-    """The dispatch policy every consumer applies before taking the
-    vectorized path: the switch is on and the stored container clears the
-    (shared) columnar size threshold."""
-    return _VECTORIZED.enabled and row_count >= columnar_threshold()
 
 
 class CompiledCondition:

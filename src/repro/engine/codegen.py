@@ -38,7 +38,9 @@ fast paths of the interpreter, hoisted out of the row loop: a filter over
 a scan emits the vectorized mask call over the instance's cached id
 columns (per-row inline predicate below the dispatch threshold), and a
 set operation over two scans emits the columnar id-array kernel with the
-streaming loop as its runtime ``else`` branch.
+streaming loop as its runtime ``else`` branch.  Both branches are always
+emitted and :func:`~repro.objects.columnar.columnar_dispatch` picks one
+per execution, so one compiled fragment serves every threshold.
 
 **Fallback contract.**  Fusion is wholesale per fragment: if *any*
 construct inside a candidate fragment is not inlinable (a condition that
@@ -53,14 +55,11 @@ function of plan *structure* (names, constants and mask programs are
 bound through an ``env`` dict, not embedded), so the source string itself
 is the structural cache key: fragments compile through
 :func:`repro.utils.pysource.compiled`, the process-wide cache the calculus
-and second-order evaluators share, keyed by ``(mode flags, source)`` and
-bounded in entries and source size — structurally identical plans from
-different source expressions hit the same function (``cache_hits``).
-``_PREPARED`` additionally memoizes the emission per concrete plan node so
-repeated executions of a cached plan skip the emitter entirely.  Both keys
-carry the vectorized/columnar mode flags, so toggling an ablation switch
-mid-process can never serve a fused function specialized for the previous
-mode.
+and second-order evaluators share, keyed by the source and bounded in
+entries and source size — structurally identical plans from different
+source expressions hit the same function (``cache_hits``).  ``_PREPARED``
+additionally memoizes the emission per concrete plan node so repeated
+executions of a cached plan skip the emitter entirely.
 """
 
 from __future__ import annotations
@@ -72,11 +71,7 @@ from itertools import compress
 
 from repro.errors import TypingError
 from repro.algebra.expressions import ConstantOperand, SelectionCondition, condition_key
-from repro.algebra.vectorized import (
-    compile_condition,
-    vectorized_dispatch,
-    vectorized_enabled,
-)
+from repro.algebra.vectorized import compile_condition
 from repro.engine.plan import (
     ConstantScan,
     Filter,
@@ -95,7 +90,6 @@ from repro.objects.columnar import (
     VALUE_DICTIONARY,
     _count,
     columnar_dispatch,
-    columnar_enabled,
     difference_ids,
     intersect_ids,
     union_ids,
@@ -166,7 +160,6 @@ class _Unsupported(Exception):
 _HELPERS = {
     "compress": compress,
     "TupleValue": TupleValue,
-    "vdispatch": vectorized_dispatch,
     "cdispatch": columnar_dispatch,
     "decode_all": VALUE_DICTIONARY.decode_all,
     "count_setop": partial(_count, "engine_set_ops"),
@@ -248,10 +241,8 @@ class _Emitter(pysource.Emitter):
     variables per invocation (they do, via :meth:`fresh`).
     """
 
-    def __init__(self, vectorized_on: bool, columnar_on: bool) -> None:
+    def __init__(self) -> None:
         super().__init__("_fragment(env)", indent=1, blocks=0)
-        self.vectorized_on = vectorized_on
-        self.columnar_on = columnar_on
         self.bindings: list[tuple[str, str, object]] = []
         self._binding_slots: dict[object, str] = {}
         self.helpers_used: set[str] = set()
@@ -358,7 +349,7 @@ class _Emitter(pysource.Emitter):
         child = node.child
         compiled = (
             compile_condition(node.condition, node.output_type)
-            if self.vectorized_on and isinstance(child, Scan)
+            if isinstance(child, Scan)
             else None
         )
         if compiled is not None:
@@ -371,7 +362,7 @@ class _Emitter(pysource.Emitter):
             mask_slot = self.bind("mask", compiled)
             count = self.fresh("_n")
             self.line(f"{count} = len({instance})")
-            with self.block(f"if {self.helper('vdispatch')}({count}):"):
+            with self.block(f"if {self.helper('cdispatch')}({count}):"):
                 columns = ", ".join(
                     f"{c}: {instance}.coordinate_ids({c})" for c in compiled.coordinates
                 )
@@ -558,7 +549,7 @@ class _Emitter(pysource.Emitter):
         if kernel is None:
             raise _Unsupported
         left, right = node.left, node.right
-        if self.columnar_on and isinstance(left, Scan) and isinstance(right, Scan):
+        if isinstance(left, Scan) and isinstance(right, Scan):
             # Columnar fast path over two stored instances: the id-array
             # kernel plus a decode loop, with the streaming pipeline as
             # the runtime branch for sub-threshold inputs.
@@ -714,36 +705,31 @@ def _assemble(emitter: _Emitter) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Per-plan-node emission memo: ``(id(node), mode flags) -> (node, fragment)``.
+#: Per-plan-node emission memo: ``id(node) -> (node, fragment)``.
 #: The node is pinned in the entry so the id stays valid for the cache's
 #: lifetime (plan nodes use __slots__ without __weakref__).
-_PREPARED: dict[tuple, tuple[PlanNode, "_Fragment | None"]] = {}
+_PREPARED: dict[int, tuple[PlanNode, "_Fragment | None"]] = {}
 _PREPARED_LIMIT = 4096
 
 
-def _mode_flags() -> tuple[bool, bool]:
-    return (vectorized_enabled(), columnar_enabled())
-
-
 def _prepare(node: PlanNode, count: bool = True):
-    flags = _mode_flags()
-    key = (id(node), flags)
+    key = id(node)
     entry = _PREPARED.get(key)
     if entry is not None and entry[0] is node:
         return entry[1]
-    fragment = _emit_fragment(node, flags, count)
+    fragment = _emit_fragment(node, count)
     pysource.remember(_PREPARED, key, (node, fragment), _PREPARED_LIMIT)
     return fragment
 
 
-def _emit_fragment(node: PlanNode, flags: tuple[bool, bool], count: bool):
-    emitter = _Emitter(*flags)
+def _emit_fragment(node: PlanNode, count: bool):
+    emitter = _Emitter()
     try:
         emitter.build(node)
     except _Unsupported:
         return None
     source = _assemble(emitter)
-    function, fresh = pysource.compiled(f"fused {flags}", source, "_fragment")
+    function, fresh = pysource.compiled("fused", source, "_fragment")
     if count:
         _CODEGEN.stats["fragments_compiled" if fresh else "cache_hits"] += 1
     return _Fragment(
@@ -795,9 +781,8 @@ def fused_rows(node: PlanNode, executor) -> "list | None":
 
 
 def fragment_for(node: PlanNode) -> "_Fragment | None":
-    """The prepared fragment for *node* under the current mode flags, or
-    ``None`` (trivial or unsupported).  Counter-neutral — for tests and
-    :func:`analyze_plan`."""
+    """The prepared fragment for *node*, or ``None`` (trivial or
+    unsupported).  Counter-neutral — for tests and :func:`analyze_plan`."""
     return _prepare(node, count=False)
 
 
@@ -861,7 +846,7 @@ def compiled_predicate(condition: SelectionCondition, tuple_type):
     if cached is not None:
         _CODEGEN.stats["predicate_cache_hits"] += 1
         return cached
-    emitter = _Emitter(False, False)
+    emitter = _Emitter()
     try:
         expression = emitter.predicate(condition, tuple_type)
     except _Unsupported:

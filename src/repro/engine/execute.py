@@ -21,20 +21,14 @@ from collections.abc import Iterator
 from itertools import combinations, compress
 
 from repro.errors import EvaluationError
-from repro.algebra.evaluation import condition_holds, flatten_value
-from repro.algebra.vectorized import (
-    compile_condition,
-    vectorized_dispatch,
-    vectorized_enabled,
-)
+from repro.algebra.evaluation import components_hold, condition_holds, flatten_value
+from repro.algebra.vectorized import compile_condition
 from repro.engine.codegen import codegen_enabled, fragment_for, fused_rows
-from repro.engine.join import build_index_with_keys, hash_join, probe
+from repro.engine.join import build_index, hash_join
 from repro.objects.columnar import (
     VALUE_DICTIONARY,
-    ValueDictionary,
     _count,
     columnar_dispatch,
-    columnar_enabled,
     difference_ids,
     intersect_ids,
     union_ids,
@@ -77,25 +71,18 @@ _SET_OP_KERNELS = {
 }
 
 
-def _components_key(keys: tuple[int, ...], encode=None):
+def _components_key(keys: tuple[int, ...]):
     """Build/probe key extractor over a flattened component tuple.
 
     A single join coordinate keys on the component value itself (its hash
     is cached by the value runtime) instead of allocating a 1-tuple per
-    row; composite keys fall back to a key tuple.  With *encode* (the
-    columnar value dictionary's encoder), both sides key on the
-    coordinate's dense id instead — equal values map to equal ids, so the
-    join result is unchanged while the index buckets on small integers.
+    row; composite keys fall back to a key tuple.
     """
     if len(keys) == 1:
         index = keys[0] - 1
-        if encode is None:
-            return lambda comps: comps[index]
-        return lambda comps: encode(comps[index])
+        return lambda comps: comps[index]
     indices = tuple(k - 1 for k in keys)
-    if encode is None:
-        return lambda comps: tuple(comps[i] for i in indices)
-    return lambda comps: tuple(encode(comps[i]) for i in indices)
+    return lambda comps: tuple(comps[i] for i in indices)
 
 
 def _is_permutation(node: Project) -> bool:
@@ -227,15 +214,15 @@ class _Executor:
     def _filter(self, node: Filter) -> Iterator[ComplexValue]:
         condition = node.condition
         child = node.child
-        if isinstance(child, Scan) and vectorized_enabled():
+        if isinstance(child, Scan):
             # Scan fast path: mask the stored instance's cached
             # per-coordinate id columns — no decode of rejected rows (the
             # stored values stream through compress).  Any other child's
             # rows are transient, so they take the per-tuple check below.
-            compiled = compile_condition(condition, node.output_type)
-            if compiled is not None:
-                instance = self.database.instance(child.predicate_name)
-                if vectorized_dispatch(len(instance)):
+            instance = self.database.instance(child.predicate_name)
+            if columnar_dispatch(len(instance)):
+                compiled = compile_condition(condition, node.output_type)
+                if compiled is not None:
                     columns = {
                         coordinate: instance.coordinate_ids(coordinate)
                         for coordinate in compiled.coordinates
@@ -269,33 +256,19 @@ class _Executor:
         right_rows = (
             flatten_value(value, node.right_type) for value in self.rows(node.right)
         )
-        if columnar_enabled():
-            # Columnar keying: a *transient* per-join dictionary encodes the
-            # join coordinates into dense ids — equal values share an id for
-            # exactly this join's lifetime, so nothing is pinned in the
-            # process-wide tables.  The blocking build side materializes its
-            # key column and feeds build_index_with_keys; the probe side
-            # stays pipelined, encoding per row (probe-only values get fresh
-            # ids that match no bucket, which is exactly right).
-            dictionary = ValueDictionary()
-            right_key = _components_key(node.right_keys, dictionary.encode)
-            build_rows = list(right_rows)
-            index = build_index_with_keys(build_rows, map(right_key, build_rows))
-            pairs = probe(
-                left_rows, index, key=_components_key(node.left_keys, dictionary.encode)
-            )
-        else:
-            pairs = hash_join(
-                left_rows,
-                right_rows,
-                left_key=_components_key(node.left_keys),
-                right_key=_components_key(node.right_keys),
-            )
+        pairs = hash_join(
+            left_rows,
+            right_rows,
+            left_key=_components_key(node.left_keys),
+            right_key=_components_key(node.right_keys),
+        )
         residual = node.residual
         for left_components, right_components in pairs:
-            combined = TupleValue(left_components + right_components)
-            if residual is None or condition_holds(residual, combined):
-                yield combined
+            # The residual reads the combined component row, so a value is
+            # built only for the pairs that pass.
+            components = left_components + right_components
+            if residual is None or components_hold(residual, components):
+                yield TupleValue(components)
 
     def _multiway(self, node: MultiwayHashJoin) -> Iterator[ComplexValue]:
         """One hash index per build input; each probe row walks the stages.
@@ -304,11 +277,8 @@ class _Executor:
         matching stage and a stage without a match drops the row before
         later indexes are even consulted — the early-out that makes probing
         the most selective build first pay off.  Keying mirrors
-        :meth:`_hash_join`: one transient dictionary encodes every stage's
-        keys when columnar mode is on.
+        :meth:`_hash_join`.
         """
-        dictionary = ValueDictionary() if columnar_enabled() else None
-        encode = dictionary.encode if dictionary is not None else None
         stages = []
         for build, build_type, build_keys, probe_keys in zip(
             node.builds, node.build_types, node.build_keys, node.probe_keys
@@ -316,9 +286,8 @@ class _Executor:
             build_rows = [
                 flatten_value(value, build_type) for value in self.rows(build)
             ]
-            build_key = _components_key(build_keys, encode)
-            index = build_index_with_keys(build_rows, map(build_key, build_rows))
-            stages.append((index, _components_key(probe_keys, encode)))
+            index = build_index(build_rows, _components_key(build_keys))
+            stages.append((index, _components_key(probe_keys)))
         last = len(stages) - 1
 
         def expand(row: tuple, stage: int) -> Iterator[ComplexValue]:
@@ -353,13 +322,11 @@ class _Executor:
 
     def _columnar_set_op(self, node: SetOp) -> Iterator[ComplexValue] | None:
         """Run the set operation on stored id columns when both inputs are
-        predicate scans, columnar storage is on, and the instances clear
-        the size threshold; ``None`` falls back to the streaming path.
-        Scans are side-effect free, so skipping the generator machinery
-        cannot reorder any observable effect (budget errors and the like).
+        predicate scans and the instances clear the size threshold; ``None``
+        falls back to the streaming path.  Scans are side-effect free, so
+        skipping the generator machinery cannot reorder any observable
+        effect (budget errors and the like).
         """
-        if not columnar_enabled():
-            return None
         instances = []
         for child in (node.left, node.right):
             if not isinstance(child, Scan):

@@ -111,12 +111,12 @@ def explain_plan(
 ) -> str:
     """Render *plan* as an indented operator tree with DAG back-references.
 
-    With *verbose*, each node carries its fusion status under the current
-    mode flags — ``fused-root`` (with the fragment's structural cache
-    key), ``fused``, ``fallback``, ``trivial`` or ``codegen-off`` — the
-    exact dispatch the executor will take, so the annotations line up with
-    the ``codegen_stats()`` counters of a subsequent execution; nodes the
-    cost model priced additionally show ``⟨est≈N⟩``.  Passing *database*
+    With *verbose*, each node carries its fusion status — ``fused-root``
+    (with the fragment's structural cache key), ``fused``, ``fallback``,
+    ``trivial`` or ``codegen-off`` — the exact dispatch the executor will
+    take, so the annotations line up with the ``codegen_stats()`` counters
+    of a subsequent execution; nodes the cost model priced additionally
+    show ``⟨est≈N⟩``.  Passing *database*
     (implies cardinality display) runs the plan once and appends the
     actual per-node counts: ``⟨est≈N act=M⟩``.  See ``docs/explain.md``
     for a full reference of the output format.

@@ -40,10 +40,10 @@ def build_index_with_keys(
 ) -> dict[Hashable, list[object]]:
     """Build side over a precomputed key column.
 
-    Columnar callers (see :mod:`repro.objects.columnar`) dictionary-encode
-    the join coordinate into a dense-id column first and hand it in here,
-    so the build loop buckets on small integers instead of re-deriving and
-    re-hashing a key per row.
+    A caller holding a dictionary-encoded key column (see
+    :mod:`repro.objects.columnar`) hands it in here, so the build loop
+    buckets on small integers instead of re-deriving and re-hashing a key
+    per row.
     """
     index: dict[Hashable, list[object]] = {}
     for key, row in zip(keys, rows):

@@ -17,8 +17,8 @@ Flat instances (type ``U`` or ``[U, ..., U]``) additionally support a
 is written as per-coordinate dictionary-encoded columns — a sorted
 dictionary of distinct atom payloads plus an index column per coordinate,
 mirroring the in-memory columnar set storage of
-:mod:`repro.objects.columnar`.  Writers pick it automatically for large
-flat instances while columnar storage is enabled (or on request via
+:mod:`repro.objects.columnar`.  Writers pick it automatically for flat
+instances that clear the columnar size threshold (or on request via
 ``instance_to_data(..., columnar=True)``); readers accept both formats
 interchangeably, and the two round-trip to equal instances.
 """
@@ -227,9 +227,9 @@ def instance_to_data(instance: Instance, columnar: bool | None = None) -> dict:
     """Serialise an instance (type plus its objects, in deterministic order).
 
     *columnar* selects the dictionary-encoded column format for flat
-    instances; the default (``None``) picks it automatically when columnar
-    storage is enabled and the instance clears the size threshold.  Nested
-    types always use the tree format.
+    instances; the default (``None``) picks it automatically when the
+    instance clears the columnar size threshold.  Nested types always use
+    the tree format.
     """
     shape = _flat_shape(instance.type)
     if columnar is None:

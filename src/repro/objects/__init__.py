@@ -25,12 +25,9 @@ from repro.objects.columnar import (
     ROW_DICTIONARY,
     VALUE_DICTIONARY,
     columnar_dispatch,
-    columnar_enabled,
     columnar_settings,
     columnar_stats,
-    columnar_storage,
     columnar_threshold,
-    set_columnar,
     set_columnar_threshold,
 )
 from repro.objects.domain import belongs_to, check_belongs
@@ -56,12 +53,9 @@ __all__ = [
     "ROW_DICTIONARY",
     "VALUE_DICTIONARY",
     "columnar_dispatch",
-    "columnar_enabled",
     "columnar_settings",
     "columnar_stats",
-    "columnar_storage",
     "columnar_threshold",
-    "set_columnar",
     "set_columnar_threshold",
     "make_set",
     "make_tuple",

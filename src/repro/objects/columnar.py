@@ -40,15 +40,17 @@ with array slicing (C ``memcpy``).  Dictionary ids are assigned in
 construction order, so real workloads produce long runs and the merges
 degenerate to a handful of binary searches plus block copies.
 
-The representation is an optimisation, not a semantic change, and mirrors
-the value runtime's ablation design: :func:`set_columnar` /
-:func:`columnar_storage` switch the consumers (set/relation bulk
-operations, the engine's set operators and hash-join keys, the ``io``
-columnar format) back to the historical object path, and
-``tests/test_columnar.py`` pins equality of answers with columnar storage
-on and off.  Columns are only built for
-containers of at least :func:`columnar_threshold` elements — below that
-the object path's constant factors win.
+The representation is an optimisation, not a semantic change, and one
+size threshold alone selects it: every consumer (set/relation bulk
+operations, the engine's set operators over scans, the masked selections
+over stored columns of :mod:`repro.algebra.vectorized`, the ``io``
+columnar format) asks :func:`columnar_dispatch`, which takes the columns
+only for inputs of at least :func:`columnar_threshold` elements — below
+that the object path's constant factors win, so the object path is the
+runtime fallback every small container takes.  Tests reach either path
+through the threshold: 1 forces the kernels on for tiny inputs and
+``sys.maxsize`` turns them off, and ``tests/test_columnar.py`` pins equal
+answers at both.
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ ID_TYPECODE = "I"
 
 
 class _ColumnarState:
-    """The process-wide columnar switch, threshold and kernel counters."""
+    """The process-wide columnar size threshold and kernel counters."""
 
-    __slots__ = ("enabled", "threshold", "stats")
+    __slots__ = ("threshold", "stats")
 
     def __init__(self) -> None:
-        self.enabled = True
         self.threshold = 32
         self.stats = {
             "kernel_union": 0,
@@ -89,32 +90,10 @@ _COLUMNAR = _ColumnarState()
 
 
 def columnar_enabled() -> bool:
-    """Whether consumers may dispatch to the columnar id-array kernels."""
-    return _COLUMNAR.enabled
-
-
-def set_columnar(enabled: bool) -> bool:
-    """Enable/disable columnar dispatch; returns the previous setting.
-
-    Disabling restores the historical object path everywhere (bulk set
-    operations on frozensets, per-value hash-join keys, tree-shaped
-    serialisation).  Columns already built stay attached to their owners
-    and become plain dead weight until re-enabled; answers are identical
-    in both modes.
-    """
-    previous = _COLUMNAR.enabled
-    _COLUMNAR.enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def columnar_storage(enabled: bool = True):
-    """Context-manager form of :func:`set_columnar`."""
-    previous = set_columnar(enabled)
-    try:
-        yield
-    finally:
-        set_columnar(previous)
+    """Always ``True``: columnar storage has no switch, the size threshold
+    selects it.  Kept only because ``perfbench/program.py`` still imports
+    it to check its configuration."""
+    return True
 
 
 def columnar_threshold() -> int:
@@ -131,25 +110,20 @@ def set_columnar_threshold(threshold: int) -> int:
 
 
 @contextmanager
-def columnar_settings(enabled: bool | None = None, threshold: int | None = None):
-    """Temporarily override the switch and/or threshold together."""
-    previous_enabled = set_columnar(enabled) if enabled is not None else None
-    previous_threshold = (
-        set_columnar_threshold(threshold) if threshold is not None else None
-    )
+def columnar_settings(threshold: int):
+    """Temporarily override the dispatch threshold (1 forces the kernels
+    on for tiny inputs, ``sys.maxsize`` turns them off)."""
+    previous = set_columnar_threshold(threshold)
     try:
         yield
     finally:
-        if previous_enabled is not None:
-            set_columnar(previous_enabled)
-        if previous_threshold is not None:
-            set_columnar_threshold(previous_threshold)
+        set_columnar_threshold(previous)
 
 
 def columnar_dispatch(total_size: int) -> bool:
-    """The one dispatch policy every consumer applies: columnar storage is
-    enabled and the combined operand size clears the threshold."""
-    return _COLUMNAR.enabled and total_size >= _COLUMNAR.threshold
+    """The one dispatch policy every consumer applies: the combined
+    operand size clears the threshold."""
+    return total_size >= _COLUMNAR.threshold
 
 
 def columnar_stats() -> dict[str, int]:

@@ -38,9 +38,9 @@ call, and a column-backed set (produced by the bulk kernels via
 :meth:`SetValue._from_ids`) decodes its elements only when a consumer
 actually asks for them.  The bulk operations :meth:`SetValue.union`,
 :meth:`SetValue.intersection` and :meth:`SetValue.difference` dispatch to
-the O(n) merge kernels when columnar storage is enabled and the operands
-clear the size threshold; ``set_columnar(False)`` ablates the whole path,
-and equality/hashing/ordering are identical either way.
+the O(n) merge kernels when the operands clear the size threshold
+(:func:`~repro.objects.columnar.columnar_dispatch`), and
+equality/hashing/ordering are identical either way.
 """
 
 from __future__ import annotations
@@ -443,10 +443,10 @@ class SetValue(ComplexValue):
 
     def ids(self):
         """This set's sorted duplicate-free id column, built and cached on
-        first use (the consumers gate on :func:`columnar_enabled` and the
-        size threshold; the column itself is mode-independent).  Elements
-        encode in their structural order, so sorted blocks shared between
-        sets become contiguous id runs the kernels move with block copies.
+        first use (the consumers gate on the size threshold; the column
+        itself does not depend on it).  Elements encode in their structural
+        order, so sorted blocks shared between sets become contiguous id
+        runs the kernels move with block copies.
         """
         try:
             return self._ids
@@ -464,8 +464,8 @@ class SetValue(ComplexValue):
 
     # -- bulk set operations --------------------------------------------------
     def union(self, other: "SetValue") -> "SetValue":
-        """Set union, via the sorted-id-array merge kernel when columnar
-        storage is enabled and the operands clear the size threshold."""
+        """Set union, via the sorted-id-array merge kernel when the
+        operands clear the size threshold."""
         other = _require_set_operand(other, "union")
         if self is other:
             return self

@@ -16,9 +16,9 @@ Three pieces, one switch:
   sub-plan-mining pass consumes, plus a slow-query threshold.
 
 Everything is gated by :func:`set_tracing` / :func:`tracing` /
-``REPRO_TRACE`` — the fifth ablation switch and the **eighth counter
+``REPRO_TRACE`` — the third ablation switch and the **eighth counter
 family**, counted by :func:`observability_stats` and aggregated by
-:func:`repro.objects.stats.runtime_stats`.  Unlike the other four switches
+:func:`repro.objects.stats.runtime_stats`.  Unlike the other two switches
 this one defaults **off**; its differential contract is that tracing on
 changes no answer (the ``REPRO_TRACE=1`` CI cell) and tracing off costs
 nearly nothing (``benchmarks/bench_observability.py``).

@@ -24,7 +24,7 @@ explicit handoff and get it:
   executor (:class:`repro.engine.execute._Executor`) carries the active
   span itself and parents child node spans explicitly.
 
-This module is the **eighth counter family** and the fifth ablation switch
+This module is the **eighth counter family** and the third ablation switch
 (:func:`set_tracing` / :func:`tracing` / ``REPRO_TRACE``, counters via
 :func:`observability_stats`, aggregated by
 :func:`repro.objects.stats.runtime_stats`).  The off path is near-free by
@@ -100,8 +100,8 @@ def set_tracing(enabled: bool) -> bool:
 
 @contextmanager
 def tracing(enabled: bool = True):
-    """Context-manager form of :func:`set_tracing` (mirrors ``codegen(...)``,
-    ``columnar_storage(...)``, ``vectorized_filters(...)``)."""
+    """Context-manager form of :func:`set_tracing` (mirrors ``codegen(...)``
+    and ``join_ordering(...)``)."""
     previous = set_tracing(enabled)
     try:
         yield

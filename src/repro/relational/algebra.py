@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 def _columnar_operands(left: Relation, right: Relation):
     """The two row-id columns when the columnar kernels should run, else
-    ``None`` (columnar disabled, or the inputs are below the threshold)."""
+    ``None`` (the inputs are below the threshold)."""
     if not columnar_dispatch(len(left) + len(right)):
         return None
     return left.ids(), right.ids()
@@ -91,13 +91,13 @@ def select_where(relation: Relation, condition: "SelectionCondition") -> Relatio
     condition semantics for every layer.
     """
     from repro.algebra.evaluation import condition_holds
-    from repro.algebra.vectorized import compile_condition, vectorized_dispatch
+    from repro.algebra.vectorized import compile_condition
     from repro.objects.values import Atom, TupleValue
     from repro.types.type_system import TupleType, U
 
     row_type = TupleType([U] * relation.arity)
     condition.validate(row_type)
-    if vectorized_dispatch(len(relation)):
+    if columnar_dispatch(len(relation)):
         compiled = compile_condition(condition, row_type)
         if compiled is not None:
             rows = tuple(relation)

@@ -52,11 +52,12 @@ fake a pass.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 from operator import itemgetter
 
 from repro.errors import EvaluationError
-from repro.algebra.evaluation import condition_holds, flatten_value
+from repro.algebra.evaluation import components_hold, condition_holds, flatten_value
 from repro.algebra.expressions import AlgebraExpression
 from repro.engine.codegen import compiled_predicate
 from repro.engine.compile import CompileOptions, compile_expression
@@ -436,22 +437,19 @@ class _Maintainer:
         # term probes exactly the relation version the formula names.
         contributions: dict[object, int] = {}
         residual = node.residual
-        residual_predicate = (
-            compiled_predicate(residual, node.output_type) if residual is not None else None
-        )
+        residual_holds = None
+        if residual is not None:
+            residual_holds = compiled_predicate(
+                residual, node.output_type
+            ) or partial(components_hold, residual)
 
         def contribute(left_row, right_row, sign: int) -> None:
             row = left_row + right_row
-            if residual_predicate is not None:
-                # Compiled residual over the raw component row: the output
-                # TupleValue is built only for surviving pairs.
-                if not residual_predicate(row):
-                    return
-                combined = TupleValue(row)
-            else:
-                combined = TupleValue(row)
-                if residual is not None and not condition_holds(residual, combined):
-                    return
+            # The residual reads the raw component row: the output
+            # TupleValue is built only for surviving pairs.
+            if residual_holds is not None and not residual_holds(row):
+                return
+            combined = TupleValue(row)
             contributions[combined] = contributions.get(combined, 0) + sign
 
         for rows, sign in ((added_left, 1), (removed_left, -1)):

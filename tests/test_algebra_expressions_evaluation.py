@@ -169,3 +169,27 @@ class TestEvaluation:
             Selection(Product(PAR, PAR), SelectionCondition.eq(2, 3)), [1, 4]
         )
         assert {str(v) for v in evaluate_expression(grand, parent_db)} == {"[tom, sue]"}
+
+    def test_condition_semantics_errors_on_values_and_components(self):
+        # condition_holds is components_hold on the tuple's components: both
+        # raise ObjectModelError for a coordinate outside the tuple (0 too,
+        # which must not wrap to the last component) and EvaluationError for
+        # membership in a non-set.
+        from repro.algebra.evaluation import components_hold, condition_holds
+        from repro.errors import ObjectModelError
+
+        row = make_tuple("a", "b")
+        for coordinate in (0, 3):
+            condition = SelectionCondition.eq(coordinate, ConstantOperand("b"))
+            with pytest.raises(ObjectModelError):
+                condition_holds(condition, row)
+            with pytest.raises(ObjectModelError):
+                components_hold(condition, row.components)
+        not_a_set = SelectionCondition.member(1, 2)
+        with pytest.raises(EvaluationError):
+            condition_holds(not_a_set, row)
+        with pytest.raises(EvaluationError):
+            components_hold(not_a_set, row.components)
+        member = SelectionCondition.member(1, 2)
+        assert condition_holds(member, make_tuple("a", frozenset({"a"})))
+        assert components_hold(SelectionCondition.eq(2, ConstantOperand("b")), row.components)

@@ -1,23 +1,25 @@
 """Differential suite for fused pipeline code generation.
 
 The oracle pattern of ``test_vectorized_filter.py`` extended one axis
-further: random pipeline queries are evaluated under the full **codegen ×
-vectorized × columnar** mode cube, and all eight cells must produce
-identical answers — matching the legacy tree-walking oracle —
-with engagement counters asserting that fused fragments genuinely ran in
-the codegen-on cells (a silent fallback to the interpreting generators
-cannot fake a pass).  On top of the sweep: fragment-cache correctness
-(structurally identical plans from different source expressions share one
-compiled function; ablation toggling never serves a stale specialization),
-explain's verbose fusion annotations against the runtime counters, the
-emitted-source shape, and the views maintainer's reuse of the compiled
-predicate cache on delta batches.
+further: random pipeline queries are evaluated with codegen on and off,
+each with the columnar dispatch threshold at 1 (masks and id-array
+kernels on every stored container) and at ``sys.maxsize`` (none), and all
+four cells must produce identical answers — matching the legacy
+tree-walking oracle — with engagement counters asserting that fused
+fragments genuinely ran in the codegen-on cells (a silent fallback to the
+interpreting generators cannot fake a pass).  On top of the sweep:
+fragment-cache correctness (structurally identical plans from different
+source expressions share one compiled function), explain's verbose fusion
+annotations against the runtime counters, the emitted-source shape, and
+the views maintainer's reuse of the compiled predicate cache on delta
+batches.
 
 Selectable standalone with ``pytest -m codegen``.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from itertools import product
 
@@ -37,7 +39,6 @@ from repro.algebra.expressions import (
     SelectionCondition,
     Union,
 )
-from repro.algebra.vectorized import vectorized_filters
 from repro.engine import (
     CompileOptions,
     analyze_plan,
@@ -77,18 +78,18 @@ ATOMS = ["a", "b", "v0", "v1", "v2"]
 STRICT = AlgebraEvaluationSettings(engine_logical_optimize=False)
 DEFAULT = AlgebraEvaluationSettings()
 
-#: The full codegen × vectorized × columnar mode cube.
-MODE_CUBE = list(product((True, False), repeat=3))
+#: The codegen × columnar-threshold mode cube: threshold 1 makes the
+#: mask/kernel fast paths genuinely engage on tiny instances,
+#: ``sys.maxsize`` keeps every container on the per-tuple and object paths.
+MODE_CUBE = list(product((True, False), (1, sys.maxsize)))
 
 
 @contextmanager
-def representation(codegen_on, vectorized_on, columnar_on):
-    """One cell of the mode cube, with the shared dispatch threshold at 1
-    so the mask/kernel fast paths genuinely engage on tiny instances."""
+def representation(codegen_on, threshold):
+    """One cell of the mode cube."""
     with codegen(codegen_on):
-        with vectorized_filters(vectorized_on):
-            with columnar_settings(enabled=columnar_on, threshold=1):
-                yield
+        with columnar_settings(threshold=threshold):
+            yield
 
 
 def _database():
@@ -187,31 +188,6 @@ def test_structurally_identical_plans_share_one_compiled_fragment():
     assert after["fragments_fused"] - before["fragments_fused"] >= 1
 
 
-def test_toggling_ablation_switches_never_serves_stale_fragments():
-    """Fragment caches are keyed by the vectorized/columnar mode flags:
-    flipping a switch mid-process re-emits a fragment specialized for the
-    new mode instead of serving the old function."""
-    expression = Selection(PredicateExpression("T"), SelectionCondition.eq(1, 2))
-    database = _database()
-    plan = compile_expression(expression, database.schema, CompileOptions())
-    with codegen(True), columnar_settings(enabled=True, threshold=1):
-        with vectorized_filters(True):
-            masked = fragment_for(plan.root)
-            answer_masked = set(execute_plan(plan, database))
-        with vectorized_filters(False):
-            per_row = fragment_for(plan.root)
-            answer_per_row = set(execute_plan(plan, database))
-    assert "_vdispatch" in masked.source and "coordinate_ids" in masked.source
-    assert "_vdispatch" not in per_row.source
-    assert masked.function is not per_row.function
-    assert answer_masked == answer_per_row
-    with codegen(False):
-        before = codegen_stats()
-        interpreted = set(execute_plan(plan, database))
-        assert codegen_stats() == before  # switch off: no codegen dispatch at all
-    assert interpreted == answer_masked
-
-
 # -- explain annotations ---------------------------------------------------------
 
 def test_explain_verbose_annotations_match_fallback_counters():
@@ -272,7 +248,7 @@ def test_emitted_source_for_a_scan_filter_project_chain():
     )
     database = _database()
     plan = compile_expression(expression, database.schema, CompileOptions())
-    with codegen(True), vectorized_filters(True), columnar_settings(enabled=True, threshold=1):
+    with codegen(True), columnar_settings(threshold=1):
         fragment = fragment_for(plan.root)
         rows = execute_plan(plan, database)
     source = fragment.source
@@ -280,7 +256,7 @@ def test_emitted_source_for_a_scan_filter_project_chain():
     # Mask building happens once, outside the row loop, over the scan's
     # cached id columns.
     assert ".coordinate_ids(" in source
-    assert "_vdispatch" in source
+    assert "_cdispatch" in source
     # Survivor-only TupleValue construction: every construction site sits
     # after (deeper than) its dedup membership test.
     assert "_TupleValue" in source

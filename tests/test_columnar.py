@@ -1,19 +1,20 @@
 """Property-based differential suite for the columnar set storage.
 
 The oracle pattern of ``test_engine_equivalence.py`` extended to the
-representation axis: every random workload is evaluated with columnar
-storage on and off, and both must produce identical answers — across the
-algebra oracle, the engine, the flat relational algebra and the Datalog
-evaluators.  The sweeps force the dispatch threshold down to 1 so the
-id-array kernels genuinely engage on the small random instances (asserted
-via the kernel counters, so a silent fallback to the object path cannot
-fake a pass).
+representation axis: every random workload is evaluated with the columnar
+dispatch threshold at 1 (the id-array kernels genuinely engage on the small
+random instances, asserted via the kernel counters, so a silent fallback to
+the object path cannot fake a pass) and at ``sys.maxsize`` (the object path
+everywhere), and both must produce identical answers — across the algebra
+oracle, the engine, the flat relational algebra and the Datalog
+evaluators.
 
 Selectable standalone with ``pytest -m columnar``.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -26,11 +27,7 @@ from repro.algebra.evaluation import (
 )
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.datalog.evaluation import evaluate_program, evaluate_program_naive
-from repro.objects.columnar import (
-    columnar_settings,
-    columnar_stats,
-    columnar_storage,
-)
+from repro.objects.columnar import columnar_settings, columnar_stats
 from repro.objects.values import Atom, clear_intern_tables, make_set
 from repro.relational import algebra
 from repro.relational.relation import Relation
@@ -57,10 +54,11 @@ TWIN_SCHEMA = DatabaseSchema([("R", parse_type("[U, U]")), ("S", parse_type("[U,
 
 ATOMS = ["a", "b", "v0", "v1", "v2"]
 
-#: The cells every parametrized sweep runs: ``(columnar_on, fresh_tables)``.
-#: An ``ablation`` cell clears the intern tables first, so the values it
-#: builds are equal to, but not the same instances as, the ones the
-#: process-wide caches kept from earlier cells.
+#: The cells every parametrized sweep runs: ``(columnar_on, fresh_tables)``;
+#: a ``columnar`` cell sets the dispatch threshold to 1, an ``object`` cell
+#: to ``sys.maxsize``.  An ``ablation`` cell clears the intern tables first,
+#: so the values it builds are equal to, but not the same instances as, the
+#: ones the process-wide caches kept from earlier cells.
 MODES = [
     pytest.param(True, False, id="columnar-interned"),
     pytest.param(True, True, id="columnar-ablation"),
@@ -73,11 +71,11 @@ STRICT = AlgebraEvaluationSettings(engine_logical_optimize=False)
 
 @contextmanager
 def representation(columnar_on: bool, fresh_tables: bool = False):
-    """One cell of the mode cube, with the dispatch threshold at 1 while
-    columnar is on so tiny random workloads still hit the kernels."""
+    """One mode cell: the dispatch threshold at 1 so tiny random workloads
+    still hit the kernels, or at ``sys.maxsize`` so none does."""
     if fresh_tables:
         clear_intern_tables()
-    with columnar_settings(enabled=columnar_on, threshold=1 if columnar_on else None):
+    with columnar_settings(threshold=1 if columnar_on else sys.maxsize):
         yield
 
 
@@ -210,7 +208,7 @@ def test_set_value_bulk_operations_agree_across_modes(seed):
 def test_column_backed_sets_are_lazy_and_search_by_bisection():
     """A kernel result carries only its id column until a consumer demands
     elements, and membership runs as a binary search on that column."""
-    with columnar_settings(enabled=True, threshold=1):
+    with columnar_settings(threshold=1):
         left = make_set([f"a{i}" for i in range(64)])
         right = make_set([f"a{i}" for i in range(32, 96)])
         union = left.union(right)
@@ -233,17 +231,154 @@ def test_column_backed_sets_are_lazy_and_search_by_bisection():
 
 
 def test_bulk_operations_reject_non_set_operands():
-    with columnar_storage(True):
-        with pytest.raises(ObjectModelError):
-            make_set(["a"]).union("not a set")
-        with pytest.raises(ObjectModelError):
-            make_set(["a"]).intersection(Atom("a"))
+    with pytest.raises(ObjectModelError):
+        make_set(["a"]).union("not a set")
+    with pytest.raises(ObjectModelError):
+        make_set(["a"]).intersection(Atom("a"))
 
 
-def test_columnar_switch_is_restored_by_context_manager():
-    from repro.objects.columnar import columnar_enabled
+#: Every consumer of ``columnar_dispatch``: the ids of
+#: :func:`test_one_threshold_selects_every_dispatch_consumer` and the keys
+#: of :func:`_dispatch_consumers`.
+DISPATCH_CONSUMERS = (
+    "SetValue.union",
+    "SetValue.intersection",
+    "SetValue.difference",
+    "relational.union",
+    "relational.intersection",
+    "relational.difference",
+    "relational.select_where",
+    "io.flat_instance",
+    "interpreter.Filter",
+    "codegen.Filter",
+    "interpreter.SetOp",
+    "codegen.SetOp",
+)
 
-    initial = columnar_enabled()
-    with columnar_storage(not initial):
-        assert columnar_enabled() is not initial
-    assert columnar_enabled() is initial
+
+def _dispatch_consumers():
+    """Each consumer of ``columnar_dispatch`` as ``(a reading of its
+    counter, the call that consults the threshold, the plan a codegen
+    consumer fuses or None)``.  The flat-instance format of ``repro.io``
+    has no counter, so its written format stands in for one."""
+    from repro.algebra.expressions import (
+        ConstantOperand,
+        PredicateExpression,
+        Selection,
+        SelectionCondition,
+        Union,
+    )
+    from repro.engine import CompileOptions, codegen, compile_expression
+    from repro.engine.execute import execute_plan
+    from repro.engine.plan import Filter, Scan, SetOp
+    from repro.io.serialization import instance_from_data, instance_to_data
+    from repro.objects.instance import DatabaseInstance
+    from repro.objects.stats import runtime_stats
+
+    left = make_set([f"d{i}" for i in range(12)])
+    right = make_set([f"d{i}" for i in range(6, 18)])
+    r_rows = [(f"d{i}", f"e{i % 3}") for i in range(12)]
+    s_rows = [(f"d{i}", f"e{i % 3}") for i in range(6, 18)]
+    r, s = Relation(2, r_rows), Relation(2, s_rows)
+    database = DatabaseInstance.build(TWIN_SCHEMA, R=r_rows, S=s_rows)
+    condition = SelectionCondition.eq(2, ConstantOperand("e1"))
+    options = CompileOptions(logical_optimize=False, join_ordering=False)
+    filter_plan, set_op_plan = (
+        compile_expression(expression, TWIN_SCHEMA, options)
+        for expression in (
+            Selection(PredicateExpression("R"), condition),
+            Union(PredicateExpression("R"), PredicateExpression("S")),
+        )
+    )
+    assert isinstance(filter_plan.root, Filter) and isinstance(filter_plan.root.child, Scan)
+    assert isinstance(set_op_plan.root, SetOp)
+    assert all(isinstance(child, Scan) for child in set_op_plan.root.children())
+    columnar_writes = []
+
+    def write_flat_instance():
+        data = instance_to_data(database.instance("R"))
+        columnar_writes.append("columnar" in data)
+        return instance_from_data(data)
+
+    def stat(family, name):
+        return lambda: runtime_stats()[family][name]
+
+    def run(plan, fused):
+        def execute():
+            with codegen(fused):
+                return execute_plan(plan, database)
+        return execute
+
+    return {
+        "SetValue.union": (stat("columnar", "kernel_union"), lambda: left.union(right), None),
+        "SetValue.intersection": (
+            stat("columnar", "kernel_intersection"),
+            lambda: left.intersection(right),
+            None,
+        ),
+        "SetValue.difference": (
+            stat("columnar", "kernel_difference"),
+            lambda: left.difference(right),
+            None,
+        ),
+        "relational.union": (stat("columnar", "kernel_union"), lambda: algebra.union(r, s), None),
+        "relational.intersection": (
+            stat("columnar", "kernel_intersection"),
+            lambda: algebra.intersection(r, s),
+            None,
+        ),
+        "relational.difference": (
+            stat("columnar", "kernel_difference"),
+            lambda: algebra.difference(r, s),
+            None,
+        ),
+        "relational.select_where": (
+            stat("vectorized", "batches"),
+            lambda: algebra.select_where(r, condition),
+            None,
+        ),
+        "io.flat_instance": (lambda: sum(columnar_writes), write_flat_instance, None),
+        "interpreter.Filter": (stat("vectorized", "batches"), run(filter_plan, False), None),
+        "codegen.Filter": (stat("vectorized", "batches"), run(filter_plan, True), filter_plan),
+        "interpreter.SetOp": (
+            stat("columnar", "engine_set_ops"),
+            run(set_op_plan, False),
+            None,
+        ),
+        "codegen.SetOp": (
+            stat("columnar", "engine_set_ops"),
+            run(set_op_plan, True),
+            set_op_plan,
+        ),
+    }
+
+
+@pytest.mark.parametrize("consumer", DISPATCH_CONSUMERS)
+def test_one_threshold_selects_every_dispatch_consumer(consumer):
+    """The size threshold is the only selector of the columnar and
+    vectorized paths.  At threshold 1 the consumer moves its counter, at
+    ``sys.maxsize`` it does not, and the answers are equal at both.  In
+    codegen one cached fragment serves both thresholds, and the second
+    threshold compiles nothing."""
+    from repro.engine import codegen, codegen_stats
+    from repro.engine.codegen import fragment_for
+
+    consumers = _dispatch_consumers()
+    assert set(consumers) == set(DISPATCH_CONSUMERS)
+    count, call, fused_plan = consumers[consumer]
+    answers, fragments, compiled = [], [], []
+    for threshold in (1, sys.maxsize):
+        with columnar_settings(threshold=threshold):
+            before, fused = count(), codegen_stats()["fragments_fused"]
+            answers.append(call())
+            moved = count() - before
+            assert moved > 0 if threshold == 1 else moved == 0, threshold
+            if fused_plan is not None:
+                assert codegen_stats()["fragments_fused"] > fused
+                with codegen(True):
+                    fragments.append(fragment_for(fused_plan.root))
+                compiled.append(codegen_stats()["fragments_compiled"])
+    assert answers[0] == answers[1]
+    if fused_plan is not None:
+        assert fragments[0] == fragments[1] and fragments[0] is not None
+        assert compiled[0] == compiled[1]

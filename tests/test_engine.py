@@ -224,6 +224,38 @@ class TestExecute:
         answer = execute_plan(plan, parent_db)
         assert set(answer.values) == set(parent_db["PAR"].values)
 
+    def test_interpreted_hash_join_builds_values_only_for_residual_survivors(
+        self, monkeypatch
+    ):
+        # With codegen off the residual reads each probe pair's combined
+        # components, so a TupleValue is built per output row, not per pair.
+        import repro.engine.execute as execute
+        from repro.engine import codegen
+        from repro.objects.values import TupleValue
+
+        database = DatabaseInstance.build(
+            PARENT_SCHEMA, PAR=[(f"v{i}", f"k{i % 4}") for i in range(20)]
+        )
+        condition = SelectionCondition.conjunction(
+            SelectionCondition.eq(2, 4), SelectionCondition.eq(1, ConstantOperand("v0"))
+        )
+        options = CompileOptions(logical_optimize=False, join_ordering=False)
+        plan = compile_expression(Selection(Product(PAR, PAR), condition), PARENT_SCHEMA, options)
+        assert isinstance(plan.root, HashJoin) and plan.root.residual is not None
+        built = []
+
+        def counting_tuple_value(components):
+            built.append(components)
+            return TupleValue(components)
+
+        monkeypatch.setattr(execute, "TupleValue", counting_tuple_value)
+        with codegen(False):
+            answer = execute_plan(plan, database)
+        # 100 probe pairs (20 rows × 5 per key); the residual keeps the 5
+        # whose left row is v0.
+        assert len(answer) == 5
+        assert len(built) == 5
+
     def test_engine_flag_off_uses_legacy(self, parent_db):
         settings = AlgebraEvaluationSettings(use_engine=False)
         expression = grandparent_expression()

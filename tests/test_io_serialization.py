@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,11 +249,9 @@ class TestColumnarSerialization:
         from repro.objects.columnar import columnar_settings
 
         instance = self._flat_instance()
-        with columnar_settings(enabled=True, threshold=1):
+        with columnar_settings(threshold=1):
             assert "columnar" in instance_to_data(instance)
-        with columnar_settings(enabled=True, threshold=10_000):
-            assert "values" in instance_to_data(instance)
-        with columnar_settings(enabled=False):
+        with columnar_settings(threshold=10_000):
             assert "values" in instance_to_data(instance)
 
     def test_database_round_trip_through_json_with_columnar_instances(self):
@@ -260,13 +260,14 @@ class TestColumnarSerialization:
         database = DatabaseInstance.build(
             PARENT_SCHEMA, PAR=[(f"v{i}", f"v{i+1}") for i in range(12)]
         )
-        with columnar_settings(enabled=True, threshold=1):
+        with columnar_settings(threshold=1):
             text = dumps(database)
             assert '"columnar"' in text
             assert loads(text) == database
         # A columnar-written database reads back identically with the
-        # switch off (the reader is format-driven, not mode-driven).
-        with columnar_settings(enabled=False):
+        # threshold out of reach (the reader is format-driven, not
+        # threshold-driven).
+        with columnar_settings(threshold=sys.maxsize):
             assert loads(text) == database
 
     def test_malformed_columnar_data_is_rejected(self):

@@ -3,7 +3,7 @@
 The property sweep checks *answer equivalence*: the reordered/multiway
 plans must produce exactly the instance the syntactic plan (and, at tiny
 sizes, the legacy tree-walking oracle) produces, across the
-joinorder × codegen × columnar mode cube.  The unit tests pin
+joinorder × codegen mode cube.  The unit tests pin
 the statistics layer's measurements, the cost model's bounded error on
 seeded workloads, the never-fires regression for sub-2-relation plans,
 the view-maintenance bypass, and the explain/analyze cardinality
@@ -11,8 +11,6 @@ reporting.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -42,7 +40,6 @@ from repro.engine import (
 from repro.engine.cost import join_estimate, scan_estimate
 from repro.engine.joinorder import DP_LIMIT
 from repro.engine.stats import relation_stats, signature_stale
-from repro.objects.columnar import columnar_storage
 from repro.objects.instance import DatabaseInstance
 from repro.types.schema import DatabaseSchema
 from repro.types.type_system import U, tuple_type
@@ -76,17 +73,15 @@ def test_joinorder_matches_legacy_oracle(shape, seed):
 @pytest.mark.parametrize("shape", ["chain", "star", "snowflake"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_joinorder_equivalence_sweep(shape, seed):
-    """Ordered and syntactic plans agree across the execution-mode cube."""
+    """Ordered and syntactic plans agree with codegen on and off."""
     expression, database = random_join_workload(
         shape, relations=5, rows=48, seed=seed
     )
     reference = _result(expression, database, engine_join_ordering=False)
-    for use_codegen, use_columnar in itertools.product((True, False), repeat=2):
-        with join_ordering(True), codegen(use_codegen), columnar_storage(use_columnar):
+    for use_codegen in (True, False):
+        with join_ordering(True), codegen(use_codegen):
             clear_plan_cache()
-            assert (
-                _result(expression, database) == reference
-            ), (shape, seed, use_codegen, use_columnar)
+            assert _result(expression, database) == reference, (shape, seed, use_codegen)
     clear_plan_cache()
 
 

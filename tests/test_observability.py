@@ -43,7 +43,6 @@ from repro.engine import clear_plan_cache, plan_structural_key, run_expression
 from repro.engine.codegen import codegen
 from repro.engine.joinorder import join_ordering
 from repro.errors import ServingError
-from repro.objects.columnar import columnar_storage
 from repro.observability import (
     METRICS,
     clear_query_log,
@@ -519,35 +518,34 @@ def test_untraced_server_keeps_observability_dark():
 # -- the differential cube --------------------------------------------------------
 
 def test_answers_and_counters_across_the_tracing_cube():
-    """tracing × codegen × columnar: identical answers everywhere; spans
-    and query-log records appear exactly when tracing is on, and the off
-    cells leave every observability counter untouched."""
+    """tracing × codegen: identical answers everywhere; spans and
+    query-log records appear exactly when tracing is on, and the off cells
+    leave every observability counter untouched."""
     db = _database()
     snapshot = db.snapshot()
     expression = _chain_expression()
     reference = None
     for traced in (False, True):
         for fused in (False, True):
-            for columnar in (False, True):
-                clear_plan_cache()
-                clear_traces()
-                clear_query_log()
-                before = observability_stats()
-                with tracing(traced), codegen(fused), columnar_storage(columnar):
-                    result = run_expression(expression, snapshot)
-                answer = sorted(str(value) for value in result.values)
-                if reference is None:
-                    reference = answer
-                assert answer == reference, (traced, fused, columnar)
-                after = observability_stats()
-                if traced:
-                    assert after["spans_started"] > before["spans_started"]
-                    assert len(query_log()) == 1
-                    assert query_log()[0]["fused"] is fused
-                    assert latest_trace() is not None
-                else:
-                    assert after == before, (fused, columnar)
-                    assert query_log() == [] and latest_trace() is None
+            clear_plan_cache()
+            clear_traces()
+            clear_query_log()
+            before = observability_stats()
+            with tracing(traced), codegen(fused):
+                result = run_expression(expression, snapshot)
+            answer = sorted(str(value) for value in result.values)
+            if reference is None:
+                reference = answer
+            assert answer == reference, (traced, fused)
+            after = observability_stats()
+            if traced:
+                assert after["spans_started"] > before["spans_started"]
+                assert len(query_log()) == 1
+                assert query_log()[0]["fused"] is fused
+                assert latest_trace() is not None
+            else:
+                assert after == before, fused
+                assert query_log() == [] and latest_trace() is None
 
 
 def test_plan_structural_key_is_stable_across_compiles():

@@ -105,7 +105,7 @@ def test_columnar_bulk_union_stays_columnar():
     from repro.objects.columnar import columnar_settings, columnar_stats
     from repro.objects.values import make_set
 
-    with columnar_settings(enabled=True, threshold=1):
+    with columnar_settings(threshold=1):
         left = make_set([f"s{i:04d}" for i in range(300)])
         right = make_set([f"s{i:04d}" for i in range(150, 450)])
         before = columnar_stats()["kernel_union"]
@@ -118,7 +118,7 @@ def test_columnar_bulk_union_stays_columnar():
 
 def test_engine_set_operations_take_the_columnar_path():
     """Scan-over-scan set operations in the engine must dispatch to the id
-    columns when columnar storage is on, and the answer must equal the
+    columns past the columnar threshold, and the answer must equal the
     object path's."""
     from repro.algebra.expressions import PredicateExpression, Union
     from repro.algebra.evaluation import evaluate_expression
@@ -134,11 +134,11 @@ def test_engine_set_operations_take_the_columnar_path():
         S=[(f"a{i}", f"b{i}") for i in range(10, 30)],
     )
     expression = Union(PredicateExpression("R"), PredicateExpression("S"))
-    with columnar_settings(enabled=True, threshold=1):
+    with columnar_settings(threshold=1):
         before = columnar_stats()["engine_set_ops"]
         columnar_answer = evaluate_expression(expression, database)
         assert columnar_stats()["engine_set_ops"] == before + 1
-    with columnar_settings(enabled=False):
+    with columnar_settings(threshold=sys.maxsize):
         assert evaluate_expression(expression, database) == columnar_answer
 
 

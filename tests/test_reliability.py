@@ -16,7 +16,7 @@ The central contracts:
 
 The always-on portion keeps the crash sweep to one mode cell; exporting
 ``REPRO_FAULT_SWEEP=1`` (the CI fault-injection job) unlocks the full
-crash-site × (columnar × vectorized) cube.
+crash-site × columnar-threshold cube (threshold 1 and ``sys.maxsize``).
 
 Selectable standalone with ``pytest -m reliability``.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -41,7 +42,6 @@ from repro.algebra.expressions import (
     SelectionCondition,
     Union,
 )
-from repro.algebra.vectorized import vectorized_filters
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.datalog import transitive_closure_program
 from repro.datalog.evaluation import SemiNaiveProgram
@@ -650,13 +650,11 @@ SWEEP_SITES = [
     "maintain.datalog",
 ]
 
-#: The full mode cube (columnar × vectorized); the always-on sweep runs
-#: the default cell only, REPRO_FAULT_SWEEP=1 runs them all.
-MODE_CUBE = [
-    (vectorized_on, columnar_on)
-    for vectorized_on in (True, False)
-    for columnar_on in (True, False)
-]
+#: The full mode cube, by columnar threshold: 1 puts every stored
+#: container on the id-column and mask paths, ``sys.maxsize`` none.  The
+#: always-on sweep runs the default threshold only, REPRO_FAULT_SWEEP=1
+#: runs both cells.
+MODE_CUBE = {"vec-col": 1, "scalar-obj": sys.maxsize}
 
 
 def _crash_recovery_case(tmp_path, site: str, seed: int, at: int) -> None:
@@ -732,18 +730,12 @@ def test_crash_recovery_every_site_default_mode(tmp_path, site):
 @pytest.mark.skipif(
     not FULL_SWEEP, reason="full crash-site x mode-cube sweep: set REPRO_FAULT_SWEEP=1"
 )
-@pytest.mark.parametrize(
-    "mode",
-    MODE_CUBE,
-    ids=[f"{'vec' if v else 'scalar'}-{'col' if c else 'obj'}" for v, c in MODE_CUBE],
-)
+@pytest.mark.parametrize("threshold", list(MODE_CUBE.values()), ids=list(MODE_CUBE))
 @pytest.mark.parametrize("site", SWEEP_SITES)
-def test_crash_recovery_full_mode_cube(tmp_path, site, mode):
-    vectorized_on, columnar_on = mode
-    with vectorized_filters(vectorized_on):
-        with columnar_settings(enabled=columnar_on, threshold=1):
-            _crash_recovery_case(tmp_path, site, seed=1, at=2)
-            _crash_recovery_case(tmp_path, site, seed=2, at=4)
+def test_crash_recovery_full_mode_cube(tmp_path, site, threshold):
+    with columnar_settings(threshold=threshold):
+        _crash_recovery_case(tmp_path, site, seed=1, at=2)
+        _crash_recovery_case(tmp_path, site, seed=2, at=4)
 
 
 # -- recovery of a fresh directory ------------------------------------------------

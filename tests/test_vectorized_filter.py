@@ -1,13 +1,14 @@
 """Property-based differential suite for the vectorized selection predicates.
 
-The oracle pattern of ``test_columnar.py`` extended one axis further: every
-random selection workload is evaluated under the full **vectorized ×
-columnar** mode cube, and all four combinations must produce identical
-answers — across the algebra oracle, the engine (strict and
-optimized), the nested algebra and the flat relational layer.  The sweeps
-force the dispatch threshold down to 1 so the mask kernels genuinely
-engage on the small random instances, and the engagement counters are
-asserted so a silent fallback to the per-tuple path cannot fake a pass.
+The oracle pattern of ``test_columnar.py`` applied to selections: every
+random selection workload is evaluated with the shared columnar dispatch
+threshold at 1 (masks over every stored container, so the kernels
+genuinely engage on the small random instances) and at ``sys.maxsize``
+(per-tuple everywhere), each with codegen on and off, and all must
+produce identical answers — across the algebra oracle, the engine (strict
+and optimized), the nested algebra and the flat relational layer.  The
+engagement counters are asserted so a silent fallback to the per-tuple
+path cannot fake a pass.
 
 Selectable standalone with ``pytest -m vectorized``.
 """
@@ -15,6 +16,7 @@ Selectable standalone with ``pytest -m vectorized``.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from contextlib import contextmanager
 
@@ -35,15 +37,8 @@ from repro.algebra.expressions import (
     Selection,
     SelectionCondition,
 )
-from repro.engine.codegen import codegen
-from repro.algebra.vectorized import (
-    compile_condition,
-    set_vectorized_filters,
-    vectorized_dispatch,
-    vectorized_enabled,
-    vectorized_filters,
-    vectorized_stats,
-)
+from repro.engine.codegen import codegen, codegen_enabled, codegen_stats
+from repro.algebra.vectorized import compile_condition, vectorized_stats
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.nested.evaluation import evaluate_nested
 from repro.nested.expressions import NestedPredicate, NestedSelection
@@ -74,23 +69,29 @@ NESTED_SCHEMA = DatabaseSchema(
 
 ATOMS = ["a", "b", "v0", "v1", "v2"]
 
-#: The cells every parametrized sweep runs: ``(vectorized_on, columnar_on,
-#: fresh_tables)``.  An ``ablation`` cell clears the intern tables first, so
-#: the values it builds are equal to, but not the same instances as, the
-#: ones the process-wide caches kept from earlier cells.
+#: The columnar threshold of each cell: 1 masks every stored container,
+#: ``sys.maxsize`` none.
+THRESHOLDS = {"vectorized-columnar": 1, "scalar-object": sys.maxsize}
+
+#: The cells every parametrized sweep runs: ``(threshold, interpreted,
+#: fresh_tables)``.  An ``interpreted`` cell turns codegen off, so the
+#: engine's selections run the interpreter's ``Filter`` and its mask
+#: dispatch instead of a fused fragment.  An ``ablation`` cell clears the
+#: intern tables first, so the values it builds are equal to, but not the
+#: same instances as, the ones the process-wide caches kept from earlier
+#: cells.
 MODES = [
     pytest.param(
-        vectorized_on,
-        columnar_on,
+        threshold,
+        interpreted,
         fresh_tables,
         id=(
-            f"{'vectorized' if vectorized_on else 'scalar'}"
-            f"-{'columnar' if columnar_on else 'object'}"
+            f"{'interpreted-' if interpreted else ''}{cell}"
             f"-{'ablation' if fresh_tables else 'interned'}"
         ),
     )
-    for vectorized_on in (True, False)
-    for columnar_on in (True, False)
+    for interpreted in (False, True)
+    for cell, threshold in THRESHOLDS.items()
     for fresh_tables in (False, True)
 ]
 
@@ -100,13 +101,14 @@ PAR = PredicateExpression("PAR")
 
 
 @contextmanager
-def representation(vectorized_on: bool, columnar_on: bool, fresh_tables: bool = False):
-    """One cell of the mode cube, with the shared dispatch threshold at 1
-    so tiny random workloads still take the kernels."""
+def representation(threshold: int, fresh_tables: bool = False, interpreted: bool = False):
+    """One mode cell: the shared dispatch threshold at 1 so tiny random
+    workloads still take the kernels, or at ``sys.maxsize`` so none does;
+    *interpreted* turns codegen off."""
     if fresh_tables:
         clear_intern_tables()
-    with vectorized_filters(vectorized_on):
-        with columnar_settings(enabled=columnar_on, threshold=1):
+    with codegen(codegen_enabled() and not interpreted):
+        with columnar_settings(threshold=threshold):
             yield
 
 
@@ -159,36 +161,34 @@ def _evaluate_everywhere(seed: int):
     return answers
 
 
-@pytest.mark.parametrize("vectorized_on,columnar_on,fresh_tables", MODES)
+@pytest.mark.parametrize("threshold,interpreted,fresh_tables", MODES)
 @pytest.mark.parametrize("seed", range(0, 30, 3))
-def test_selections_agree_in_every_mode(seed, vectorized_on, columnar_on, fresh_tables):
-    """Within each mode-cube cell the engine must equal the oracle."""
-    with representation(vectorized_on, columnar_on, fresh_tables):
+def test_selections_agree_in_every_mode(seed, threshold, interpreted, fresh_tables):
+    """Within each mode cell the engine must equal the oracle."""
+    with representation(threshold, fresh_tables, interpreted):
         _evaluate_everywhere(seed)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_selection_answers_agree_across_modes(seed):
-    """All four mode-cube cells must produce the same instances."""
+    """Both thresholds must produce the same instances."""
     reference = None
-    for vectorized_on in (True, False):
-        for columnar_on in (True, False):
-            with representation(vectorized_on, columnar_on):
-                answers = _evaluate_everywhere(seed)
-            if reference is None:
-                reference = answers
-            else:
-                assert answers == reference, (
-                    f"mode (vectorized={vectorized_on}, columnar={columnar_on}) "
-                    f"changed an answer on seed {seed}"
-                )
+    for cell, threshold in THRESHOLDS.items():
+        with representation(threshold):
+            answers = _evaluate_everywhere(seed)
+        if reference is None:
+            reference = answers
+        else:
+            assert answers == reference, f"{cell} changed an answer on seed {seed}"
 
 
 def test_vectorized_kernels_actually_engage():
-    """The sweeps must not silently run the per-tuple path: with the
-    switch on, conditions compile, batches run and the mask kernels fire;
-    with it off, nothing vectorized moves."""
-    with representation(True, True):
+    """The sweeps must not silently run the per-tuple path: at threshold 1,
+    conditions compile, batches run and the mask kernels fire, also in an
+    interpreted cell, which fuses no fragment; at ``sys.maxsize`` no mask
+    runs.  (A fused fragment still compiles its mask program when it is
+    emitted, because one fragment serves every threshold.)"""
+    with representation(1):
         before, before_masks = vectorized_stats(), columnar_stats()
         for seed in range(8):
             _evaluate_everywhere(seed)
@@ -197,12 +197,19 @@ def test_vectorized_kernels_actually_engage():
     assert after["batches"] > before["batches"]
     assert after["rows_in"] > before["rows_in"]
     assert after_masks["kernel_mask_eq"] > before_masks["kernel_mask_eq"]
-    with representation(False, True):
-        before = vectorized_stats()
+    with representation(1, interpreted=True):
+        before, fused = vectorized_stats(), codegen_stats()["fragments_fused"]
         _evaluate_everywhere(3)
         after = vectorized_stats()
+        assert codegen_stats()["fragments_fused"] == fused
+    assert after["batches"] > before["batches"]
+    with representation(sys.maxsize):
+        before, before_masks = vectorized_stats(), columnar_stats()
+        _evaluate_everywhere(3)
+        after, after_masks = vectorized_stats(), columnar_stats()
     assert after["batches"] == before["batches"]
-    assert after["conditions_compiled"] == before["conditions_compiled"]
+    assert after["rows_in"] == before["rows_in"]
+    assert after_masks["kernel_mask_eq"] == before_masks["kernel_mask_eq"]
 
 
 def test_membership_evaluates_once_per_distinct_id():
@@ -216,14 +223,14 @@ def test_membership_evaluates_once_per_distinct_id():
         NESTED_SCHEMA, R=[("x", frozenset({"a"}))], S=database_rows
     )
     expression = Selection(PredicateExpression("S"), SelectionCondition.member(2, 3))
-    with representation(True, True):
+    with representation(1):
         before = vectorized_stats()
         answer = evaluate_expression(expression, db, STRICT)
         after = vectorized_stats()
     evaluations = after["membership_evaluations"] - before["membership_evaluations"]
     assert 0 < evaluations <= 15, evaluations  # ≤ 5 elements × 3 containers
     assert after["rows_in"] - before["rows_in"] >= 60
-    with representation(False, True):
+    with representation(sys.maxsize):
         assert evaluate_expression(expression, db, STRICT) == answer
 
 
@@ -343,8 +350,8 @@ def test_nested_selection_agrees_across_modes(seed):
         pytest.skip("no well-typed condition for this seed")
     expression = NestedSelection(NestedPredicate("S"), condition)
     reference = None
-    for vectorized_on in (True, False):
-        with representation(vectorized_on, True):
+    for threshold in THRESHOLDS.values():
+        with representation(threshold):
             answer = evaluate_nested(expression, db)
         if reference is None:
             reference = answer
@@ -365,8 +372,8 @@ def test_relational_select_where_agrees_across_modes(seed):
         relation,
         lambda row: condition_holds(condition, TupleValue([Atom(value) for value in row])),
     )
-    for vectorized_on in (True, False):
-        with representation(vectorized_on, True):
+    for threshold in THRESHOLDS.values():
+        with representation(threshold):
             assert relational_algebra.select_where(relation, condition) == oracle
 
 
@@ -447,29 +454,11 @@ def test_classifier_handles_constant_only_equality():
     )
     true_condition = SelectionCondition.eq(ConstantOperand("a"), ConstantOperand("a"))
     false_condition = SelectionCondition.eq(ConstantOperand("a"), ConstantOperand("b"))
-    with representation(True, True):
+    with representation(1):
         everything = evaluate_expression(Selection(PAR, true_condition), database, STRICT)
         nothing = evaluate_expression(Selection(PAR, false_condition), database, STRICT)
     assert len(everything) == 40
     assert len(nothing) == 0
-
-
-def test_vectorized_switch_is_restored_by_context_manager():
-    initial = vectorized_enabled()
-    with vectorized_filters(not initial):
-        assert vectorized_enabled() is not initial
-    assert vectorized_enabled() is initial
-    previous = set_vectorized_filters(initial)
-    assert previous is initial
-
-
-def test_dispatch_respects_switch_and_threshold():
-    with columnar_settings(threshold=8):
-        with vectorized_filters(True):
-            assert vectorized_dispatch(8)
-            assert not vectorized_dispatch(7)
-        with vectorized_filters(False):
-            assert not vectorized_dispatch(1000)
 
 
 # -- mask kernel unit tests -------------------------------------------------------
@@ -513,14 +502,14 @@ def _conjunction_cases(seed: int):
     return cases
 
 
-@pytest.mark.parametrize("vectorized_on,columnar_on,fresh_tables", MODES)
+@pytest.mark.parametrize("threshold,interpreted,fresh_tables", MODES)
 @pytest.mark.parametrize("seed", range(0, 12, 3))
-def test_ordered_conjunctions_agree_in_every_mode(seed, vectorized_on, columnar_on, fresh_tables):
+def test_ordered_conjunctions_agree_in_every_mode(seed, threshold, interpreted, fresh_tables):
     """Selectivity-ordered conjunct evaluation must not change any answer
-    anywhere in the mode cube."""
+    in any mode cell."""
     for expression, database in _conjunction_cases(seed):
         oracle = evaluate_expression_legacy(expression, database)
-        with representation(vectorized_on, columnar_on, fresh_tables):
+        with representation(threshold, fresh_tables, interpreted):
             assert evaluate_expression(expression, database, STRICT) == oracle, (
                 f"seed {seed}: {expression}"
             )
@@ -544,7 +533,7 @@ def test_conjunctions_order_by_selectivity_and_skip_rows():
         SelectionCondition.eq(1, ConstantOperand("r1")),
     )
     expression = Selection(PredicateExpression("S"), condition)
-    with representation(True, True):
+    with representation(1):
         before = vectorized_stats()
         answer = evaluate_expression(expression, db, STRICT)
         after = vectorized_stats()
@@ -554,7 +543,7 @@ def test_conjunctions_order_by_selectivity_and_skip_rows():
     # The membership conjunct saw only the single surviving row: one
     # distinct (element, container) pair instead of up to 160.
     assert after["membership_evaluations"] - before["membership_evaluations"] <= 2
-    with representation(False, True):
+    with representation(sys.maxsize):
         assert evaluate_expression(expression, db, STRICT) == answer
 
 
@@ -570,9 +559,9 @@ def test_nested_and_chains_flatten_for_ordering():
     c = SelectionCondition.negation(SelectionCondition.eq(1, ConstantOperand("k10")))
     left = SelectionCondition.conjunction(SelectionCondition.conjunction(a, b), c)
     right = SelectionCondition.conjunction(a, SelectionCondition.conjunction(b, c))
-    with representation(True, True):
+    with representation(1):
         left_answer = evaluate_expression(Selection(PAR, left), db, STRICT)
         right_answer = evaluate_expression(Selection(PAR, right), db, STRICT)
-    with representation(False, False):
+    with representation(sys.maxsize):
         oracle = evaluate_expression(Selection(PAR, left), db, STRICT)
     assert left_answer == right_answer == oracle

@@ -3,14 +3,16 @@
 The central contract: **after every batch of an update stream, every
 maintained view equals a from-scratch recompute of its definition over
 the database's current snapshot** — for algebra, relational and Datalog
-views, across the full (columnar × vectorized) mode cube,
-with the maintenance counters asserted so a silent fall-back to
-recomputation cannot fake a pass on incrementalizable plans.
+views, with the columnar threshold at 1 and at ``sys.maxsize`` and with
+codegen on and off, with the maintenance counters asserted so a silent
+fall-back to recomputation cannot fake a pass on incrementalizable plans.
 
 Selectable standalone with ``pytest -m views``.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -34,10 +36,10 @@ from repro.algebra.expressions import (
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.datalog import evaluate_program, transitive_closure_program
 from repro.datalog.builders import non_reachable_program
+from repro.engine.codegen import codegen, codegen_enabled
 from repro.engine.join import IncrementalIndex
 from repro.objects.columnar import VALUE_DICTIONARY, columnar_settings, columnar_threshold
 from repro.objects.values import Atom, SetValue, clear_intern_tables
-from repro.algebra.vectorized import vectorized_filters
 from repro.relational.algebra import project as relational_project
 from repro.types.parser import parse_type
 from repro.types.schema import DatabaseSchema
@@ -64,32 +66,36 @@ PAR = PredicateExpression("PAR")
 NESTED_SCHEMA = DatabaseSchema([("R", parse_type("[U, {U}]"))])
 
 #: The cells every differential sweep runs (the views axis itself is the
-#: maintained-vs-recomputed comparison inside): ``(vectorized_on,
-#: columnar_on, fresh_tables)``.  An ``ablation`` cell clears the intern
+#: maintained-vs-recomputed comparison inside): ``(threshold, interpreted,
+#: fresh_tables)``.  The columnar threshold at 1 puts every stored
+#: container on the id-column and mask paths, at ``sys.maxsize`` on the
+#: object and per-tuple paths.  An ``interpreted`` cell turns codegen off,
+#: so maintenance checks filters and join residuals without a compiled
+#: predicate (``condition_holds`` and ``components_hold``) and recompute
+#: runs the interpreting executor.  An ``ablation`` cell clears the intern
 #: tables first, so the values it builds are equal to, but not the same
 #: instances as, the ones the process-wide caches kept from earlier cells.
 MODES = [
     pytest.param(
-        (vectorized_on, columnar_on, fresh_tables),
+        (threshold, interpreted, fresh_tables),
         id=(
-            f"{'vectorized' if vectorized_on else 'scalar'}"
-            f"-{'columnar' if columnar_on else 'object'}"
+            f"{'interpreted-' if interpreted else ''}{cell}"
             f"-{'ablation' if fresh_tables else 'interned'}"
         ),
     )
-    for vectorized_on in (True, False)
-    for columnar_on in (True, False)
+    for interpreted in (False, True)
+    for cell, threshold in (("vectorized-columnar", 1), ("scalar-object", sys.maxsize))
     for fresh_tables in (False, True)
 ]
 
 
 @pytest.fixture(params=MODES)
 def mode(request):
-    vectorized_on, columnar_on, fresh_tables = request.param
+    threshold, interpreted, fresh_tables = request.param
     if fresh_tables:
         clear_intern_tables()
-    with vectorized_filters(vectorized_on):
-        with columnar_settings(enabled=columnar_on, threshold=1):
+    with codegen(codegen_enabled() and not interpreted):
+        with columnar_settings(threshold=threshold):
             yield request.param
 
 
@@ -294,13 +300,12 @@ def test_view_commits_and_reads_encode_no_values():
 
 
 def test_view_commits_and_reads_encode_no_values_in_every_mode(mode):
-    """Views read no ablation switch: in every cell of the mode cube —
-    including columnar storage at threshold 1, where every delta and side
-    set is past the dispatch threshold — maintenance and reads encode no
-    value and each view equals recompute."""
-    vectorized_on, columnar_on, fresh_tables = mode
+    """In every mode cell — including the columnar threshold at 1, where
+    every delta and side set is past it, and codegen off — maintenance and
+    reads encode no value and each view equals recompute."""
+    threshold, interpreted, fresh_tables = mode
     _assert_views_encode_no_values(
-        f"view-dict-{vectorized_on:d}{columnar_on:d}{fresh_tables:d}"
+        f"view-dict-{threshold}-{interpreted:d}{fresh_tables:d}"
     )
 
 

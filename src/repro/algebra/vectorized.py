@@ -354,21 +354,13 @@ def _compile_membership(condition: SelectionCondition, coordinates: set[int]):
 
     def membership_mask(columns, count):
         # One membership test per distinct (element id, container id) pair,
-        # memo-keyed by a single packed integer (ids fit 32 bits) so the
-        # replay loop costs one shift, one dict probe per row.
+        # in the order the rows first hold them, so the first failing row
+        # raises the non-set error; the rows replay the answers at C level.
         decode = VALUE_DICTIONARY.decode
-        memo: dict[int, int] = {}
-        lookup = memo.get
-
-        def probe(element_id: int, set_id: int) -> int:
-            key = (element_id << 32) | set_id
-            hit = lookup(key, -1)
-            if hit < 0:
-                hit = _membership(decode(element_id), set_id)
-                memo[key] = hit
-            return hit
-
-        mask = bytearray(map(probe, columns[element], columns[container]))
+        memo = dict.fromkeys(zip(columns[element], columns[container]))
+        for pair in memo:
+            memo[pair] = _membership(decode(pair[0]), pair[1])
+        mask = bytearray(map(memo.__getitem__, zip(columns[element], columns[container])))
         _VECTORIZED.stats["membership_evaluations"] += len(memo)
         return mask
 

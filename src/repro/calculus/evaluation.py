@@ -39,8 +39,22 @@ in the order of the value enumeration, and every atom the t-wff rules
 license is an int operation: ``=`` is ``==``, ``e ∈ c`` is
 ``c >> e & 1``, ``x.i`` is ``x // stride % radix``, and ``P(t)`` probes a
 frozenset of the positions of ``P``'s values, encoded once per evaluation.
-Memo keys are tuples of ints.  Answers stay values: each output candidate
-is enumerated as a value and encoded once.
+Each memoised quantifier has a memo table of its own, keyed by an int: the
+position of its one free variable, the mixed-radix number of several, or
+``0`` for none.  Answers stay values: each output candidate is enumerated
+as a value and encoded once.
+
+**Counting.**  The counters are closure cells of the generated code.  A
+quantifier over a set-free type whose body calls no quantifier and has only
+atoms on positions — a *leaf* — loops over ``range(|cons(T)|)``, so its
+loop variable is the number of bindings before it, and nothing in its body
+can raise.  It counts where it exits: ``v + 1`` bindings, enumerations and
+runs of its body's leading satisfaction calls when it returns at position
+``v``, ``|cons(T)|`` when it runs out, and under a budget it stops at the
+binding the per-binding check would raise at and raises with the same
+counters.  Every other quantifier counts each binding before its body, since
+its body may raise or read the binding count.  Either way every binding is
+still visited, in the same order.
 
 **Where values remain.**  Names bound by the caller of :func:`satisfies`
 have no static type, so they hold values, and so does a constant outside
@@ -52,7 +66,7 @@ its typed terms to values and takes the checked path on values, so it
 answers and raises exactly as before.  Positions of different types may
 coincide (the empty set is ``0`` in every set type), so a subformula shared
 by two places whose free variables have different types keys its memo on
-values too.
+the tuple of their values, as one with a free name the caller binds does.
 
 Strides, radices, constant positions, predicate positions, decoders and
 domain views are passed to the generated factory as arguments, so the
@@ -61,7 +75,7 @@ compiled factories are cached by that text in the process-wide cache of
 :mod:`repro.utils.pysource`.  The cache pays off when a structure repeats;
 a structure seen once pays for writing its source and for ``compile()``,
 which for a small formula costs more than evaluating it.  One factory call
-per evaluation creates the memo and the counters, so concurrent
+per evaluation creates the memo tables and the counters, so concurrent
 evaluations share nothing.  The generated code enumerates the same
 constructive domains in the same order as the formula's tree semantics
 prescribes, so every answer, error and statistics counter is the one a
@@ -72,6 +86,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NoReturn
@@ -100,6 +115,7 @@ from repro.objects.constructive import (
 from repro.objects.domain import belongs_to
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import ComplexValue, SetValue, TupleValue
+from repro.types.set_height import is_flat
 from repro.types.type_system import ComplexType, SetType, TupleType, U
 from repro.utils import pysource
 from repro.utils.iteration import bounded
@@ -344,8 +360,7 @@ def _compile(
         compiler = _Compiler(database, positions, settings, value_keyed=compiler.conflicts)
         source = compiler.program(formula, bound)
     factory, _ = pysource.compiled("calculus", source, "_factory", _RUNTIME)
-    memo = {} if settings.memoize_quantifiers else None
-    return factory(statistics, settings.binding_budget, memo, tuple(compiler.constants))
+    return factory(statistics, settings.binding_budget, tuple(compiler.constants))
 
 
 def _budget_exceeded(budget: int) -> BudgetExceededError:
@@ -406,23 +421,24 @@ _RUNTIME = {
 class _Compiler(pysource.Emitter):
     """Writes one formula as the Python source of a factory.
 
-    The factory ``_factory(_stats, _budget, _memo, _k)`` unpacks the
-    constants ``_k`` into ``_k0, _k1, ...`` — predicate positions and
-    instances, constant positions and atoms, strides and radices, decoders,
-    memo node ids, domain views, enumeration keys and the subjects of error
-    messages — and returns ``holds``, which decides the formula for the
-    caller's bound names.  The counters (``_calls``, ``_bindings``,
-    ``_hits``, ``_misses`` and one ``_e<n>`` per enumeration key) are
-    closure cells shared by every generated function; ``holds`` loads them
-    from the statistics when it starts and stores them back in a
-    ``finally``.
+    The factory ``_factory(_stats, _budget, _k)`` unpacks the constants
+    ``_k`` into ``_k0, _k1, ...`` — predicate positions and instances,
+    constant positions and atoms, strides, radices and domain sizes,
+    decoders, domain views, enumeration keys and the subjects of error
+    messages — creates one memo table ``_m<n>`` per memoised quantifier,
+    and returns ``holds``, which decides the formula for the caller's bound
+    names.  The counters (``_calls``, ``_bindings``, ``_hits``, ``_misses``
+    and one ``_e<n>`` per enumeration key) are closure cells shared by
+    every generated function; ``holds`` loads them from the statistics when
+    it starts and stores them back in a ``finally``.
 
     Each quantifier becomes a function ``_q<n>`` whose parameters are its
-    bound free variables.  Every binder — a quantifier, or a name the
-    caller binds — owns one local ``v<n>``, and every variable occurrence
-    is resolved to the local of its innermost binder and that binder's
-    type (``None`` for a name the caller binds); a variable with no binder
-    reads ``_UNBOUND`` in memo keys and raises when its value is needed.
+    bound free variables; a leaf one counts at its exits (:meth:`decision`).
+    Every binder — a quantifier, or a name the caller binds — owns one
+    local ``v<n>``, and every variable occurrence is resolved to the local
+    of its innermost binder and that binder's type (``None`` for a name the
+    caller binds); a variable with no binder reads ``_UNBOUND`` in memo keys
+    and raises when its value is needed.
     Every other formula is emitted as statements that leave its truth
     value in ``r``, spilled into a function ``_s<n>`` of its own when it
     would nest deeper than ``pysource.MAX_INDENT``.
@@ -451,6 +467,12 @@ class _Compiler(pysource.Emitter):
         self.conflicts: set[int] = set()
         #: Quantifiers whose memo keys hold values, not positions.
         self.value_keyed = value_keyed
+        #: Memoised quantifier id -> the name of its memo table.
+        self.tables: dict[int, str] = {}
+        #: Atoms written on values and quantifier calls written so far: the
+        #: code that may raise or count bindings.  A quantifier whose body
+        #: adds none is a leaf (:meth:`decision`).
+        self.unsafe = 0
 
     def program(self, formula: Formula, bound: dict[str, ComplexType | None]) -> str:
         scope = {name: (self.fresh("v"), type_) for name, type_ in bound.items()}
@@ -458,8 +480,8 @@ class _Compiler(pysource.Emitter):
         self.formula(formula, scope)
         self.line("return bool(r)")
         prologue = ["_enumerations = _stats.quantifier_enumerations"]
-        if self.settings.memoize_quantifiers:
-            prologue.append("_memo_get = _memo.get")
+        for table in self.tables.values():
+            prologue += [f"{table} = {{}}", f"{table}_get = {table}.get"]
         # An enumeration counter is stored only once its quantifier has run.
         cells = [
             (
@@ -469,7 +491,7 @@ class _Compiler(pysource.Emitter):
             )
             for cell, key in self.enumerations.values()
         ]
-        return self.factory("_stats, _budget, _memo", prologue, _COUNTERS, cells)
+        return self.factory("_stats, _budget", prologue, _COUNTERS, cells)
 
     def once(self, key: tuple, make: Callable[[], object]) -> str:
         """The constant for *key*, made by *make* the first time."""
@@ -477,6 +499,10 @@ class _Compiler(pysource.Emitter):
         if name is None:
             name = self.shared[key] = self.constant(make())
         return name
+
+    def radix(self, type_: ComplexType) -> str:
+        """The constant holding ``|cons(type_)|``."""
+        return self.once(("radix", type_), partial(self.positions.size, type_))
 
     # Formulas ------------------------------------------------------------
     def formula(self, formula: Formula, scope: dict) -> None:
@@ -490,6 +516,7 @@ class _Compiler(pysource.Emitter):
             left, left_type = self.term(formula.left, scope)
             right, right_type = self.term(formula.right, scope)
             if left_type is None or left_type != right_type:
+                self.unsafe += 1
                 left = self.value(formula.left, left, left_type)
                 right = self.value(formula.right, right, right_type)
             self.line(f"r = {left} == {right}")
@@ -518,6 +545,7 @@ class _Compiler(pysource.Emitter):
         if isinstance(container_type, SetType) and container_type.element_type == element_type:
             self.line(f"r = {container} >> {element} & 1")
             return
+        self.unsafe += 1
         element = self.value(formula.element, element, element_type)
         container = self.value(formula.container, container, container_type)
         if isinstance(container_type, SetType):
@@ -533,10 +561,12 @@ class _Compiler(pysource.Emitter):
         argument, argument_type = self.term(formula.argument, scope)
         name, schema = formula.predicate_name, self.database.schema
         if name not in schema:
+            self.unsafe += 1
             values = self.constant(_MissingPredicate(self.database, name))
         elif argument_type is not None and argument_type == schema.type_of(name):
             values = self.once(("P", name), partial(self.encoded, name, argument_type))
         else:
+            self.unsafe += 1
             argument = self.value(formula.argument, argument, argument_type)
             values = self.constant(self.database.instance(name).values)
         self.line(f"r = {argument} in {values}")
@@ -567,6 +597,7 @@ class _Compiler(pysource.Emitter):
         free = sorted(formula.free_variables())
         parameters = [scope[name][0] for name in free if name in scope]
         call = f"{self.decision(formula, scope, parameters)}({', '.join(parameters)})"
+        self.unsafe += 1
         if not self.settings.memoize_quantifiers:
             self.line(f"r = {call}")
             return
@@ -574,23 +605,53 @@ class _Compiler(pysource.Emitter):
         signature = tuple(scope[name][1] if name in scope else _UNBOUND for name in free)
         if self.signatures.setdefault(node, signature) != signature:
             self.conflicts.add(node)
-        key = [self.constant(node)]
-        for name in free:
-            if name not in scope:
-                key.append("_UNBOUND")
-                continue
-            local, type_ = scope[name]
-            key.append(self.decoded(local, type_) if node in self.value_keyed else local)
-        self.line(f"m = ({', '.join(key)},)")
-        self.line("r = _memo_get(m)")
+        if node not in self.tables:
+            self.tables[node] = self.fresh("_m")
+        table, key = self.tables[node], self.memo_key(node, free, scope)
+        if not (key.isidentifier() or key.isdecimal()):
+            self.line(f"m = {key}")
+            key = "m"
+        self.line(f"r = {table}_get({key})")
         self.line("if r is None:")
         self.line("    _misses += 1")
-        self.line(f"    r = _memo[m] = {call}")
+        self.line(f"    r = {table}[{key}] = {call}")
         self.line("else:")
         self.line("    _hits += 1")
 
+    def memo_key(self, node: int, free: list[str], scope: dict) -> str:
+        """An expression for the key of the quantifier *node* in its memo
+        table, given its sorted free variables *free*.
+
+        Every place that reaches a quantifier not in ``value_keyed`` binds
+        its free variables with the same types and leaves the same ones
+        unbound, so positions key it: one position, the mixed-radix number
+        of several, or ``0`` for none.  When a free name holds a value (the
+        caller bound it), or the quantifier is in ``value_keyed``, the key
+        is the tuple of the free variables' values, ``_UNBOUND`` standing
+        for a name not bound."""
+        bound = [scope[name] for name in free if name in scope]
+        if node in self.value_keyed or any(type_ is None for _, type_ in bound):
+            key = [self.decoded(*scope[name]) if name in scope else "_UNBOUND" for name in free]
+            return f"({''.join(f'{part}, ' for part in key)})"
+        if not bound:
+            return "0"
+        (key, _), *rest = bound
+        for local, type_ in rest:
+            key = f"{key if key.isidentifier() else f'({key})'} * {self.radix(type_)} + {local}"
+        return key
+
     def decision(self, formula: Exists | Forall, scope: dict, parameters: list[str]) -> str:
-        """Emit the function deciding *formula* by enumerating its domain."""
+        """Emit the function deciding *formula* by enumerating its domain.
+
+        The body is written first.  When it adds nothing :attr:`unsafe` and
+        the variable's type is set-free, the quantifier is a *leaf*: its
+        domain is ``range(|cons(T)|)``, so the loop variable counts the
+        bindings before it, and nothing in the body can raise.  A leaf
+        counts its bindings, enumerations and the body's leading
+        satisfaction calls where its loop exits; under a budget it stops at
+        the binding the per-binding check would raise at and raises there
+        with the same counters.  Any other quantifier counts each binding,
+        and checks the budget, before its body."""
         name, previous = self.begin("_q", parameters)
         settings, variable_type = self.settings, formula.variable_type
         atom_count = len(self.positions.atoms)
@@ -611,21 +672,46 @@ class _Compiler(pysource.Emitter):
             view = partial(position_domain, variable_type, atom_count)
             domain = self.once(("domain", variable_type), view)
         variable = self.fresh("v")
+        existential = formula.__class__ is Exists
+        budget = settings.binding_budget is not None
         self.line(f"if {counter} is None:")
         self.line(f"    {counter} = 0")
+        unsafe = self.unsafe
         with self.block(f"for {variable} in {domain}:", loop=True):
-            self.line("_bindings += 1")
-            self.line(f"{counter} += 1")
-            if settings.binding_budget is not None:
-                self.line("if _bindings > _budget:")
-                self.line("    raise _budget_exceeded(_budget)")
+            first = len(self.out.lines)
             self.formula(formula.body, {**scope, formula.variable: (variable, variable_type)})
-            existential = formula.__class__ is Exists
-            self.line("if r:" if existential else "if not r:")
-            self.line(f"    return {existential}")
-        self.line(f"return {not existential}")
+            leaf = self.unsafe == unsafe and is_flat(variable_type)
+            calls = self.take_calls(first) if leaf else 0
+            with self.block("if r:" if existential else "if not r:"):
+                if leaf:
+                    self.line(f"{variable} += 1")
+                    self.tally(counter, variable, calls, variable)
+                self.line(f"return {existential}")
+        if leaf:
+            size = self.radix(variable_type)
+            with self.block("else:") if budget else nullcontext():
+                self.tally(counter, size, calls, size)
+                self.line(f"return {not existential}")
+            if budget:
+                self.tally(counter, f"{variable} + 1", calls, variable)
+                self.line("raise _budget_exceeded(_budget)")
+                self.insert(first, [f"if {variable} >= room: break"])
+                self.insert(first - 1, ["room = _budget - _bindings"])
+        else:
+            self.line(f"return {not existential}")
+            prelude = ["_bindings += 1", f"{counter} += 1"]
+            if budget:
+                prelude += ["if _bindings > _budget:", "    raise _budget_exceeded(_budget)"]
+            self.insert(first, prelude)
         self.end(previous)
         return name
+
+    def tally(self, counter: str, bindings: str, calls: int, runs: str) -> None:
+        """Count *bindings* bindings and enumerations of *counter*, and
+        *runs* runs of a loop body that left out *calls* leading calls."""
+        self.line(f"_bindings += {bindings}")
+        self.line(f"{counter} += {bindings}")
+        self.calls(calls, runs)
 
     # Terms ---------------------------------------------------------------
     def term(self, term: Term, scope: dict) -> tuple[str, ComplexType | None]:
@@ -655,8 +741,7 @@ class _Compiler(pysource.Emitter):
 
     def coordinate(self, local: str, type_: TupleType, index: int) -> str:
         """``x.index`` of the position *local* of a tuple type."""
-        component = type_.component_types[index - 1]
-        radix = self.once(("radix", component), partial(self.positions.size, component))
+        radix = self.radix(type_.component_types[index - 1])
         if index == len(type_.component_types):
             return f"{local} % {radix}"
         stride = self.once(("stride", type_, index), partial(self.positions.stride, type_, index))

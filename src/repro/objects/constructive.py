@@ -50,6 +50,7 @@ from itertools import chain, combinations
 
 from repro.errors import ObjectModelError
 from repro.objects.values import Atom, ComplexValue, SetValue, TupleValue
+from repro.types.set_height import is_flat
 from repro.types.type_system import AtomicType, ComplexType, SetType, TupleType
 from repro.utils.iteration import bounded
 
@@ -177,7 +178,7 @@ def position_domain(type_: ComplexType, atom_count: int) -> Iterable[int]:
     ``|Y| = atom_count``, in the order :func:`iter_constructive_domain`
     yields the values: a ``range`` for a set-free type, otherwise the
     shared memoized enumeration."""
-    if _set_free(type_):
+    if is_flat(type_):
         return range(constructive_domain_size(type_, atom_count))
     return _shared((type_, atom_count), partial(_enumerate_positions, type_, atom_count))
 
@@ -361,12 +362,6 @@ def _enumerate_subsets(element_domain: list[ComplexValue]) -> Iterator[SetValue]
     for size in range(len(element_domain) + 1):
         for combo in combinations(element_domain, size):
             yield SetValue(combo)
-
-
-def _set_free(type_: ComplexType) -> bool:
-    if isinstance(type_, TupleType):
-        return all(map(_set_free, type_.component_types))
-    return not isinstance(type_, SetType)
 
 
 def _strides(type_: TupleType, atom_count: int) -> list[int]:

@@ -20,12 +20,22 @@ a second-order one an inline loop over the subset bitsets of
 :func:`repro.objects.constructive.subset_bitsets` with the budget check in
 its body, and each breaks at its first witness or counterexample.  A
 predicate's bitset is the position of its extension in ``cons({T})``.
+
 Relation symbols are resolved while the source is written, so an atom
 whose arity does not match its relation, or that applies a non-flat
 predicate, is a :class:`TypingError` before anything is enumerated.  The
 predicate bitsets, the constants' indices and the domain are arguments of
 the generated factory, so the source depends only on the formula's
 structure and the budget setting.
+
+**Counting.**  The counters are closure cells of the generated code.  Only
+the relation budget can raise, so a first-order loop whose body quantifies
+no relation counts where it exits: its loop variable is the number of
+bindings before it, so a break at ``v`` adds ``v + 1`` bindings and ``v + 1``
+runs of its body's leading satisfaction calls, and running out adds ``n``.
+Relation loops, and the first-order loops around them, count each
+candidate and binding as they start it, so the counters are exact when the
+budget fires.
 
 **Spill rule.**  CPython refuses a function that nests more than 20 loops
 and ``try`` blocks, or 100 indentation levels.  A subformula is written as
@@ -214,11 +224,12 @@ class _Compiler(pysource.Emitter):
     ``_k0, _k1, ...`` the bitsets of the predicates the formula uses and the
     domain indices of its constants, and returns ``run``.  The counters
     ``_calls``, ``_bindings`` and ``_tried`` are closure cells shared by
-    every generated function.  Every binder owns one local — ``v<n>`` for a
-    domain index, ``b<n>`` for a relation bitset — and every occurrence is
-    resolved to the local of its innermost binder.  Every formula is
-    written as statements that leave its truth value in ``r``, and a
-    subformula that would nest too deep as a function ``_s<n>``.
+    every generated function; a first-order loop counts at its exits where
+    it can (:meth:`first_order`).  Every binder owns one local — ``v<n>``
+    for a domain index, ``b<n>`` for a relation bitset — and every
+    occurrence is resolved to the local of its innermost binder.  Every
+    formula is written as statements that leave its truth value in ``r``,
+    and a subformula that would nest too deep as a function ``_s<n>``.
     """
 
     def __init__(
@@ -233,6 +244,8 @@ class _Compiler(pysource.Emitter):
         self.budget = settings.relation_budget
         #: ``predicate name -> (constant holding its bitset, arity)``.
         self.predicates: dict[str, tuple[str, int]] = {}
+        #: Relation quantifiers written so far: the code that can raise.
+        self.relation_loops = 0
 
     def program(self, formula: SOFormula, head: list[str]) -> str:
         if not head:
@@ -278,14 +291,9 @@ class _Compiler(pysource.Emitter):
             if kind is SOImplies:
                 self.line("else: r = True")
         elif kind is SOExists or kind is SOForall:
-            # The loop stops at the first witness or counterexample.
-            local = self.fresh("v")
-            with self.block(f"for {local} in _d:", loop=True):
-                self.line("_bindings += 1")
-                self.formula(formula.body, {**variables, formula.variable: local}, relations)
-                self.line("if r: break" if kind is SOExists else "if not r: break")
-            self.line(f"else: r = {kind is SOForall}")
+            self.first_order(formula, variables, relations)
         elif kind is SOExistsRelation or kind is SOForallRelation:
+            self.relation_loops += 1
             local = self.fresh("b")
             with self.block(f"for {local} in _relations(range(_n ** {formula.arity})):", loop=True):
                 self.line("_tried += 1")
@@ -297,6 +305,36 @@ class _Compiler(pysource.Emitter):
             self.line(f"else: r = {kind is SOForallRelation}")
         else:
             raise EvaluationError(f"unknown second-order formula class {type(formula).__name__}")
+
+    def first_order(self, formula: SOExists | SOForall, variables: dict, relations: dict) -> None:
+        """Write the loop of a first-order quantifier, which stops at the
+        first witness or counterexample.  The body is written first.  Only
+        the relation budget can raise, so when the body quantifies no
+        relation the loop counts its bindings and its body's leading
+        satisfaction calls where it exits, the loop variable being the
+        number of bindings before it; otherwise it counts each binding
+        before its body."""
+        local, existential = self.fresh("v"), formula.__class__ is SOExists
+        relation_loops = self.relation_loops
+        with self.block(f"for {local} in _d:", loop=True):
+            first = len(self.out.lines)
+            self.formula(formula.body, {**variables, formula.variable: local}, relations)
+            counted = self.relation_loops == relation_loops
+            calls = self.take_calls(first) if counted else 0
+            with self.block("if r:" if existential else "if not r:"):
+                if counted:
+                    self.line(f"{local} += 1")
+                    self.line(f"_bindings += {local}")
+                    self.calls(calls, local)
+                self.line("break")
+        if not counted:
+            self.insert(first, ["_bindings += 1"])
+            self.line(f"else: r = {not existential}")
+            return
+        with self.block("else:"):
+            self.line("_bindings += _n")
+            self.calls(calls, "_n")
+            self.line(f"r = {not existential}")
 
     def spill(self, formula: SOFormula, variables: dict, relations: dict) -> None:
         """Write *formula* as a function of its own, called here."""

@@ -11,6 +11,12 @@ written under one lock, which also guards the generators' own memos
 CPython refuses a function that nests more than 20 loops and ``try``
 blocks, or 100 indentation levels, so a generator spills deep code into a
 function of its own once :meth:`Emitter.deep` says so.
+
+The evaluators count satisfaction calls in a ``_calls`` cell.  The emitter
+batches the increments written back to back into one statement, and
+:meth:`Emitter.take_calls` takes a loop body's leading increment back out of
+the loop, for the generator to count at the loop's exits
+(:meth:`Emitter.calls`).
 """
 
 from __future__ import annotations
@@ -141,6 +147,35 @@ class Emitter:
             out.lines.append(f"{indent}_calls += {out.pending}")
             out.pending = 0
         out.lines.append(indent + text)
+
+    def take_calls(self, first: int) -> int:
+        """Remove line *first* of the function being written when it is a
+        ``_calls`` increment, and return the increment (else 0).  It is the
+        leading increment of a loop body that starts there, which the
+        caller counts at the loop's exits instead, once per iteration run
+        (:meth:`calls`); that is exact only when nothing in the body can
+        raise."""
+        lines = self.out.lines
+        increment = lines[first].lstrip()
+        if not increment.startswith("_calls += "):
+            return 0
+        del lines[first]
+        return int(increment[len("_calls += "):])
+
+    def calls(self, per: int, iterations: str) -> None:
+        """Write the ``_calls`` increment of *iterations* (a name) runs of a
+        loop body whose leading increment of *per* calls was taken out
+        (:meth:`take_calls`)."""
+        if per:
+            self.line(f"_calls += {iterations if per == 1 else f'{per} * {iterations}'}")
+
+    def insert(self, index: int, lines: Sequence[str]) -> None:
+        """Write *lines* before the line *index* of the function being
+        written, indented as that line: code that depends on what was
+        written after it."""
+        text = self.out.lines
+        indent = text[index][: len(text[index]) - len(text[index].lstrip())]
+        text[index:index] = [indent + line for line in lines]
 
     def block(self, header: str, loop: bool = False) -> Function:
         """Write *header*; what the ``with`` body writes goes one level

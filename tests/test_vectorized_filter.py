@@ -53,6 +53,7 @@ from repro.objects.columnar import (
     mask_or,
 )
 from repro.objects.values import Atom, TupleValue, clear_intern_tables
+from repro.observability.trace import tracing
 from repro.relational import algebra as relational_algebra
 from repro.relational.relation import Relation
 from repro.types.parser import parse_type
@@ -290,10 +291,13 @@ def _transient_plan(expression):
 
 
 def _transient_engine(expression, database):
+    """The engine over *database* with codegen off, and with the two
+    things off that would profile the stored PAR's columns: join ordering,
+    and tracing, whose plans carry estimates from the same statistics."""
     settings = AlgebraEvaluationSettings(
         engine_logical_optimize=False, engine_join_ordering=False
     )
-    with codegen(False):
+    with codegen(False), tracing(False):
         return evaluate_expression(expression, database, settings)
 
 

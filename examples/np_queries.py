@@ -60,6 +60,7 @@ def main() -> None:
             f"  |PERSON| = {size}: SO says even={so_answer}, calculus returns "
             f"{len(calculus_answer)} witnesses (agreement: {agrees})"
         )
+        assert agrees, f"the engines disagree at |PERSON| = {size}"
 
 
 if __name__ == "__main__":

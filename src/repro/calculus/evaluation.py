@@ -20,13 +20,13 @@ instances tractable without changing the semantics:
   antecedent of ``forall x ( phi(x) -> z in x )`` is evaluated once per
   ``x`` rather than once per output candidate ``z``.
 
-Every evaluation first compiles its formula into Python source
-(:class:`_Compiler`).  Each quantifier becomes one generated function: its
-bound free variables are the parameters, its loop variable is a local, and
-the atoms and connectives of its body are inlined as statements; the call
-site probes the quantifier memo inline and calls the function only on a
-miss.  Everything that is fixed per formula node is resolved then: the kind
-and type of each term, each quantifier's sorted free variables,
+The evaluator compiles a formula into Python source (:class:`_Compiler`).
+Each quantifier becomes one generated function: its bound free variables
+are the parameters, its loop variable is a local, and the atoms and
+connectives of its body are inlined as statements; the call site probes
+the quantifier memo inline and calls the function only on a miss.
+Everything that is fixed per formula node is resolved then: the kind and
+type of each term, each quantifier's sorted free variables,
 enumeration-counter key and domain, and the strategy and memoisation
 settings.
 
@@ -68,18 +68,24 @@ coincide (the empty set is ``0`` in every set type), so a subformula shared
 by two places whose free variables have different types keys its memo on
 the tuple of their values, as one with a free name the caller binds does.
 
-Strides, radices, constant positions, predicate positions, decoders and
-domain views are passed to the generated factory as arguments, so the
-source text depends only on the formula's structure and the settings, and
-compiled factories are cached by that text in the process-wide cache of
-:mod:`repro.utils.pysource`.  The cache pays off when a structure repeats;
-a structure seen once pays for writing its source and for ``compile()``,
-which for a small formula costs more than evaluating it.  One factory call
-per evaluation creates the memo tables and the counters, so concurrent
-evaluations share nothing.  The generated code enumerates the same
-constructive domains in the same order as the formula's tree semantics
-prescribes, so every answer, error and statistics counter is the one a
-node-by-node walk of the formula gives.
+**Plans.**  Strides, radices, constant positions, predicate positions,
+decoders and domain views are passed to the generated factory as
+arguments, so the source text depends only on the formula's structure and
+the settings, and compiled factories are cached by that text in the
+process-wide cache of :mod:`repro.utils.pysource`.  The compiler only
+names, for each argument, the function that makes it for one evaluation
+(``_radix``, ``_domain``, ...).  The first evaluation of a formula object
+keeps its factory and those makers (a :class:`repro.utils.pysource.Plan`),
+so a later one with the same bound names, schema and settings makes the
+arguments and calls the factory: it writes no source and walks no
+formula.  A formula object seen once still pays for writing its source
+and, if its structure is new, for ``compile()``, which for a small formula
+costs more than evaluating it, and its plan stays until the bounded memo
+is cleared.  One factory call per evaluation creates the memo tables and
+the counters, so concurrent evaluations share nothing.  The generated code
+enumerates the same constructive domains in the same order as the
+formula's tree semantics prescribes, so every answer, error and statistics
+counter is the one a node-by-node walk of the formula gives.
 """
 
 from __future__ import annotations
@@ -115,6 +121,7 @@ from repro.objects.constructive import (
 from repro.objects.domain import belongs_to
 from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import ComplexValue, SetValue, TupleValue
+from repro.types.schema import DatabaseSchema
 from repro.types.set_height import is_flat
 from repro.types.type_system import ComplexType, SetType, TupleType, U
 from repro.utils import pysource
@@ -337,6 +344,18 @@ def _output_atoms(
     return universe
 
 
+#: Prepared plans, keyed by the formula's identity, the names and types
+#: ``holds`` takes, the schema's identity and the settings that shape the
+#: source.  Identity, not structure: each formula node owns a memo table.
+#: A formula object evaluated once (a served ``CALC`` request parses a new
+#: one) still leaves a plan, so the memo is cleared wholesale at
+#: ``_MAX_PLANS`` entries.  The cap sits above the largest working set
+#: measured: the ``semantics`` benchmark reuses 4 plans per pass, and 99%
+#: of tier-1's reuses come within 19 plans of their plan's insertion.
+_PLANS: dict[tuple, pysource.Plan] = {}
+_MAX_PLANS = 32
+
+
 def _compile(
     formula: Formula,
     bound: dict[str, ComplexType | None],
@@ -349,18 +368,98 @@ def _compile(
 
     ``holds`` takes the names in *bound*, in order: for a name with a type,
     the position of its value in ``cons(type)`` under *positions*; for a
-    name without one, its value.
+    name without one, its value.  A formula evaluated before with the same
+    key reuses its plan and only makes the plan's constants anew.
     """
-    compiler = _Compiler(database, positions, settings)
+    schema = database.schema
+    shape = (settings.strategy, settings.memoize_quantifiers, settings.binding_budget is None)
+    key = (id(formula), tuple(bound.items()), id(schema), shape)
+    plan = _PLANS.get(key)
+    if plan is None or not positions.index.keys() >= plan.atoms:
+        plan = _prepare(formula, bound, schema, positions, settings, key)
+    budget = settings.binding_budget
+    constants = [make(argument, database, positions, budget) for make, argument in plan.constants]
+    return plan.factory(statistics, budget, constants)
+
+
+def _prepare(
+    formula: Formula,
+    bound: dict[str, ComplexType | None],
+    schema: DatabaseSchema,
+    positions: Positions,
+    settings: EvaluationSettings,
+    key: tuple,
+) -> pysource.Plan:
+    """Write *formula*'s source and compile it.  The plan is kept under
+    *key* when the compile cache keeps its factory and every constant of
+    the formula is in the universe: a constant outside it is written as a
+    value, which only :func:`satisfies` can be given."""
+    compiler = _Compiler(schema, positions, settings)
     source = compiler.program(formula, bound)
     if compiler.conflicts:
         # A shared subformula is reached with differently typed free
         # variables, whose positions may coincide: rewrite it to key its
         # memo on their values.
-        compiler = _Compiler(database, positions, settings, value_keyed=compiler.conflicts)
+        compiler = _Compiler(schema, positions, settings, value_keyed=compiler.conflicts)
         source = compiler.program(formula, bound)
     factory, _ = pysource.compiled("calculus", source, "_factory", _RUNTIME)
-    return factory(statistics, settings.binding_budget, tuple(compiler.constants))
+    atoms = frozenset(compiler.atoms)
+    plan = pysource.Plan(formula, schema, factory, tuple(compiler.constants), atoms)
+    if not compiler.outside and pysource.keeps(source):
+        pysource.remember(_PLANS, key, plan, _MAX_PLANS)
+    return plan
+
+
+# The makers of the constants the compiler describes (pysource's
+# ``Emitter.made_by``): each takes its argument, then the database, the
+# positions of the universe and the binding budget of one evaluation.
+
+
+def _radix(type_, database, positions, budget):
+    return positions.size(type_)
+
+
+def _stride(argument, database, positions, budget):
+    return positions.stride(*argument)
+
+
+def _decoder(type_, database, positions, budget):
+    return partial(positions.decode, type_=type_)
+
+
+def _position(atom, database, positions, budget):
+    return positions.index[atom]
+
+
+def _domain(type_, database, positions, budget):
+    # Fetched anew: a shared enumeration may have been evicted, broken or
+    # outgrown its cache since the last evaluation.
+    return position_domain(type_, len(positions.atoms))
+
+
+def _materializer(type_, database, positions, budget):
+    return partial(constructive_positions, type_, len(positions.atoms), budget=budget)
+
+
+def _predicate(argument, database, positions, budget):
+    # A value with an atom outside the universe has no position, and no
+    # position equals it.
+    name, type_ = argument
+    encode, encoded = positions.encode, set()
+    for value in database.instance(name).values:
+        try:
+            encoded.add(encode(value, type_))
+        except KeyError:
+            continue
+    return frozenset(encoded)
+
+
+def _values(name, database, positions, budget):
+    return database.instance(name).values
+
+
+def _missing(name, database, positions, budget):
+    return _MissingPredicate(database, name)
 
 
 def _budget_exceeded(budget: int) -> BudgetExceededError:
@@ -425,7 +524,8 @@ class _Compiler(pysource.Emitter):
     ``_k`` into ``_k0, _k1, ...`` — predicate positions and instances,
     constant positions and atoms, strides, radices and domain sizes,
     decoders, domain views, enumeration keys and the subjects of error
-    messages — creates one memo table ``_m<n>`` per memoised quantifier,
+    messages, each made per evaluation by a maker the compiler names —
+    creates one memo table ``_m<n>`` per memoised quantifier,
     and returns ``holds``, which decides the formula for the caller's bound
     names.  The counters (``_calls``, ``_bindings``, ``_hits``, ``_misses``
     and one ``_e<n>`` per enumeration key) are closure cells shared by
@@ -446,20 +546,24 @@ class _Compiler(pysource.Emitter):
 
     def __init__(
         self,
-        database: DatabaseInstance,
+        schema: DatabaseSchema,
         positions: Positions,
         settings: EvaluationSettings,
         value_keyed: set[int] | frozenset[int] = frozenset(),
     ) -> None:
         super().__init__("holds()")
-        self.database = database
+        self.schema = schema
         self.positions = positions
         self.settings = settings
         #: Enumeration key -> (its counter cell, the constant holding it).
         self.enumerations: dict[str, tuple[str, str]] = {}
-        #: Constants fixed by the structure alone (a stride, a decoder, a
-        #: predicate's positions), written once each.
-        self.shared: dict[tuple, str] = {}
+        #: Constants used in several places (a stride, a decoder, a
+        #: predicate's positions), described once each.
+        self.shared: dict[tuple[Callable, object], str] = {}
+        #: The atoms of the constants written as positions, and whether a
+        #: constant outside the universe was written as its value.
+        self.atoms: set[object] = set()
+        self.outside = False
         #: Memoised quantifier id -> the types of its free variables where
         #: it was first reached.
         self.signatures: dict[int, tuple] = {}
@@ -493,16 +597,17 @@ class _Compiler(pysource.Emitter):
         ]
         return self.factory("_stats, _budget", prologue, _COUNTERS, cells)
 
-    def once(self, key: tuple, make: Callable[[], object]) -> str:
-        """The constant for *key*, made by *make* the first time."""
-        name = self.shared.get(key)
+    def once(self, make: Callable, argument: object) -> str:
+        """The constant *make* makes from *argument*, described the first
+        time only."""
+        name = self.shared.get((make, argument))
         if name is None:
-            name = self.shared[key] = self.constant(make())
+            name = self.shared[make, argument] = self.made_by(make, argument)
         return name
 
     def radix(self, type_: ComplexType) -> str:
         """The constant holding ``|cons(type_)|``."""
-        return self.once(("radix", type_), partial(self.positions.size, type_))
+        return self.once(_radix, type_)
 
     # Formulas ------------------------------------------------------------
     def formula(self, formula: Formula, scope: dict) -> None:
@@ -559,29 +664,17 @@ class _Compiler(pysource.Emitter):
 
     def predicate(self, formula: PredicateAtom, scope: dict) -> None:
         argument, argument_type = self.term(formula.argument, scope)
-        name, schema = formula.predicate_name, self.database.schema
+        name, schema = formula.predicate_name, self.schema
         if name not in schema:
             self.unsafe += 1
-            values = self.constant(_MissingPredicate(self.database, name))
+            values = self.made_by(_missing, name)
         elif argument_type is not None and argument_type == schema.type_of(name):
-            values = self.once(("P", name), partial(self.encoded, name, argument_type))
+            values = self.once(_predicate, (name, argument_type))
         else:
             self.unsafe += 1
             argument = self.value(formula.argument, argument, argument_type)
-            values = self.constant(self.database.instance(name).values)
+            values = self.made_by(_values, name)
         self.line(f"r = {argument} in {values}")
-
-    def encoded(self, name: str, type_: ComplexType) -> frozenset[int]:
-        """The positions of the values of predicate *name*.  A value with an
-        atom outside the universe has none, and no position equals it."""
-        encode = self.positions.encode
-        positions = set()
-        for value in self.database.instance(name).values:
-            try:
-                positions.add(encode(value, type_))
-            except KeyError:
-                continue
-        return frozenset(positions)
 
     def spill(self, formula: Formula, scope: dict) -> None:
         """Emit *formula* as a function of its own, called here."""
@@ -654,23 +747,15 @@ class _Compiler(pysource.Emitter):
         and checks the budget, before its body."""
         name, previous = self.begin("_q", parameters)
         settings, variable_type = self.settings, formula.variable_type
-        atom_count = len(self.positions.atoms)
         key = str(variable_type)
         if key not in self.enumerations:
             self.enumerations[key] = (f"_e{len(self.enumerations)}", self.constant(key))
         counter = self.enumerations[key][0]
         if settings.strategy is QuantifierStrategy.EAGER:
-            materialize = partial(
-                constructive_positions,
-                variable_type,
-                atom_count,
-                budget=settings.binding_budget,
-            )
-            self.line(f"d = {self.constant(materialize)}()")
+            self.line(f"d = {self.made_by(_materializer, variable_type)}()")
             domain = "d"
         else:
-            view = partial(position_domain, variable_type, atom_count)
-            domain = self.once(("domain", variable_type), view)
+            domain = self.once(_domain, variable_type)
         variable = self.fresh("v")
         existential = formula.__class__ is Exists
         budget = settings.binding_budget is not None
@@ -723,10 +808,11 @@ class _Compiler(pysource.Emitter):
                 return f"_raise_unbound({self.constant(term.name)})", None
             return binding
         if isinstance(term, Constant):
-            position = self.positions.index.get(term.value)
-            if position is None:
+            if term.value not in self.positions.index:
+                self.outside = True
                 return self.constant(term.as_atom()), None
-            return self.constant(position), U
+            self.atoms.add(term.value)
+            return self.made_by(_position, term.value), U
         if isinstance(term, CoordinateTerm):
             binding = scope.get(term.variable_name)
             if binding is None:
@@ -744,7 +830,7 @@ class _Compiler(pysource.Emitter):
         radix = self.radix(type_.component_types[index - 1])
         if index == len(type_.component_types):
             return f"{local} % {radix}"
-        stride = self.once(("stride", type_, index), partial(self.positions.stride, type_, index))
+        stride = self.once(_stride, (type_, index))
         if index == 1:
             return f"{local} // {stride}"
         return f"{local} // {stride} % {radix}"
@@ -761,5 +847,5 @@ class _Compiler(pysource.Emitter):
         *code* itself when it is a value already (*type_* is ``None``)."""
         if type_ is None:
             return code
-        decode = self.once(("decode", type_), lambda: partial(self.positions.decode, type_=type_))
+        decode = self.once(_decoder, type_)
         return f"{decode}({code})"

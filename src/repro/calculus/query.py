@@ -45,6 +45,7 @@ class CalculusQuery:
         self._typing: TypingReport = check_query_formula(
             formula, schema, target_variable, target_type
         )
+        self._constants = formula.constants()
 
     @property
     def schema(self) -> DatabaseSchema:
@@ -73,7 +74,7 @@ class CalculusQuery:
 
     def constants(self) -> frozenset[object]:
         """``adom(Q)``: the atomic constants occurring in the query."""
-        return self._formula.constants()
+        return self._constants
 
     def variable_types(self) -> frozenset[ComplexType]:
         """All types carried by variables of the query (target included)."""

@@ -7,19 +7,19 @@ range over *all* subsets of ``adom^k``.  The second-order ranges have size
 complex-object calculus evaluator: the hyper-exponential search space is the
 phenomenon the paper studies, not an accident to be optimised away.
 
-Every evaluation first writes its formula as Python source
-(:class:`_Compiler`), compiled once per process by
-:mod:`repro.utils.pysource`.  First-order variables are locals holding
-domain indices: an atom's index is its position in ``cons(U)``
-(:class:`repro.objects.constructive.Positions`), which alone decides the
-order of the domain.  A relation of arity ``k`` — a database predicate or
-a candidate for a relation variable — is an int bitset over the row index
-of ``product(domain, repeat=k)``, so an atom is an inline shift and mask.
-A first-order quantifier is an inline ``for`` loop over the domain indices,
-a second-order one an inline loop over the subset bitsets of
-:func:`repro.objects.constructive.subset_bitsets` with the budget check in
-its body, and each breaks at its first witness or counterexample.  A
-predicate's bitset is the position of its extension in ``cons({T})``.
+The evaluator writes a formula as Python source (:class:`_Compiler`),
+compiled once per process by :mod:`repro.utils.pysource`.  First-order
+variables are locals holding domain indices: an atom's index is its
+position in ``cons(U)`` (:class:`repro.objects.constructive.Positions`),
+which alone decides the order of the domain.  A relation of arity ``k``
+— a database predicate or a candidate for a relation variable — is an int
+bitset over the row index of ``product(domain, repeat=k)``, so an atom is
+an inline shift and mask.  A first-order quantifier is an inline ``for``
+loop over the domain indices, a second-order one an inline loop over the
+subset bitsets of :func:`repro.objects.constructive.subset_bitsets` with
+the budget check in its body, and each breaks at its first witness or
+counterexample.  A predicate's bitset is the position of its extension in
+``cons({T})``.
 
 Relation symbols are resolved while the source is written, so an atom
 whose arity does not match its relation, or that applies a non-flat
@@ -27,6 +27,13 @@ predicate, is a :class:`TypingError` before anything is enumerated.  The
 predicate bitsets, the constants' indices and the domain are arguments of
 the generated factory, so the source depends only on the formula's
 structure and the budget setting.
+
+**Plans.**  The compiler only names the makers of the bitsets and
+indices.  The first evaluation of a formula object that passes its checks
+keeps its factory and those makers (a :class:`repro.utils.pysource.Plan`),
+so a later one with the same head, schema and budget setting makes the
+bitsets and indices for its database and calls the factory: it checks
+nothing again, writes no source and walks no formula.
 
 **Counting.**  The counters are closure cells of the generated code.  Only
 the relation budget can raise, so a first-order loop whose body quantifies
@@ -75,6 +82,7 @@ from repro.second_order.formulas import (
 from repro.objects.constructive import Positions, subset_bitsets
 from repro.objects.instance import DatabaseInstance
 from repro.relational.relation import Relation
+from repro.types.schema import DatabaseSchema
 from repro.types.type_system import TupleType, U
 from repro.utils import pysource
 
@@ -105,20 +113,19 @@ def evaluation_domain(
     formula: SOFormula, database: DatabaseInstance
 ) -> tuple[object, ...]:
     """The active domain of the database plus the constants of the formula,
-    in the order of their domain indices."""
-    return _positions(formula, database).atoms
+    in the order of their domain indices: an atom's index is its position
+    in ``cons(U)``."""
+    return Positions(database.active_domain() | _constants(formula)).atoms
 
 
-def _positions(formula: SOFormula, database: DatabaseInstance) -> Positions:
-    """The domain indices of the atoms of :func:`evaluation_domain`: an
-    atom's index is its position in ``cons(U)``."""
-    constants = {
+def _constants(formula: SOFormula) -> frozenset[object]:
+    """The atoms the constants of *formula* stand for."""
+    return frozenset(
         term.value
         for sub in formula.subformulas()
         for term in _terms_of(sub)
         if isinstance(term, SOConstant)
-    }
-    return Positions(database.active_domain() | constants)
+    )
 
 
 def _terms_of(formula: SOFormula) -> tuple[SOTerm, ...]:
@@ -142,16 +149,6 @@ def evaluate_sentence(
     given, receives the evaluation's counters.
     """
     settings = settings or SOEvaluationSettings()
-    if formula.free_first_order_variables():
-        raise EvaluationError(
-            "a sentence may not have free first-order variables: "
-            f"{sorted(formula.free_first_order_variables())}"
-        )
-    unknown = formula.free_relation_variables() - set(database.schema.predicate_names)
-    if unknown:
-        raise EvaluationError(
-            f"free relation symbols {sorted(unknown)} are not database predicates"
-        )
     return _run(formula, [], database, settings, statistics)
 
 
@@ -173,11 +170,18 @@ def evaluate_query(
         raise EvaluationError("a query needs at least one head variable")
     if len(set(head_variables)) != len(head_variables):
         raise TypingError(f"head variables must be distinct, got {head_variables}")
-    stray = formula.free_first_order_variables() - set(head_variables)
-    if stray:
-        raise EvaluationError(f"free variables {sorted(stray)} are not head variables")
     rows = _run(formula, head_variables, database, settings, statistics)
     return Relation(len(head_variables), rows)
+
+
+#: Prepared plans, keyed by the formula's identity, the head, the schema's
+#: identity and whether the relation budget is off: all the source and
+#: the checks of :func:`_prepare` depend on.  Cleared wholesale at
+#: ``_MAX_PLANS`` entries, above the largest working set measured: the
+#: ``semantics`` benchmark reuses 3 plans per pass, and tier-1 reuses a
+#: plan within 1 plan of its insertion.
+_PLANS: dict[tuple, pysource.Plan] = {}
+_MAX_PLANS = 32
 
 
 def _run(
@@ -187,15 +191,66 @@ def _run(
     settings: SOEvaluationSettings,
     statistics: SOEvaluationStatistics | None,
 ) -> bool | set[tuple]:
-    """Compile *formula* and evaluate it: its truth value when *head* is
-    empty, otherwise the set of bindings of *head* that satisfy it."""
-    positions = _positions(formula, database)
-    compiler = _Compiler(database, positions, settings)
+    """Evaluate *formula*: its truth value when *head* is empty, otherwise
+    the set of bindings of *head* that satisfy it.  A formula evaluated
+    before with the same key reuses its plan and only makes the plan's
+    constants anew."""
+    schema = database.schema
+    key = (id(formula), tuple(head), id(schema), settings.relation_budget is None)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _prepare(formula, head, schema, settings, key)
+    positions = Positions(database.active_domain() | plan.atoms)
+    constants = [make(argument, database, positions) for make, argument in plan.constants]
+    statistics = statistics or SOEvaluationStatistics()
+    return plan.factory(statistics, settings.relation_budget, positions.atoms, constants)()
+
+
+def _prepare(
+    formula: SOFormula,
+    head: list[str],
+    schema: DatabaseSchema,
+    settings: SOEvaluationSettings,
+    key: tuple,
+) -> pysource.Plan:
+    """Check *formula* against *head* (a sentence when it is empty) and
+    *schema*, write its source and compile it.  The plan is kept under
+    *key* when the compile cache keeps its factory."""
+    stray = formula.free_first_order_variables() - set(head)
+    if stray and head:
+        raise EvaluationError(f"free variables {sorted(stray)} are not head variables")
+    if stray:
+        raise EvaluationError(
+            f"a sentence may not have free first-order variables: {sorted(stray)}"
+        )
+    if not head:
+        unknown = formula.free_relation_variables() - set(schema.predicate_names)
+        if unknown:
+            raise EvaluationError(
+                f"free relation symbols {sorted(unknown)} are not database predicates"
+            )
+    compiler = _Compiler(schema, settings)
     source = compiler.program(formula, head)
     factory, _ = pysource.compiled("second-order", source, "_factory", _RUNTIME)
-    statistics = statistics or SOEvaluationStatistics()
-    constants = tuple(compiler.constants)
-    return factory(statistics, settings.relation_budget, positions.atoms, constants)()
+    plan = pysource.Plan(formula, schema, factory, tuple(compiler.constants), _constants(formula))
+    if pysource.keeps(source):
+        pysource.remember(_PLANS, key, plan, _MAX_PLANS)
+    return plan
+
+
+# The makers of the constants the compiler describes (pysource's
+# ``Emitter.made_by``): each takes its argument, then the database and the
+# domain indices of one evaluation.
+
+
+def _index(atom, database, positions):
+    return positions.index[atom]
+
+
+def _bitset(predicate, database, positions):
+    name, declared = predicate
+    # The relation's bitset is the position of its extension in cons({T}).
+    return positions.bitset(database.instance(name).values, declared)
 
 
 def _over_budget(budget: int) -> EvaluationError:
@@ -222,7 +277,8 @@ class _Compiler(pysource.Emitter):
 
     The factory ``_factory(_stats, _budget, _domain, _k)`` unpacks into
     ``_k0, _k1, ...`` the bitsets of the predicates the formula uses and the
-    domain indices of its constants, and returns ``run``.  The counters
+    domain indices of its constants, which the compiler only describes
+    (``_bitset``, ``_index``), and returns ``run``.  The counters
     ``_calls``, ``_bindings`` and ``_tried`` are closure cells shared by
     every generated function; a first-order loop counts at its exits where
     it can (:meth:`first_order`).  Every binder owns one local — ``v<n>``
@@ -232,15 +288,9 @@ class _Compiler(pysource.Emitter):
     and a subformula that would nest too deep as a function ``_s<n>``.
     """
 
-    def __init__(
-        self,
-        database: DatabaseInstance,
-        positions: Positions,
-        settings: SOEvaluationSettings,
-    ) -> None:
+    def __init__(self, schema: DatabaseSchema, settings: SOEvaluationSettings) -> None:
         super().__init__("run()")
-        self.database = database
-        self.positions = positions
+        self.schema = schema
         self.budget = settings.relation_budget
         #: ``predicate name -> (constant holding its bitset, arity)``.
         self.predicates: dict[str, tuple[str, int]] = {}
@@ -349,7 +399,7 @@ class _Compiler(pysource.Emitter):
 
     def term(self, term: SOTerm, variables: dict) -> str:
         if isinstance(term, SOConstant):
-            return self.constant(self.positions.index[term.value])
+            return self.made_by(_index, term.value)
         if isinstance(term, SOVariable):
             return variables[term.name]
         raise EvaluationError(f"unknown term class {type(term).__name__}")
@@ -361,7 +411,7 @@ class _Compiler(pysource.Emitter):
         if name in relations:
             relation, declared = relations[name]
             kind = "relation variable"
-        elif name in self.database.schema:
+        elif name in self.schema:
             relation, declared = self.predicate(name)
             kind = "predicate"
         else:
@@ -377,15 +427,13 @@ class _Compiler(pysource.Emitter):
     def predicate(self, name: str) -> tuple[str, int]:
         entry = self.predicates.get(name)
         if entry is None:
-            declared = self.database.schema.type_of(name)
+            declared = self.schema.type_of(name)
             tuples = isinstance(declared, TupleType)
             if not (declared == U or tuples and set(declared.component_types) == {U}):
                 raise TypingError(
                     f"predicate {name!r} has the non-flat type {declared}; "
                     "second-order atoms apply flat relations only"
                 )
-            # The relation's bitset is the position of its extension in cons({T}).
-            bits = self.positions.bitset(self.database.instance(name).values, declared)
             arity = declared.arity if tuples else 1
-            entry = self.predicates[name] = (self.constant(bits), arity)
+            entry = self.predicates[name] = (self.made_by(_bitset, (name, declared)), arity)
         return entry

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from hashlib import sha256
+from typing import NamedTuple
 
 #: Indentation levels a generated function may reach before code is
 #: spilled into a function of its own.
@@ -70,7 +71,7 @@ def compiled(
     name = f"<{generator} {sha256(source.encode()).hexdigest()[:10]}>"
     exec(compile(source, name, "exec"), namespace)
     function = namespace[entry]
-    if len(source) <= _MAX_SOURCE_CHARS:
+    if keeps(source):
         with _LOCK:
             if len(_COMPILED) >= _MAX_ENTRIES or (
                 sum(len(text) for _, text in _COMPILED) + len(source) > _MAX_SOURCE_CHARS
@@ -80,6 +81,12 @@ def compiled(
     return function, True
 
 
+def keeps(source: str) -> bool:
+    """Whether :func:`compiled` keeps the function it compiles from
+    *source*, so that what holds on to that function costs nothing more."""
+    return len(source) <= _MAX_SOURCE_CHARS
+
+
 def remember(memo: dict, key: Hashable, value: object, limit: int) -> None:
     """Store *value* under *key* in *memo*, clearing *memo* first when it
     holds *limit* entries."""
@@ -87,6 +94,27 @@ def remember(memo: dict, key: Hashable, value: object, limit: int) -> None:
         if len(memo) >= limit:
             memo.clear()
         memo[key] = value
+
+
+class Plan(NamedTuple):
+    """What an evaluator keeps of a formula it evaluated, under a key of
+    the ids of *formula* and *schema* and of what else shapes the source:
+    the compiled *factory*, one ``(make, argument)`` pair per constant the
+    factory takes (:meth:`Emitter.made_by`), and the *atoms* the formula's
+    constants stand for.  Nothing of a database or atom set."""
+
+    #: Pinned, like *schema*, so that no other object takes its id.
+    formula: object
+    schema: object
+    factory: Callable
+    constants: tuple[tuple[Callable, object], ...]
+    atoms: frozenset[object]
+
+
+def _fixed(argument: object, *context: object) -> object:
+    """Makes the constant :meth:`Emitter.constant` was given: *argument*
+    in every run."""
+    return argument
 
 
 class Function:
@@ -122,14 +150,17 @@ class Emitter:
     ``out`` is the function being written — by default the main function
     of a :meth:`factory`, whose body sits in a ``try`` at indent 3.
     :meth:`begin` starts another one and :meth:`end` files it in
-    ``functions`` and resumes the previous one.  ``constants`` are the
-    values the generated code receives as ``_k0, _k1, ...``.
+    ``functions`` and resumes the previous one.  ``constants`` describe the
+    values the generated code receives as ``_k0, _k1, ...``: one
+    ``(make, argument)`` pair each, and the generator makes each value for
+    a run of the generated code as ``make(argument, ...)`` with that run's
+    context (:meth:`made_by`).
     """
 
     def __init__(self, signature: str, indent: int = 3, blocks: int = 1) -> None:
         self.out = Function(signature, indent, blocks)
         self.functions: list[Function] = []
-        self.constants: list[object] = []
+        self.constants: list[tuple[Callable, object]] = []
         self.names = 0
 
     def fresh(self, prefix: str) -> str:
@@ -137,7 +168,13 @@ class Emitter:
         return f"{prefix}{self.names - 1}"
 
     def constant(self, value: object) -> str:
-        self.constants.append(value)
+        """The name of a constant that is *value* in every run."""
+        return self.made_by(_fixed, value)
+
+    def made_by(self, make: Callable, argument: object) -> str:
+        """The name of a constant that ``make(argument, ...)`` makes for
+        each run, from the run's context."""
+        self.constants.append((make, argument))
         return f"_k{len(self.constants) - 1}"
 
     def line(self, text: str) -> None:

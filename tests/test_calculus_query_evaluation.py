@@ -529,6 +529,8 @@ class TestPositionsAndValues:
             return compiled(generator, source, *rest)
 
         monkeypatch.setattr(evaluation.pysource, "compiled", recording)
+        # Without plans kept from earlier tests, the evaluation writes its source.
+        monkeypatch.setattr(evaluation, "_PLANS", {})
         evaluate_query(*SEMANTICS_ENTRIES[name])
         assert len(sources) == 1
         for fragment in (".components", "_SetValue", "_coordinate"):
@@ -576,13 +578,17 @@ class TestDeepFormulas:
 
 class TestConcurrentEvaluations:
     def test_threads_share_compiled_code_but_no_evaluation_state(self, monkeypatch):
-        """Threads evaluating at once share the compiled factories, which a
-        small cache bound keeps evicting, but no memo or counter: every
-        evaluation returns the answer and statistics of a serial run."""
+        """Threads evaluating at once share the compiled factories and
+        prepared plans, which small bounds keep evicting, but no memo or
+        counter: every evaluation returns the answer and statistics of a
+        serial run."""
+        from repro.calculus import evaluation
         from repro.utils import pysource
 
         monkeypatch.setattr(pysource, "_COMPILED", {})
         monkeypatch.setattr(pysource, "_MAX_ENTRIES", 3)
+        monkeypatch.setattr(evaluation, "_PLANS", {})
+        monkeypatch.setattr(evaluation, "_MAX_PLANS", 3)
         settings = EvaluationSettings(binding_budget=None)
         work = [SEMANTICS_ENTRIES[name] for name in ("superset_chain3", "even_persons4")]
         formula = Equals(var("t"), var("t"))
@@ -620,6 +626,7 @@ class TestConcurrentEvaluations:
             sys.setswitchinterval(interval)
         assert not errors and not mismatches
         assert len(pysource._COMPILED) <= 3
+        assert len(evaluation._PLANS) <= 3
 
 
 class TestScoping:

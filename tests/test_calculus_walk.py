@@ -30,6 +30,7 @@ from repro.calculus.evaluation import (
     evaluation_universe,
     satisfies,
 )
+from repro.calculus.query import CalculusQuery
 from repro.calculus.formulas import (
     And,
     Equals,
@@ -48,6 +49,7 @@ from repro.objects.instance import DatabaseInstance, Instance
 from repro.objects.values import SetValue, TupleValue
 from repro.second_order import so_query_to_calculus
 from repro.types.set_height import is_flat
+from repro.types.type_system import U
 from repro.utils.iteration import bounded
 from repro.workloads import random_algebra_expression
 
@@ -213,32 +215,44 @@ def _outcome(decide):
 
 def _check(query, database, settings, context) -> tuple[bool, str | None]:
     """Compare the evaluator with the walker on *query*: the answer and
-    every counter, or the error.  Returns whether it raised, and where a
-    budget error fired (see :class:`_Walker`)."""
+    every counter, or the error, of two evaluations, the second of which
+    reuses the plan the first prepared.  Returns whether it raised, and
+    where a budget error fired (see :class:`_Walker`)."""
     statistics = EvaluationStatistics()
     universe = evaluation_universe(query, database, settings)
     walker = _Walker(database, universe, settings, statistics)
     walked = _outcome(lambda: walker.evaluate(query))
-    evaluated = _outcome(lambda: evaluate_query_detailed(query, database, settings))
-    if not isinstance(evaluated, str):
-        evaluated = evaluated.answer, evaluated.statistics
-    assert evaluated == (walked if isinstance(walked, str) else (walked, statistics)), context
+    expected = walked if isinstance(walked, str) else (walked, statistics)
+    for run in range(2):
+        evaluated = _outcome(lambda: evaluate_query_detailed(query, database, settings))
+        if not isinstance(evaluated, str):
+            evaluated = evaluated.answer, evaluated.statistics
+        assert evaluated == expected, (context, run)
     return isinstance(walked, str), walker.fired
 
 
-def _check_sentence(query, database, settings, context) -> str | None:
+def _check_formula(database, formula, universe, settings, context) -> str | None:
     """Compare the evaluator with the walker through :func:`satisfies` on
-    the sentence ``exists t (phi)``, whose target stays typed: the truth
-    value or the error, and every counter, also when a budget error fires.
-    Returns where a budget error fired."""
+    the sentence *formula*: the truth value or the error, and every
+    counter, also when a budget error fires, of two evaluations, the second
+    of which reuses the plan the first prepared.  Returns where a budget
+    error fired."""
+    walked = EvaluationStatistics()
+    walker = _Walker(database, universe, settings, walked)
+    expected = _outcome(lambda: walker.holds(formula, {})), walked
+    for run in range(2):
+        evaluated = EvaluationStatistics()
+        actual = _outcome(lambda: satisfies(database, formula, {}, universe, settings, evaluated))
+        assert (actual, evaluated) == expected, (context, run)
+    return walker.fired
+
+
+def _check_sentence(query, database, settings, context) -> str | None:
+    """:func:`_check_formula` on the sentence ``exists t (phi)``, whose
+    target stays typed."""
     sentence = Exists(query.target_variable, query.target_type, query.formula)
     universe = evaluation_universe(query, database, settings)
-    walked, evaluated = EvaluationStatistics(), EvaluationStatistics()
-    walker = _Walker(database, universe, settings, walked)
-    expected = _outcome(lambda: walker.holds(sentence, {})), walked
-    actual = _outcome(lambda: satisfies(database, sentence, {}, universe, settings, evaluated))
-    assert (actual, evaluated) == expected, context
-    return walker.fired
+    return _check_formula(database, sentence, universe, settings, context)
 
 
 def _budgets(query, database) -> list[int]:
@@ -370,6 +384,8 @@ def test_the_grandparent_inner_quantifier_counts_where_it_exits(monkeypatch):
     ints, not tuples."""
     from repro.utils import pysource
 
+    # Without plans kept from earlier tests, the evaluation writes its source.
+    monkeypatch.setattr(evaluation, "_PLANS", {})
     sources = []
     compiled = pysource.compiled
 
@@ -384,3 +400,114 @@ def test_the_grandparent_inner_quantifier_counts_where_it_exits(monkeypatch):
     assert source.count("_bindings += 1") == 1
     assert source.count("_bindings += v") == 2  # a witness, and the budget
     assert "m = (" not in source
+
+
+def test_a_formula_that_reaches_a_subformula_twice_keeps_its_own_memo(monkeypatch):
+    """Plans are keyed by the formula object, not its structure: a formula
+    that reaches one quantifier twice shares its memo table between both
+    places, so the second place hits where the equal tree misses."""
+    monkeypatch.setattr(evaluation, "_PLANS", {})
+    database = SEMANTICS["even_persons4"][1]
+
+    def a_person_equal_to_t():
+        y = VariableTerm("y")
+        return Exists("y", U, And(PredicateAtom("PERSON", y), Equals(y, VariableTerm("t"))))
+
+    shared = a_person_equal_to_t()
+    dag, tree = And(shared, shared), And(shared, a_person_equal_to_t())
+    assert dag == tree
+    for formula in (dag, tree, dag):
+        query = CalculusQuery(PERSON_SCHEMA, "t", U, formula)
+        _check(query, database, EvaluationSettings(), "dag" if formula is dag else "tree")
+
+
+def test_a_universe_without_a_formula_constant_takes_the_value_path(monkeypatch):
+    """A plan is reused only over a universe that holds every constant of
+    its formula: :func:`satisfies` may be given one that lacks a constant,
+    which is then written as a value."""
+    monkeypatch.setattr(evaluation, "_PLANS", {})
+    database = DatabaseInstance.build(PERSON_SCHEMA, PERSON=["a", "b"])
+    formula = Exists("x", U, Equals(VariableTerm("x"), Constant("c")))
+    for universe in ({"a", "b", "c"}, {"a", "b"}, {"a", "b", "c"}):
+        _check_formula(database, formula, frozenset(universe), EvaluationSettings(), universe)
+
+
+def test_a_predicate_outside_the_schema_raises_where_it_is_tested(monkeypatch):
+    """Plans are keyed by the schema: over a database whose schema lacks a
+    predicate, testing an argument against it raises, as it does on the
+    first evaluation."""
+    monkeypatch.setattr(evaluation, "_PLANS", {})
+    formula = Exists("x", U, PredicateAtom("PERSON", VariableTerm("x")))
+    persons = DatabaseInstance.build(PERSON_SCHEMA, PERSON=["a"])
+    parents = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b")])
+    for database in (persons, parents, persons):
+        universe = database.active_domain()
+        _check_formula(database, formula, universe, EvaluationSettings(), database.schema)
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [
+        ({"binding_budget": None, "memoize_quantifiers": False}, {"binding_budget": None}),
+        ({"binding_budget": 300, "strategy": QuantifierStrategy.EAGER}, {"binding_budget": 300}),
+        ({"binding_budget": None}, {"binding_budget": 300}),
+    ],
+    ids=["memoize_quantifiers", "strategy", "binding_budget"],
+)
+def test_each_setting_that_shapes_the_source_gets_its_own_plan(first, second, monkeypatch):
+    """Plans are keyed by the settings the source depends on: with the
+    memo off no memo is probed, the eager strategy materialises a domain
+    (and over 300 elements raises before any binding), and a source
+    written without a budget checks none."""
+    monkeypatch.setattr(evaluation, "_PLANS", {})
+    query, database = SEMANTICS["closure_chain3"]
+    sentence = Exists(query.target_variable, query.target_type, query.formula)
+    universe = evaluation_universe(query, database, EvaluationSettings())
+    for values in (first, second, first):
+        settings = EvaluationSettings(**values)
+        _check(query, database, settings, values)
+        _check_formula(database, sentence, universe, settings, values)
+
+
+def test_a_warm_evaluation_writes_no_source(monkeypatch):
+    """Once a formula is prepared, evaluating it again writes no source,
+    also over a database with another number of atoms."""
+    monkeypatch.setattr(evaluation, "_PLANS", {})
+    programs = []
+    program = evaluation._Compiler.program
+
+    def counting(compiler, *arguments):
+        programs.append(arguments)
+        return program(compiler, *arguments)
+
+    monkeypatch.setattr(evaluation._Compiler, "program", counting)
+    query = grandparent_query()
+    for length in (6, 3, 6):
+        chain = CHAIN6[:length]
+        database = DatabaseInstance.build(PARENT_SCHEMA, PAR=list(zip(chain, chain[1:])))
+        _check(query, database, EvaluationSettings(), length)
+    assert len(programs) == 1
+
+
+def test_a_source_the_compile_cache_does_not_keep_leaves_no_plan(monkeypatch):
+    """A plan would pin the factory of a source too long for the compile
+    cache, so none is kept: each evaluation writes and compiles it anew."""
+    from repro.utils import pysource
+
+    monkeypatch.setattr(evaluation, "_PLANS", {})
+    monkeypatch.setattr(pysource, "_COMPILED", {})
+    monkeypatch.setattr(pysource, "_MAX_SOURCE_CHARS", 100)
+    fresh = []
+    compiled = pysource.compiled
+
+    def recording(*arguments):
+        function, compiled_now = compiled(*arguments)
+        fresh.append(compiled_now)
+        return function, compiled_now
+
+    monkeypatch.setattr(pysource, "compiled", recording)
+    chain = CHAIN6[:3]
+    database = DatabaseInstance.build(PARENT_SCHEMA, PAR=list(zip(chain, chain[1:])))
+    _check(grandparent_query(), database, EvaluationSettings(), "uncached")
+    assert fresh == [True, True]
+    assert evaluation._PLANS == {}

@@ -44,6 +44,7 @@ from repro.second_order import (
     so_sentence_to_calculus,
     three_colorability_sentence,
 )
+from repro.second_order import evaluation as so_evaluation
 from repro.second_order.evaluation import (
     SOEvaluationSettings,
     SOEvaluationStatistics,
@@ -478,13 +479,16 @@ class TestDeepFormulas:
 
 class TestConcurrentEvaluations:
     def test_threads_share_compiled_code_but_no_evaluation_state(self, monkeypatch):
-        """Threads evaluating at once share the compiled factories, which a
-        small cache bound keeps evicting, but no counter: every evaluation
-        returns the answer and statistics of a serial run."""
+        """Threads evaluating at once share the compiled factories and
+        prepared plans, which small bounds keep evicting, but no counter:
+        every evaluation returns the answer and statistics of a serial
+        run."""
         from repro.utils import pysource
 
         monkeypatch.setattr(pysource, "_COMPILED", {})
         monkeypatch.setattr(pysource, "_MAX_ENTRIES", 3)
+        monkeypatch.setattr(so_evaluation, "_PLANS", {})
+        monkeypatch.setattr(so_evaluation, "_MAX_PLANS", 3)
         head, reachability = reachability_query()
         triangle = graph_db("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         work = [
@@ -530,6 +534,7 @@ class TestConcurrentEvaluations:
             sys.setswitchinterval(interval)
         assert not errors and not mismatches
         assert len(pysource._COMPILED) <= 3
+        assert len(so_evaluation._PLANS) <= 3
 
 
 class _Walker:
@@ -658,7 +663,9 @@ def test_random_formulas_match_a_node_by_node_walk():
             return evaluate_sentence(formula, database, settings, statistics)
 
         expected = _so_outcome(walk)
-        assert _so_outcome(evaluate) == expected, (seed, str(formula))
+        # The second evaluation reuses the plan the first one prepared.
+        for run in range(2):
+            assert _so_outcome(evaluate) == expected, (seed, str(formula), run)
         answer = expected[0]
         if isinstance(answer, str):
             outcomes["over relation budget"] += 1
@@ -680,3 +687,91 @@ def test_random_formulas_match_a_node_by_node_walk():
     assert outcomes["sentence"] >= 150 and outcomes["query"] >= 120, outcomes
     assert outcomes["over relation budget"] >= 40, outcomes
     assert calculus["agreed"] >= 120, calculus
+
+
+def test_a_warm_evaluation_writes_no_source(monkeypatch):
+    """Once a formula is prepared, evaluating it again writes no source,
+    also over a database with another number of atoms, and gives the
+    walker's answers and counters."""
+    monkeypatch.setattr(so_evaluation, "_PLANS", {})
+    programs = []
+    program = so_evaluation._Compiler.program
+
+    def counting(compiler, *arguments):
+        programs.append(arguments)
+        return program(compiler, *arguments)
+
+    monkeypatch.setattr(so_evaluation._Compiler, "program", counting)
+    head, formula = reachability_query()
+    settings = SOEvaluationSettings()
+    for vertices in ("abc", "ab", "abc"):
+        database = graph_db(vertices, zip(vertices, vertices[1:]))
+        domain = evaluation_domain(formula, database)
+        expected = _so_outcome(
+            lambda statistics: _Walker(database, domain, settings, statistics).run(head, formula)
+        )
+        actual = _so_outcome(
+            lambda statistics: evaluate_query(head, formula, database, settings, statistics)
+        )
+        assert actual == expected, vertices
+    assert len(programs) == 1
+
+
+def test_a_source_the_compile_cache_does_not_keep_leaves_no_plan(monkeypatch):
+    """A plan would pin the factory of a source too long for the compile
+    cache, so none is kept: each evaluation writes and compiles it anew."""
+    from repro.utils import pysource
+
+    monkeypatch.setattr(so_evaluation, "_PLANS", {})
+    monkeypatch.setattr(pysource, "_COMPILED", {})
+    monkeypatch.setattr(pysource, "_MAX_SOURCE_CHARS", 100)
+    fresh = []
+    compiled = pysource.compiled
+
+    def recording(*arguments):
+        function, compiled_now = compiled(*arguments)
+        fresh.append(compiled_now)
+        return function, compiled_now
+
+    monkeypatch.setattr(pysource, "compiled", recording)
+    sentence, database = even_cardinality_sentence(), person_db(2)
+    assert [evaluate_sentence(sentence, database) for _ in range(2)] == [True, True]
+    assert fresh == [True, True]
+    assert so_evaluation._PLANS == {}
+
+
+def test_a_formula_is_checked_against_each_schema_on_every_call(monkeypatch):
+    """Plans are keyed by the schema, and a formula whose checks or source
+    raise keeps no plan: applied to a unary ``P``, it raises on every call
+    over a schema where ``P`` is binary or missing, however often it was
+    evaluated over one where ``P`` is unary."""
+    monkeypatch.setattr(so_evaluation, "_PLANS", {})
+    formula = SOExists("x", SORelationAtom("P", ("x",)))
+    unary = DatabaseInstance.build(DatabaseSchema([("P", U)]), P=["a"])
+    binary = DatabaseInstance.build(DatabaseSchema([("P", TupleType([U, U]))]), P=[("a", "b")])
+    arity = "predicate 'P' has arity 2 but is applied to 1 terms"
+    missing = "free relation symbols ['P'] are not database predicates"
+    for _ in range(2):
+        assert evaluate_sentence(formula, unary) is True
+        for _ in range(2):
+            with pytest.raises(TypingError, match=re.escape(arity)):
+                evaluate_sentence(formula, binary)
+            with pytest.raises(EvaluationError, match=re.escape(missing)):
+                evaluate_sentence(formula, person_db(1))
+
+
+def test_a_relation_budget_and_none_get_their_own_plans(monkeypatch):
+    """Plans are keyed by whether there is a relation budget: a source
+    written without one checks none, and one written with one reads it."""
+    monkeypatch.setattr(so_evaluation, "_PLANS", {})
+    sentence, database = even_cardinality_sentence(), person_db(2)
+    domain = evaluation_domain(sentence, database)
+    for budget in (None, 1, None):
+        settings = SOEvaluationSettings(relation_budget=budget)
+        expected = _so_outcome(
+            lambda statistics: _Walker(database, domain, settings, statistics).run([], sentence)
+        )
+        actual = _so_outcome(
+            lambda statistics: evaluate_sentence(sentence, database, settings, statistics)
+        )
+        assert actual == expected, budget

@@ -12,19 +12,17 @@ is the representation:
   sets with 50% overlap.  The object path re-derives a 15 000-element
   frozenset and its identity key per call; the columnar path gallops two
   sorted id columns (binary-searched runs moved with C ``memcpy``) and
-  interns the result by its column bytes, materialising no elements;
-* **hash-join build+probe over 10k-element sets** — the engine-shaped
-  join loop (``build_index``/``probe`` from :mod:`repro.engine.join`) on
-  a single coordinate, keyed by the coordinate value (object path) versus
-  by its dictionary-encoded dense id column
-  (``build_index_with_keys``/``probe_with_keys``, columnar path).
+  interns the result by its column bytes, materialising no elements.
+
+Hash joins are not measured here: both the interpreted and the fused
+hash join key on values, so no query takes a columnar join path.
 
 Each mode rebuilds its sets from scratch; ``_best_of`` retains the
 previous answer as a serving system would, so cached columns and interned
 results are exercised the way steady-state traffic sees them.
 Acceptance: ≥3× on bulk union and intersection (measured ≈100×: the
 galloping merges reduce 50%-overlapping 10k-element inputs to a handful
-of binary searches plus block copies), ≥1.2× on the join loop.  ``test_columnar_report`` writes
+of binary searches plus block copies).  ``test_columnar_report`` writes
 ``benchmarks/BENCH_columnar.json`` (floors re-checked by
 ``check_regressions.py`` on every tier-1 run); directly runnable::
 
@@ -42,8 +40,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import write_bench_report
-from repro.engine.join import build_index, build_index_with_keys, probe, probe_with_keys
-from repro.objects.columnar import VALUE_DICTIONARY, columnar_settings, columnar_threshold
+from repro.objects.columnar import columnar_settings, columnar_threshold
 from repro.objects.values import clear_intern_tables, make_set
 
 #: Elements per input set (the ISSUE's 10k-element bulk-set workload).
@@ -54,7 +51,6 @@ SET_SIZE = 10_000
 FLOORS = {
     "speedup_columnar_union_10k": 3.0,
     "speedup_columnar_intersection_10k": 3.0,
-    "speedup_columnar_join_build_probe_10k": 1.2,
 }
 
 
@@ -105,48 +101,6 @@ def measure_bulk_set_op(operation: str, size: int = SET_SIZE) -> dict:
     }
 
 
-def measure_join_build_probe(size: int = SET_SIZE) -> dict:
-    """One hash-join build+probe over *size*-row flattened inputs, keyed on
-    the first coordinate: values (object) vs dense id columns (columnar)."""
-    clear_intern_tables()
-    left, right = _overlapping_sets(size)
-    build_rows = [(value, index) for index, value in enumerate(left)]
-    probe_rows = [(value, index) for index, value in enumerate(right)]
-
-    def object_path():
-        index = build_index(build_rows, key=lambda row: row[0])
-        return sum(1 for _ in probe(probe_rows, index, key=lambda row: row[0]))
-
-    # Steady state: the dictionary-encoded key columns persist alongside
-    # the rows (as instance/relation id columns do), so the join loop
-    # consumes them directly instead of extracting and hashing a key per
-    # row per run.
-    encode = VALUE_DICTIONARY.encode
-    build_keys = [encode(row[0]) for row in build_rows]
-    probe_keys = [encode(row[0]) for row in probe_rows]
-
-    def columnar_path():
-        index = build_index_with_keys(build_rows, build_keys)
-        return sum(1 for _ in probe_with_keys(probe_rows, probe_keys, index))
-
-    matches_object = object_path()
-    matches_columnar = columnar_path()
-    assert matches_object == matches_columnar
-    seconds = {
-        "object": _best_of(object_path),
-        "columnar": _best_of(columnar_path),
-    }
-    return {
-        "workload": (
-            f"hash-join build+probe, {size} rows per side keyed on one "
-            "coordinate, 50% key overlap"
-        ),
-        "matches": matches_object,
-        "seconds": seconds,
-        "speedup_columnar_vs_object": seconds["object"] / seconds["columnar"],
-    }
-
-
 # -- pytest-benchmark entries ---------------------------------------------------
 
 @pytest.mark.parametrize("size", [10_000])
@@ -160,11 +114,9 @@ def test_columnar_report():
     """Measure both modes on every workload, assert the bars, emit the report."""
     union = measure_bulk_set_op("union")
     intersection = measure_bulk_set_op("intersection")
-    join = measure_join_build_probe()
     metrics = {
         "speedup_columnar_union_10k": union["speedup_columnar_vs_object"],
         "speedup_columnar_intersection_10k": intersection["speedup_columnar_vs_object"],
-        "speedup_columnar_join_build_probe_10k": join["speedup_columnar_vs_object"],
     }
     path = write_bench_report(
         "columnar",
@@ -173,7 +125,6 @@ def test_columnar_report():
             "results": {
                 "bulk_union": union,
                 "bulk_intersection": intersection,
-                "join_build_probe": join,
             },
             "metrics": metrics,
             "floors": FLOORS,

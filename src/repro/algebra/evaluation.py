@@ -53,13 +53,12 @@ class AlgebraEvaluationSettings:
     (:mod:`repro.engine`); when it is off, the legacy tree-walking
     interpreter runs instead.  The ``engine_*`` flags ablate individual
     engine capabilities: the logical rule-optimizer pass, lowering of
-    equality selections over products to hash joins,
-    common-subexpression elimination, and cost-based join reordering
-    (which also needs the process-wide
-    :func:`repro.engine.joinorder.set_join_ordering` switch on).  Note
-    that the logical pass can *remove* a powerset (``𝒞(𝒫(E)) → E``), so
-    an expression that exceeds the powerset budget under the legacy
-    interpreter may legitimately succeed under the engine.
+    equality selections over products to hash joins, and
+    common-subexpression elimination.  Cost-based join reordering follows
+    the process-wide :func:`repro.engine.joinorder.set_join_ordering`
+    switch.  Note that the logical pass can *remove* a powerset
+    (``𝒞(𝒫(E)) → E``), so an expression that exceeds the powerset budget
+    under the legacy interpreter may legitimately succeed under the engine.
     """
 
     powerset_budget: int = 22
@@ -67,7 +66,6 @@ class AlgebraEvaluationSettings:
     engine_logical_optimize: bool = True
     engine_hash_join: bool = True
     engine_cse: bool = True
-    engine_join_ordering: bool = True
 
 
 def evaluate_expression(
@@ -90,7 +88,6 @@ def evaluate_expression(
                 logical_optimize=settings.engine_logical_optimize,
                 hash_join=settings.engine_hash_join,
                 common_subexpressions=settings.engine_cse,
-                join_ordering=settings.engine_join_ordering,
             ),
         )
     return evaluate_expression_legacy(expression, database, settings)

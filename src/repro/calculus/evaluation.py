@@ -557,9 +557,6 @@ class _Compiler(pysource.Emitter):
         self.settings = settings
         #: Enumeration key -> (its counter cell, the constant holding it).
         self.enumerations: dict[str, tuple[str, str]] = {}
-        #: Constants used in several places (a stride, a decoder, a
-        #: predicate's positions), described once each.
-        self.shared: dict[tuple[Callable, object], str] = {}
         #: The atoms of the constants written as positions, and whether a
         #: constant outside the universe was written as its value.
         self.atoms: set[object] = set()
@@ -596,14 +593,6 @@ class _Compiler(pysource.Emitter):
             for cell, key in self.enumerations.values()
         ]
         return self.factory("_stats, _budget", prologue, _COUNTERS, cells)
-
-    def once(self, make: Callable, argument: object) -> str:
-        """The constant *make* makes from *argument*, described the first
-        time only."""
-        name = self.shared.get((make, argument))
-        if name is None:
-            name = self.shared[make, argument] = self.made_by(make, argument)
-        return name
 
     def radix(self, type_: ComplexType) -> str:
         """The constant holding ``|cons(type_)|``."""

@@ -112,9 +112,11 @@ def _cached_plan(
     # Expressions and schemas are immutable; key on identity and pin both
     # objects in the cache entry so their ids cannot be recycled underneath.
     # Tracing is in the key too: a traced plan carries the estimates its
-    # spans report, which an untraced compile may have skipped.
+    # spans report, which an untraced compile may have skipped.  So is the
+    # join-ordering switch, which decides whether the plan is reordered.
     traced = tracing_enabled()
-    key = (id(expression), id(schema), options, traced)
+    ordering = joinorder_enabled()
+    key = (id(expression), id(schema), options, traced, ordering)
     entry = _plan_cache.get(key)
     if entry is not None:
         signature = entry[3]
@@ -129,7 +131,6 @@ def _cached_plan(
         # every ``plan.*`` span carries.  Only join ordering's choices
         # depend on them, so only a plan compiled with it keeps a
         # staleness signature.
-        ordering = options.join_ordering and joinorder_enabled()
         statistics = PlanStatistics(database) if ordering or traced else None
         plan = compile_expression(expression, schema, options, statistics=statistics)
         signature = statistics.signature() if ordering else None

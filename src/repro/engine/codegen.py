@@ -15,13 +15,13 @@ fusable operator (``Filter``, ``Project``, ``Untuple``, ``HashJoin``,
 each operator contributes loop/branch lines and hands the current row to
 its consumer's emitter, so a scan→filter→project chain becomes literally
 
-    for _v1 in _b0:                  # Scan (instance bound via env)
+    for _v1 in _k0:                  # Scan (the instance is a constant)
         _r2 = _v1.components
-        if _r2[2] == _b1:            # Filter, constants hoisted to env
-            _k3 = (_r2[1],)
-            if _k3 not in _seen0:    # Project, streaming dedup
-                _seen0.add(_k3)
-                _append(_TupleValue(_k3))   # survivor-only construction
+        if _r2[2] == _k1:            # Filter (the atom is a constant)
+            _key3 = (_r2[1],)
+            if _key3 not in _seen0:  # Project, streaming dedup
+                _seen0.add(_key3)
+                _append(_TupleValue(_key3))   # survivor-only construction
 
 Fragment *boundaries* are the places the emitter stops inlining and
 instead loops over ``executor.rows(child)``: blocking inputs (hash-join
@@ -50,16 +50,22 @@ no partially-fused hybrid.  ``codegen_stats()['fallbacks']`` counts those
 declines; trivial roots (bare scans, constants, materialize markers) are
 not fallbacks, they simply have nothing to fuse.
 
-**Caching.**  Two levels.  The emitted source text is a deterministic
-function of plan *structure* (names, constants and mask programs are
-bound through an ``env`` dict, not embedded), so the source string itself
-is the structural cache key: fragments compile through
-:func:`repro.utils.pysource.compiled`, the process-wide cache the calculus
-and second-order evaluators share, keyed by the source and bounded in
-entries and source size — structurally identical plans from different
-source expressions hit the same function (``cache_hits``).  ``_PREPARED``
-additionally memoizes the emission per concrete plan node so repeated
-executions of a cached plan skip the emitter entirely.
+**Constants and caching.**  A fragment is ``_fragment(_k)``, and it
+takes its constants the way the calculus and second-order evaluators do
+(:mod:`repro.utils.pysource`): ``_k`` unpacks into ``_k0, _k1, ...``, one
+``(make, argument)`` pair each, which :func:`fused_rows` makes for every
+run as ``make(argument, executor)``.  A scanned instance is ``(_scan,
+name)`` and a boundary's rows ``(_rows, node)``; atoms and mask programs
+are fixed values, made once at emission.  Equal constants share one
+name, and the helpers the loops call are the globals ``_RUNTIME``.  So
+the emitted text is a deterministic function of plan *structure*, and the
+source string itself is the structural cache key: fragments compile
+through :func:`repro.utils.pysource.compiled`, the process-wide cache the
+evaluators share, keyed by the source and bounded in entries and source
+size — structurally identical plans from different source expressions
+hit the same function (``cache_hits``).  ``_PREPARED`` memoizes the
+emission per concrete plan node, so repeated executions of a cached plan
+skip the emitter and only make the constants.
 """
 
 from __future__ import annotations
@@ -155,24 +161,37 @@ class _Unsupported(Exception):
     """Internal: the candidate fragment contains a non-inlinable construct."""
 
 
-#: Helper objects the emitted source reaches through ``env`` (bound into
-#: locals in the fragment prologue; only the ones a fragment uses).
-_HELPERS = {
-    "compress": compress,
-    "TupleValue": TupleValue,
-    "cdispatch": columnar_dispatch,
-    "decode_all": VALUE_DICTIONARY.decode_all,
-    "count_setop": partial(_count, "engine_set_ops"),
-    "union_ids": union_ids,
-    "intersect_ids": intersect_ids,
-    "difference_ids": difference_ids,
+#: The globals of every fused fragment.
+_RUNTIME = {
+    "_compress": compress,
+    "_TupleValue": TupleValue,
+    "_cdispatch": columnar_dispatch,
+    "_decode_all": VALUE_DICTIONARY.decode_all,
+    "_count_setop": partial(_count, "engine_set_ops"),
+    "_union_ids": union_ids,
+    "_intersect_ids": intersect_ids,
+    "_difference_ids": difference_ids,
 }
 
-_SET_OP_HELPERS = {
-    "union": "union_ids",
-    "intersection": "intersect_ids",
-    "difference": "difference_ids",
+_SET_OP_KERNELS = {
+    "union": "_union_ids",
+    "intersection": "_intersect_ids",
+    "difference": "_difference_ids",
 }
+
+
+# The makers of the constants of a fragment that depend on the run
+# (pysource's ``Emitter.made_by``): each takes its argument, then the
+# executor that runs the fragment.
+
+
+def _scan(name: str, executor) -> object:
+    return executor.database.instance(name)
+
+
+def _rows(node: PlanNode, executor) -> object:
+    return partial(executor.rows, node)
+
 
 #: Operators a fragment may be rooted at / inline.  Everything else
 #: (powerset, collapse, materialize, unknown nodes) is a boundary.
@@ -213,7 +232,7 @@ class _Row:
             emitter = self.emitter
             var = emitter.fresh("_t")
             if isinstance(self.type, TupleType):
-                emitter.line(f"{var} = {emitter.helper('TupleValue')}({self.components_var})")
+                emitter.line(f"{var} = _TupleValue({self.components_var})")
             else:
                 emitter.line(f"{var} = {self.components_var}[0]")
             self.value_var = var
@@ -242,43 +261,14 @@ class _Emitter(pysource.Emitter):
     """
 
     def __init__(self) -> None:
-        super().__init__("_fragment(env)", indent=1, blocks=0)
-        self.bindings: list[tuple[str, str, object]] = []
-        self._binding_slots: dict[object, str] = {}
-        self.helpers_used: set[str] = set()
+        super().__init__("_fragment(_k)", indent=1, blocks=0)
         self.fused_node_ids: list[int] = []
-        self.boundary_nodes: list[PlanNode] = []
         self.fused_operators = 0
 
-    # -- low-level emission ------------------------------------------------
-    def helper(self, name: str) -> str:
-        self.helpers_used.add(name)
-        return f"_{name}"
-
-    def bind(self, kind: str, payload, dedup_key=None) -> str:
-        """Reserve an ``env`` slot resolved at execution time (see
-        :func:`_build_env`); *dedup_key* shares slots between references
-        to the same scan/constant so the source stays canonical."""
-        if dedup_key is not None:
-            slot = self._binding_slots.get(dedup_key)
-            if slot is not None:
-                return slot
-        slot = f"_b{len(self.bindings)}"
-        self.bindings.append((slot, kind, payload))
-        if dedup_key is not None:
-            self._binding_slots[dedup_key] = slot
-        return slot
-
-    def _bind_scan(self, node: Scan) -> str:
-        return self.bind("scan", node.predicate_name, ("scan", node.predicate_name))
-
-    def _bind_constant(self, value) -> str:
-        try:
-            dedup_key = ("const", value)
-            hash(value)
-        except TypeError:
-            dedup_key = None
-        return self.bind("const", value, dedup_key)
+    def atom(self, value) -> str:
+        """The constant ``Atom(value)``, described once per fragment so that
+        equal constants share a name and the source stays canonical."""
+        return self.once(pysource._fixed, Atom(value))
 
     # -- fragment roots ----------------------------------------------------
     def build(self, node: PlanNode) -> None:
@@ -302,10 +292,9 @@ class _Emitter(pysource.Emitter):
             self.fused_node_ids.append(node.node_id)
             self.produce(node, consume)
             return
-        self.boundary_nodes.append(node)
-        slot = self.bind("rows", node, ("rows", id(node)))
+        rows = self.once(_rows, node)
         var = self.fresh("_v")
-        with self.block(f"for {var} in {slot}():"):
+        with self.block(f"for {var} in {rows}():"):
             consume(_Row(self, node.output_type, value_var=var))
 
     def _can_inline(self, node: PlanNode) -> bool:
@@ -317,14 +306,13 @@ class _Emitter(pysource.Emitter):
 
     def produce(self, node: PlanNode, consume) -> None:
         if isinstance(node, Scan):
-            slot = self._bind_scan(node)
+            instance = self.once(_scan, node.predicate_name)
             var = self.fresh("_v")
-            with self.block(f"for {var} in {slot}:"):
+            with self.block(f"for {var} in {instance}:"):
                 consume(_Row(self, node.output_type, value_var=var))
             return
         if isinstance(node, ConstantScan):
-            slot = self._bind_constant(node.value)
-            consume(_Row(self, node.output_type, value_var=slot))
+            consume(_Row(self, node.output_type, value_var=self.atom(node.value)))
             return
         self.fused_operators += 1
         if isinstance(node, Filter):
@@ -358,18 +346,18 @@ class _Emitter(pysource.Emitter):
             # compress; the per-row inline predicate serves sub-threshold
             # instances.  The consumer body is emitted under both branches.
             self.fused_node_ids.append(child.node_id)
-            instance = self._bind_scan(child)
-            mask_slot = self.bind("mask", compiled)
+            instance = self.once(_scan, child.predicate_name)
+            mask_of = self.constant(compiled.mask)
             count = self.fresh("_n")
             self.line(f"{count} = len({instance})")
-            with self.block(f"if {self.helper('cdispatch')}({count}):"):
+            with self.block(f"if _cdispatch({count}):"):
                 columns = ", ".join(
                     f"{c}: {instance}.coordinate_ids({c})" for c in compiled.coordinates
                 )
                 mask = self.fresh("_m")
-                self.line(f"{mask} = {mask_slot}({{{columns}}}, {count})")
+                self.line(f"{mask} = {mask_of}({{{columns}}}, {count})")
                 var = self.fresh("_v")
-                with self.block(f"for {var} in {self.helper('compress')}({instance}, {mask}):"):
+                with self.block(f"for {var} in _compress({instance}, {mask}):"):
                     consume(_Row(self, node.output_type, value_var=var))
             with self.block("else:"):
                 var = self.fresh("_v")
@@ -401,7 +389,7 @@ class _Emitter(pysource.Emitter):
             # interned TupleValue); the output value is constructed only
             # for rows that survive the dedup.
             comps = row.components()
-            key = self.fresh("_k")
+            key = self.fresh("_key")
             items = ", ".join(f"{comps}[{c - 1}]" for c in node.coordinates)
             self.line(f"{key} = ({items},)")
             with self.block(f"if {key} not in {seen}:"):
@@ -440,7 +428,7 @@ class _Emitter(pysource.Emitter):
 
         def build(row: _Row) -> None:
             comps = row.components()
-            key = self.fresh("_k")
+            key = self.fresh("_key")
             self.line(f"{key} = {self._key_expression(comps, node.right_keys)}")
             bucket = self.fresh("_bk")
             self.line(f"{bucket} = {index}.get({key})")
@@ -455,7 +443,7 @@ class _Emitter(pysource.Emitter):
 
         def probe(row: _Row) -> None:
             comps = row.components()
-            key = self.fresh("_k")
+            key = self.fresh("_key")
             self.line(f"{key} = {self._key_expression(comps, node.left_keys)}")
             bucket = self.fresh("_bk")
             self.line(f"{bucket} = {get}({key})")
@@ -492,7 +480,7 @@ class _Emitter(pysource.Emitter):
 
             def build_consumer(row: _Row, index=index, build_keys=build_keys) -> None:
                 comps = row.components()
-                key = self.fresh("_k")
+                key = self.fresh("_key")
                 self.line(f"{key} = {self._key_expression(comps, build_keys)}")
                 bucket = self.fresh("_bk")
                 self.line(f"{bucket} = {index}.get({key})")
@@ -510,7 +498,7 @@ class _Emitter(pysource.Emitter):
             if index == len(getters):
                 consume(_Row(self, node.output_type, components_var=accumulated))
                 return
-            key = self.fresh("_k")
+            key = self.fresh("_key")
             self.line(
                 f"{key} = {self._key_expression(accumulated, node.probe_keys[index])}"
             )
@@ -545,7 +533,7 @@ class _Emitter(pysource.Emitter):
         self.source(node.left, outer)
 
     def _emit_set_op(self, node: SetOp, consume) -> None:
-        kernel = _SET_OP_HELPERS.get(node.kind)
+        kernel = _SET_OP_KERNELS.get(node.kind)
         if kernel is None:
             raise _Unsupported
         left, right = node.left, node.right
@@ -554,16 +542,13 @@ class _Emitter(pysource.Emitter):
             # kernel plus a decode loop, with the streaming pipeline as
             # the runtime branch for sub-threshold inputs.
             self.fused_node_ids.extend((left.node_id, right.node_id))
-            left_instance = self._bind_scan(left)
-            right_instance = self._bind_scan(right)
-            with self.block(
-                f"if {self.helper('cdispatch')}"
-                f"(len({left_instance}) + len({right_instance})):"
-            ):
-                self.line(f"{self.helper('count_setop')}()")
+            left_instance = self.once(_scan, left.predicate_name)
+            right_instance = self.once(_scan, right.predicate_name)
+            with self.block(f"if _cdispatch(len({left_instance}) + len({right_instance})):"):
+                self.line("_count_setop()")
                 var = self.fresh("_v")
                 with self.block(
-                    f"for {var} in {self.helper('decode_all')}({self.helper(kernel)}"
+                    f"for {var} in _decode_all({kernel}"
                     f"({left_instance}.ids(), {right_instance}.ids())):"
                 ):
                     consume(_Row(self, node.output_type, value_var=var))
@@ -664,44 +649,34 @@ class _Emitter(pysource.Emitter):
             index = operand - 1
             return lambda comps: f"{comps}[{index}]"
         if isinstance(operand, ConstantOperand):
-            slot = self._bind_constant(operand.value)
-            return lambda comps: slot
+            atom = self.atom(operand.value)
+            return lambda comps: atom
         raise _Unsupported
 
 
 class _Fragment:
-    """A prepared fragment: the compiled function plus its env recipe."""
+    """A prepared fragment: the compiled function and the ``(make,
+    argument)`` pair of each constant it takes."""
 
-    __slots__ = (
-        "function",
-        "bindings",
-        "helpers",
-        "fused_node_ids",
-        "boundary_nodes",
-        "source",
-        "digest",
-    )
+    __slots__ = ("function", "constants", "fused_node_ids", "source", "digest")
 
-    def __init__(self, function, bindings, helpers, fused_node_ids, boundary_nodes, source):
+    def __init__(self, function, constants, fused_node_ids, source):
         self.function = function
-        self.bindings = bindings
-        self.helpers = helpers
+        self.constants = constants
         self.fused_node_ids = fused_node_ids
-        self.boundary_nodes = boundary_nodes
         self.source = source
         self.digest = sha256(source.encode()).hexdigest()[:10]
 
 
 def _assemble(emitter: _Emitter) -> str:
-    lines = ["def _fragment(env):"]
-    for name in sorted(emitter.helpers_used):
-        lines.append(f"    _{name} = env[{'@' + name!r}]")
-    for slot, _kind, _payload in emitter.bindings:
-        lines.append(f"    {slot} = env[{slot!r}]")
-    lines.append("    _out = []")
-    lines.append("    _append = _out.append")
-    lines.extend(emitter.out.lines)
-    lines.append("    return _out")
+    lines = [
+        "def _fragment(_k):",
+        *("    " + line for line in emitter.unpack()),
+        "    _out = []",
+        "    _append = _out.append",
+        *emitter.out.lines,
+        "    return _out",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -729,36 +704,15 @@ def _emit_fragment(node: PlanNode, count: bool):
     except _Unsupported:
         return None
     source = _assemble(emitter)
-    function, fresh = pysource.compiled("fused", source, "_fragment")
+    function, fresh = pysource.compiled("fused", source, "_fragment", _RUNTIME)
     if count:
         _CODEGEN.stats["fragments_compiled" if fresh else "cache_hits"] += 1
     return _Fragment(
         function,
-        tuple(emitter.bindings),
-        tuple(sorted(emitter.helpers_used)),
+        tuple(emitter.constants),
         tuple(dict.fromkeys(emitter.fused_node_ids)),
-        tuple(emitter.boundary_nodes),
         source,
     )
-
-
-def _build_env(fragment: _Fragment, executor) -> dict:
-    env = {}
-    for name in fragment.helpers:
-        env["@" + name] = _HELPERS[name]
-    database = executor.database
-    for slot, kind, payload in fragment.bindings:
-        if kind == "scan":
-            env[slot] = database.instance(payload)
-        elif kind == "rows":
-            env[slot] = partial(executor.rows, payload)
-        elif kind == "const":
-            env[slot] = Atom(payload)
-        elif kind == "mask":
-            env[slot] = payload.mask
-        else:  # pragma: no cover - emitter and env builder move together
-            raise RuntimeError(f"unknown binding kind {kind!r}")
-    return env
 
 
 def fused_rows(node: PlanNode, executor) -> "list | None":
@@ -774,7 +728,7 @@ def fused_rows(node: PlanNode, executor) -> "list | None":
         if not isinstance(node, _TRIVIAL):
             stats["fallbacks"] += 1
         return None
-    result = fragment.function(_build_env(fragment, executor))
+    result = fragment.function([make(argument, executor) for make, argument in fragment.constants])
     stats["fragments_fused"] += 1
     stats["rows_emitted"] += len(result)
     return result
@@ -814,8 +768,9 @@ def analyze_plan(plan: PhysicalPlan) -> dict[int, dict]:
         for node_id in fragment.fused_node_ids:
             if node_id != node.node_id and node_id not in statuses:
                 statuses[node_id] = {"status": "fused", "key": fragment.digest}
-        for boundary in fragment.boundary_nodes:
-            visit(boundary)
+        for make, boundary in fragment.constants:
+            if make is _rows:
+                visit(boundary)
 
     visit(plan.root)
     for node in plan.nodes:
@@ -851,14 +806,15 @@ def compiled_predicate(condition: SelectionCondition, tuple_type):
         expression = emitter.predicate(condition, tuple_type)
     except _Unsupported:
         return None
-    lines = ["def _make(env):"]
-    for slot, _kind, _payload in emitter.bindings:
-        lines.append(f"    {slot} = env[{slot!r}]")
-    lines.append("    def _predicate(_r):")
-    lines.append(f"        return {expression('_r')}")
-    lines.append("    return _predicate")
-    make, _ = pysource.compiled("fused predicate", "\n".join(lines) + "\n", "_make")
-    predicate = make({slot: Atom(payload) for slot, _kind, payload in emitter.bindings})
+    lines = [
+        "def _make(_k):",
+        *("    " + line for line in emitter.unpack()),
+        "    def _predicate(_r):",
+        f"        return {expression('_r')}",
+        "    return _predicate",
+    ]
+    factory, _ = pysource.compiled("fused predicate", "\n".join(lines) + "\n", "_make")
+    predicate = factory([make(argument) for make, argument in emitter.constants])
     pysource.remember(_PREDICATES, key, predicate, _PREDICATE_LIMIT)
     _CODEGEN.stats["predicates_compiled"] += 1
     return predicate

@@ -71,15 +71,15 @@ class CompileOptions:
 
     Each flag isolates one engine capability so benchmarks and equivalence
     tests can ablate them independently; everything defaults to on.
-    ``join_ordering`` additionally requires a statistics provider (and the
-    process-wide :func:`repro.engine.joinorder.set_join_ordering` switch)
-    to actually fire — compiling without statistics is always syntactic.
+    Cost-based join ordering runs when :func:`compile_expression` is given
+    statistics and the process-wide
+    :func:`repro.engine.joinorder.set_join_ordering` switch is on, so
+    compiling without statistics is always syntactic.
     """
 
     logical_optimize: bool = True
     hash_join: bool = True
     common_subexpressions: bool = True
-    join_ordering: bool = True
 
 
 def compile_expression(
@@ -118,11 +118,7 @@ def compile_expression(
             from repro.engine.cost import annotate_estimates
             from repro.engine.joinorder import joinorder_enabled, reorder_plan
 
-            if (
-                options.join_ordering
-                and joinorder_enabled()
-                and _plan_has_joins(plan)
-            ):
+            if joinorder_enabled() and _plan_has_joins(plan):
                 with maybe_span("engine.joinorder"):
                     plan = reorder_plan(plan, statistics)
             annotate_estimates(plan, statistics)

@@ -35,35 +35,6 @@ def probe(
             yield row, match
 
 
-def build_index_with_keys(
-    rows: Iterable[object], keys: Iterable[Hashable]
-) -> dict[Hashable, list[object]]:
-    """Build side over a precomputed key column.
-
-    A caller holding a dictionary-encoded key column (see
-    :mod:`repro.objects.columnar`) hands it in here, so the build loop
-    buckets on small integers instead of re-deriving and re-hashing a key
-    per row.
-    """
-    index: dict[Hashable, list[object]] = {}
-    for key, row in zip(keys, rows):
-        index.setdefault(key, []).append(row)
-    return index
-
-
-def probe_with_keys(
-    rows: Iterable[object],
-    keys: Iterable[Hashable],
-    index: dict[Hashable, list[object]],
-) -> Iterator[tuple[object, object]]:
-    """Probe *index* with a precomputed key column (columnar counterpart of
-    :func:`probe`), yielding ``(probe_row, build_row)`` pairs."""
-    get = index.get
-    for key, row in zip(keys, rows):
-        for match in get(key, ()):
-            yield row, match
-
-
 class IncrementalIndex:
     """A persistent hash index over a growing row set.
 

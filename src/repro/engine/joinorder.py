@@ -737,9 +737,9 @@ def reorder_plan(
 
     The public entry point of the pass (called by
     :func:`repro.engine.compile.compile_expression` when statistics are
-    available and the ``join_ordering`` option is on).  Subgraphs whose
-    searched order does not beat the syntactic one — and that offer no
-    multiway fusion — are left byte-for-byte untouched; plans without
+    available and the :func:`set_join_ordering` switch is on).  Subgraphs
+    whose searched order does not beat the syntactic one — and that offer
+    no multiway fusion — are left byte-for-byte untouched; plans without
     joins are returned unchanged.  Sub-2-relation plans therefore never
     fire the rewrite: a join subgraph only exists where at least one
     binary join node does.

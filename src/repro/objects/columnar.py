@@ -23,8 +23,8 @@ referencing them is alive; this is the same trade a database dictionary
 page makes.
 
 The kernels (:func:`union_ids`, :func:`intersect_ids`,
-:func:`difference_ids`, :func:`contains_id`, :func:`sorted_unique_ids`)
-work on sorted duplicate-free ``array("I")`` columns.  A second family of
+:func:`difference_ids`, :func:`contains_id`) work on sorted
+duplicate-free ``array("I")`` columns.  A second family of
 kernels (:func:`mask_eq_columns`, :func:`mask_eq_target`, :func:`mask_and`,
 :func:`mask_or`, :func:`mask_not`) backs the vectorized selection
 predicates (:mod:`repro.algebra.vectorized`): they build and combine
@@ -211,12 +211,6 @@ ROW_DICTIONARY = ValueDictionary()
 
 
 # -- sorted-id-array kernels -----------------------------------------------------
-
-def sorted_unique_ids(ids) -> array:
-    """Duplicate-free merge of an arbitrary iterable of ids into a sorted
-    column (the construction kernel for columns built from raw streams)."""
-    return array(ID_TYPECODE, sorted(set(ids)))
-
 
 def _shared_run_length(a: array, i: int, b: array, j: int, la: int, lb: int) -> int:
     """The length of the shared *contiguous* run starting at ``a[i] == b[j]``.

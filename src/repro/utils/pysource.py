@@ -1,9 +1,13 @@
-"""Generated Python source: the writer and the compile cache shared by the
-engine's fused fragments (:mod:`repro.engine.codegen`) and the calculus
-and second-order evaluators.
+"""Generated Python source: the writer, the constant scheme and the compile
+cache shared by the engine's fused fragments (:mod:`repro.engine.codegen`)
+and the calculus and second-order evaluators.
 
 Each generator writes source that depends only on the structure it
-compiles — the values it runs on are arguments of the generated code — so
+compiles.  The values it runs on reach the generated code one way in all
+three: as the constants ``_k``, one per ``(make, argument)`` pair the
+generator described (:meth:`Emitter.made_by`, :meth:`Emitter.once`), which
+the caller makes for each run from that run's context; the helpers the
+code calls are the *runtime* globals of :func:`compiled`.  So
 :func:`compiled` compiles a text once per process.  Its one cache is keyed
 by the generator and the text, bounded in entries and source size, and
 written under one lock, which also guards the generators' own memos
@@ -154,13 +158,16 @@ class Emitter:
     values the generated code receives as ``_k0, _k1, ...``: one
     ``(make, argument)`` pair each, and the generator makes each value for
     a run of the generated code as ``make(argument, ...)`` with that run's
-    context (:meth:`made_by`).
+    context (:meth:`made_by`, :meth:`once`).  The generated function
+    unpacks them with the line :meth:`unpack` writes.
     """
 
     def __init__(self, signature: str, indent: int = 3, blocks: int = 1) -> None:
         self.out = Function(signature, indent, blocks)
         self.functions: list[Function] = []
         self.constants: list[tuple[Callable, object]] = []
+        #: The name of each constant :meth:`once` described.
+        self.shared: dict[tuple[Callable, object], str] = {}
         self.names = 0
 
     def fresh(self, prefix: str) -> str:
@@ -176,6 +183,21 @@ class Emitter:
         each run, from the run's context."""
         self.constants.append((make, argument))
         return f"_k{len(self.constants) - 1}"
+
+    def once(self, make: Callable, argument: object) -> str:
+        """The constant *make* makes from *argument*, described the first
+        time only."""
+        name = self.shared.get((make, argument))
+        if name is None:
+            name = self.shared[make, argument] = self.made_by(make, argument)
+        return name
+
+    def unpack(self) -> list[str]:
+        """The line, unindented, that unpacks the constants ``_k`` into
+        ``_k0, _k1, ...``; none when there are no constants."""
+        if not self.constants:
+            return []
+        return ["".join(f"_k{n}, " for n in range(len(self.constants))) + "= _k"]
 
     def line(self, text: str) -> None:
         out = self.out
@@ -263,9 +285,7 @@ class Emitter:
         ]
         declare = "        nonlocal " + ", ".join(cell for cell, _, _ in cells)
         lines = [f"def _factory({parameters}, _k):"]
-        if self.constants:
-            lines.append("    " + "".join(f"_k{n}, " for n in range(len(self.constants))) + "= _k")
-        lines += ["    " + line for line in prologue]
+        lines += ["    " + line for line in (*self.unpack(), *prologue)]
         lines.append("    " + " = ".join(cell for cell, _, _ in cells) + " = None")
         for function in self.functions:
             lines += [f"    def {function.signature}:", declare, *function.lines]

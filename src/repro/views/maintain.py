@@ -51,7 +51,6 @@ fake a pass.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from itertools import combinations
 from operator import itemgetter
@@ -241,15 +240,14 @@ class _Maintainer:
         self.expression = expression
         self.schema = schema
         self.powerset_budget = powerset_budget
-        # View plans are compiled without statistics and with join
-        # reordering pinned off: maintenance keeps per-node state
-        # (support counts, incremental join indexes) alive for the plan's
-        # lifetime, so the plan must not depend on data-distribution
-        # snapshots that updates would invalidate — and the delta rules
-        # below deliberately do not handle MultiwayHashJoin (binary joins
-        # maintain incrementally; the fused operator would need N-way
-        # index bookkeeping for no maintenance benefit).
-        options = replace(options, join_ordering=False) if options else None
+        # View plans are compiled without statistics, so join ordering
+        # never reorders them: maintenance keeps per-node state (support
+        # counts, incremental join indexes) alive for the plan's lifetime,
+        # so the plan must not depend on data-distribution snapshots that
+        # updates would invalidate — and the delta rules below deliberately
+        # do not handle MultiwayHashJoin (binary joins maintain
+        # incrementally; the fused operator would need N-way index
+        # bookkeeping for no maintenance benefit).
         self.plan = compile_expression(expression, schema, options)
         self.root = self.plan.root
         # Per-node state for the empty view, keyed by node_id; the load
@@ -369,12 +367,12 @@ class _Maintainer:
             fault_point(SITE_MAINTAIN_SETOP)
             return self._setop_delta(node, child_deltas[0], child_deltas[1], journal)
         if isinstance(node, MultiwayHashJoin):
-            # Unreachable through the public API: view plans pin
-            # join_ordering off in __init__ (the conservative bypass), so a
-            # multiway operator here means a hand-built plan was injected.
+            # Unreachable through the public API: view plans are compiled
+            # without statistics in __init__, so a multiway operator here
+            # means a hand-built plan was injected.
             raise EvaluationError(
                 "view maintenance does not support MultiwayHashJoin; compile "
-                "view definitions with join_ordering disabled"
+                "view definitions without statistics"
             )
         raise EvaluationError(
             f"unknown plan operator {type(node).__name__} in view maintenance"

@@ -19,6 +19,8 @@ Selectable standalone with ``pytest -m codegen``.
 
 from __future__ import annotations
 
+import builtins
+import dis
 import sys
 from contextlib import contextmanager
 from itertools import product
@@ -34,6 +36,7 @@ from repro.algebra.evaluation import (
 from repro.algebra.expressions import (
     ConstantOperand,
     PredicateExpression,
+    Product,
     Projection,
     Selection,
     SelectionCondition,
@@ -48,7 +51,7 @@ from repro.engine import (
     execute_plan,
     explain_plan,
 )
-from repro.engine.codegen import compiled_predicate, fragment_for
+from repro.engine.codegen import _RUNTIME, _scan, compiled_predicate, fragment_for
 from repro.objects.columnar import columnar_settings
 from repro.objects.stats import reset_runtime_stats, runtime_stats
 from repro.types.parser import parse_type
@@ -239,20 +242,64 @@ def test_explain_verbose_flags_powerset_fallback_and_codegen_off():
 
 # -- emitted source shape --------------------------------------------------------
 
-def test_emitted_source_for_a_scan_filter_project_chain():
+#: The fragments whose source the shape test reads, each with the
+#: relations it scans: the documented scan→filter→project chain, and a
+#: self-join whose two sides scan ``R`` (one through a filter on a constant).
+SHAPES = {
+    "chain": (
+        Projection(Selection(PredicateExpression("T"), SelectionCondition.eq(1, 2)), (3,)),
+        ["T"],
+    ),
+    "self-join": (
+        Projection(
+            Selection(
+                Product(
+                    Selection(
+                        PredicateExpression("R"), SelectionCondition.eq(1, ConstantOperand("a"))
+                    ),
+                    PredicateExpression("R"),
+                ),
+                SelectionCondition.eq(2, 3),
+            ),
+            (1, 4),
+        ),
+        ["R"],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_emitted_source_for_a_scan_filter_project_chain(shape):
     """The documented fragment shape: one flat loop, the vectorized mask
     call hoisted out of it, and the output TupleValue constructed only
-    after the dedup check (survivor-only construction)."""
-    expression = Projection(
-        Selection(PredicateExpression("T"), SelectionCondition.eq(1, 2)), (3,)
-    )
+    after the dedup check (survivor-only construction).  What a run needs
+    reaches the fragment as its constants: its globals are the runtime's
+    helpers and builtins only, each relation it scans is described once,
+    and the one compiled fragment answers over each database it runs on."""
+    expression, relations = SHAPES[shape]
     database = _database()
+    other = random_database(PIPELINE_SCHEMA, ATOMS, count=12, seed=6)
     plan = compile_expression(expression, database.schema, CompileOptions())
     with codegen(True), columnar_settings(threshold=1):
         fragment = fragment_for(plan.root)
+        before = codegen_stats()
         rows = execute_plan(plan, database)
+        other_rows = execute_plan(plan, other)
+        after = codegen_stats()
+        assert fragment_for(plan.root) is fragment
+    assert after["fragments_fused"] - before["fragments_fused"] == 2
+    assert rows == evaluate_expression_legacy(expression, database)
+    assert other_rows == evaluate_expression_legacy(expression, other)
+    assert rows != other_rows
     source = fragment.source
-    assert source.startswith("def _fragment(env):")
+    assert source.startswith("def _fragment(_k):")
+    loaded = {
+        instruction.argval
+        for instruction in dis.get_instructions(fragment.function)
+        if instruction.opname == "LOAD_GLOBAL"
+    }
+    assert loaded <= set(_RUNTIME) | set(dir(builtins)), loaded
+    assert [argument for make, argument in fragment.constants if make is _scan] == relations
     # Mask building happens once, outside the row loop, over the scan's
     # cached id columns.
     assert ".coordinate_ids(" in source

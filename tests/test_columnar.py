@@ -282,7 +282,7 @@ def _dispatch_consumers():
     r, s = Relation(2, r_rows), Relation(2, s_rows)
     database = DatabaseInstance.build(TWIN_SCHEMA, R=r_rows, S=s_rows)
     condition = SelectionCondition.eq(2, ConstantOperand("e1"))
-    options = CompileOptions(logical_optimize=False, join_ordering=False)
+    options = CompileOptions(logical_optimize=False)
     filter_plan, set_op_plan = (
         compile_expression(expression, TWIN_SCHEMA, options)
         for expression in (

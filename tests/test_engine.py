@@ -239,7 +239,7 @@ class TestExecute:
         condition = SelectionCondition.conjunction(
             SelectionCondition.eq(2, 4), SelectionCondition.eq(1, ConstantOperand("v0"))
         )
-        options = CompileOptions(logical_optimize=False, join_ordering=False)
+        options = CompileOptions(logical_optimize=False)
         plan = compile_expression(Selection(Product(PAR, PAR), condition), PARENT_SCHEMA, options)
         assert isinstance(plan.root, HashJoin) and plan.root.residual is not None
         built = []

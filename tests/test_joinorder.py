@@ -25,8 +25,10 @@ from repro.algebra.expressions import (
     SelectionCondition,
 )
 from repro.engine import (
+    CompileOptions,
     MultiwayHashJoin,
     PlanStatistics,
+    _cached_plan,
     analyze_plan,
     clear_plan_cache,
     codegen,
@@ -53,6 +55,12 @@ def _result(expression, database, **settings):
     ).values
 
 
+def _syntactic(expression, database):
+    """The answer of the plan compiled in syntactic join order."""
+    with join_ordering(False):
+        return _result(expression, database)
+
+
 # -- equivalence property sweep ----------------------------------------------------
 
 
@@ -67,7 +75,7 @@ def test_joinorder_matches_legacy_oracle(shape, seed):
     oracle = evaluate_expression_legacy(expression, database).values
     with join_ordering(True):
         assert _result(expression, database) == oracle
-    assert _result(expression, database, engine_join_ordering=False) == oracle
+    assert _syntactic(expression, database) == oracle
 
 
 @pytest.mark.parametrize("shape", ["chain", "star", "snowflake"])
@@ -77,7 +85,7 @@ def test_joinorder_equivalence_sweep(shape, seed):
     expression, database = random_join_workload(
         shape, relations=5, rows=48, seed=seed
     )
-    reference = _result(expression, database, engine_join_ordering=False)
+    reference = _syntactic(expression, database)
     for use_codegen in (True, False):
         with join_ordering(True), codegen(use_codegen):
             clear_plan_cache()
@@ -225,7 +233,7 @@ def test_greedy_search_beyond_dp_limit():
             expression, database.schema, statistics=PlanStatistics(database)
         )
     assert joinorder_stats()["greedy_searches"] == before + 1
-    reference = _result(expression, database, engine_join_ordering=False)
+    reference = _syntactic(expression, database)
     assert execute_plan(plan, database).values == reference
 
 
@@ -254,6 +262,29 @@ def test_stale_statistics_trigger_one_recompile():
     finally:
         stack.__exit__(None, None, None)
         clear_plan_cache()
+
+
+def test_the_switch_governs_cached_plans():
+    """The join-ordering switch is part of the plan cache's key: after an
+    ordered run, the same expression under ``join_ordering(False)`` runs a
+    syntactic plan, and switching back finds the ordered plan again."""
+    expression, database = random_join_workload("star", relations=4, rows=60, seed=2)
+    clear_plan_cache()
+    try:
+        with join_ordering(True):
+            expected = run_expression(expression, database).values
+            ordered = _cached_plan(expression, database, CompileOptions())
+        with join_ordering(False):
+            assert run_expression(expression, database).values == expected
+            syntactic = _cached_plan(expression, database, CompileOptions())
+        with join_ordering(True):
+            assert _cached_plan(expression, database, CompileOptions()) is ordered
+    finally:
+        clear_plan_cache()
+    assert ordered.physical_rewrites
+    assert any(isinstance(node, MultiwayHashJoin) for node in ordered.nodes)
+    assert not syntactic.physical_rewrites
+    assert not any(isinstance(node, MultiwayHashJoin) for node in syntactic.nodes)
 
 
 # -- views bypass ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.algebra.expressions import (
     SelectionCondition,
 )
 from repro.engine.codegen import codegen, codegen_enabled, codegen_stats
+from repro.engine.joinorder import join_ordering
 from repro.algebra.vectorized import compile_condition, vectorized_stats
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.nested.evaluation import evaluate_nested
@@ -281,12 +282,12 @@ def _transient_nested_selection(names, flat, nested):
 
 
 def _transient_plan(expression):
-    """The strict plan the engine runs for *expression*.  Join ordering is
-    off as well: its statistics profile the stored PAR's columns, which a
-    stored container may encode."""
+    """The strict plan the engine runs for *expression*.  It is compiled
+    without statistics, so join ordering, whose statistics profile the
+    stored PAR's columns, does not run."""
     from repro.engine import CompileOptions, compile_expression
 
-    options = CompileOptions(logical_optimize=False, join_ordering=False)
+    options = CompileOptions(logical_optimize=False)
     return compile_expression(expression, PARENT_SCHEMA, options)
 
 
@@ -294,10 +295,8 @@ def _transient_engine(expression, database):
     """The engine over *database* with codegen off, and with the two
     things off that would profile the stored PAR's columns: join ordering,
     and tracing, whose plans carry estimates from the same statistics."""
-    settings = AlgebraEvaluationSettings(
-        engine_logical_optimize=False, engine_join_ordering=False
-    )
-    with codegen(False), tracing(False):
+    settings = AlgebraEvaluationSettings(engine_logical_optimize=False)
+    with codegen(False), join_ordering(False), tracing(False):
         return evaluate_expression(expression, database, settings)
 
 

@@ -10,6 +10,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # CI and contributors install the same way: pip install -e ".[dev]"
-    extras_require={"dev": ["pytest", "ruff"]},
+    # CI and contributors install the same way: pip install -e ".[dev]".
+    # Tier-1 test modules import hypothesis at module level.
+    extras_require={"dev": ["hypothesis", "pytest", "ruff"]},
 )

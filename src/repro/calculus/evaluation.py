@@ -53,8 +53,15 @@ runs of its body's leading satisfaction calls when it returns at position
 ``v``, ``|cons(T)|`` when it runs out, and under a budget it stops at the
 binding the per-binding check would raise at and raises with the same
 counters.  Every other quantifier counts each binding before its body, since
-its body may raise or read the binding count.  Either way every binding is
-still visited, in the same order.
+its body may raise or read the binding count.  A body's *leading atom*, the
+first atom it evaluates, is tested once per call, before the loop, when it
+is on positions (so it cannot raise), does not mention the bound variable,
+and one of its values decides the body: every connective above it
+short-circuits on that value (``∧`` and the antecedent of ``→`` on false,
+``∨`` on true, ``¬`` on either).  For that value the loop runs no body,
+whatever the body calls, and counts where it exits as a leaf does; for the
+other value it runs the body without the atom's test.  Either way every
+binding is still visited, in the same order.
 
 **Where values remain.**  Names bound by the caller of :func:`satisfies`
 have no static type, so they hold values, and so does a constant outside
@@ -498,6 +505,28 @@ class _MissingPredicate:
         return False
 
 
+#: The connectives a body's leading atom is reached through.
+_CONNECTIVES = (Not, And, Or, Implies)
+
+
+def _short_circuit(path: list[Formula], value: bool) -> tuple[int, bool]:
+    """Carry the value *value* of the atom ``path[-1]`` up through the
+    connectives on *path*, each the parent of the next and reaching it as
+    its first operand, while they short-circuit on it (``∧`` and ``→`` on
+    false, ``∨`` on true, ``¬`` always): the index of the first connective
+    that reads its right operand and the value it reads first, or ``-1``
+    and the value of ``path[0]`` when none does."""
+    for index in range(len(path) - 2, -1, -1):
+        kind = path[index].__class__
+        if kind is Not:
+            value = not value
+        elif value == (kind is Or):
+            value = kind is not And
+        else:
+            return index, value
+    return -1, value
+
+
 #: The counter cells of the generated code, and the statistics they mirror.
 _COUNTERS = (
     ("_calls", "satisfaction_calls"),
@@ -533,7 +562,9 @@ class _Compiler(pysource.Emitter):
     it starts and stores them back in a ``finally``.
 
     Each quantifier becomes a function ``_q<n>`` whose parameters are its
-    bound free variables; a leaf one counts at its exits (:meth:`decision`).
+    bound free variables (:meth:`decision`); a leaf one counts at its exits
+    (:meth:`loop`), and so does one whose body its leading atom decides,
+    which runs no body then (:meth:`decided`).
     Every binder — a quantifier, or a name the caller binds — owns one
     local ``v<n>``, and every variable occurrence is resolved to the local
     of its innermost binder and that binder's type (``None`` for a name the
@@ -606,32 +637,46 @@ class _Compiler(pysource.Emitter):
             return
         kind = formula.__class__
         self.out.pending += 1
-        if kind is Equals:
-            left, left_type = self.term(formula.left, scope)
-            right, right_type = self.term(formula.right, scope)
-            if left_type is None or left_type != right_type:
-                self.unsafe += 1
-                left = self.value(formula.left, left, left_type)
-                right = self.value(formula.right, right, right_type)
-            self.line(f"r = {left} == {right}")
-        elif kind is Membership:
-            self.membership(formula, scope)
-        elif kind is PredicateAtom:
-            self.predicate(formula, scope)
-        elif kind is Not:
-            self.formula(formula.operand, scope)
-            self.line("r = not r")
-        elif kind is And or kind is Or or kind is Implies:
-            self.formula(formula.left, scope)
-            with self.block("if not r:" if kind is Or else "if r:"):
-                self.formula(formula.right, scope)
-            if kind is Implies:
-                self.line("else:")
-                self.line("    r = True")
+        if kind is Equals or kind is Membership or kind is PredicateAtom:
+            self.atom(formula, scope)
+        elif kind is Not or kind is And or kind is Or or kind is Implies:
+            self.formula(formula.operand if kind is Not else formula.left, scope)
+            self.connective(formula, scope)
         elif kind is Exists or kind is Forall:
             self.quantifier(formula, scope)
         else:
             raise EvaluationError(f"unknown formula class {type(formula).__name__}")
+
+    def connective(self, formula: Not | And | Or | Implies, scope: dict) -> None:
+        """Emit the rest of *formula* once its first operand left its value
+        in ``r``."""
+        kind = formula.__class__
+        if kind is Not:
+            self.line("r = not r")
+            return
+        with self.block("if not r:" if kind is Or else "if r:"):
+            self.formula(formula.right, scope)
+        if kind is Implies:
+            self.line("else:")
+            self.line("    r = True")
+
+    def atom(self, formula: Equals | Membership | PredicateAtom, scope: dict) -> None:
+        """Emit the test of the atom *formula*, counting no call."""
+        if formula.__class__ is Equals:
+            self.equals(formula, scope)
+        elif formula.__class__ is Membership:
+            self.membership(formula, scope)
+        else:
+            self.predicate(formula, scope)
+
+    def equals(self, formula: Equals, scope: dict) -> None:
+        left, left_type = self.term(formula.left, scope)
+        right, right_type = self.term(formula.right, scope)
+        if left_type is None or left_type != right_type:
+            self.unsafe += 1
+            left = self.value(formula.left, left, left_type)
+            right = self.value(formula.right, right, right_type)
+        self.line(f"r = {left} == {right}")
 
     def membership(self, formula: Membership, scope: dict) -> None:
         element, element_type = self.term(formula.element, scope)
@@ -725,15 +770,12 @@ class _Compiler(pysource.Emitter):
     def decision(self, formula: Exists | Forall, scope: dict, parameters: list[str]) -> str:
         """Emit the function deciding *formula* by enumerating its domain.
 
-        The body is written first.  When it adds nothing :attr:`unsafe` and
-        the variable's type is set-free, the quantifier is a *leaf*: its
-        domain is ``range(|cons(T)|)``, so the loop variable counts the
-        bindings before it, and nothing in the body can raise.  A leaf
-        counts its bindings, enumerations and the body's leading
-        satisfaction calls where its loop exits; under a budget it stops at
-        the binding the per-binding check would raise at and raises there
-        with the same counters.  Any other quantifier counts each binding,
-        and checks the budget, before its body."""
+        When the body has a leading atom that :meth:`leading` finds, its
+        test is written once, before the loop.  For a value of that atom
+        which decides the body, the loop runs no body (:meth:`decided`);
+        for the other one, it runs the body without the atom's test
+        (:meth:`given`).  Every other body is written whole (:meth:`loop`).
+        """
         name, previous = self.begin("_q", parameters)
         settings, variable_type = self.settings, formula.variable_type
         key = str(variable_type)
@@ -746,14 +788,54 @@ class _Compiler(pysource.Emitter):
         else:
             domain = self.once(_domain, variable_type)
         variable = self.fresh("v")
-        existential = formula.__class__ is Exists
-        budget = settings.binding_budget is not None
         self.line(f"if {counter} is None:")
         self.line(f"    {counter} = 0")
+        inner = {**scope, formula.variable: (variable, variable_type)}
+        loop = partial(self.loop, formula, variable, domain, counter)
+        path = self.leading(formula, inner)
+        if path is None:
+            loop(partial(self.formula, formula.body, inner))
+        else:
+            self.atom(path[-1], inner)
+            decided = partial(self.decided, formula, variable, domain, counter, len(path))
+            value = _short_circuit(path, True)[0] < 0  # a value that decides the body
+            with self.block("if r:" if value else "if not r:"):
+                decided(_short_circuit(path, value)[1])
+            index, body = _short_circuit(path, not value)
+            if index < 0:
+                decided(body)
+            else:
+                loop(partial(self.given, path, not value, inner))
+        self.end(previous)
+        return name
+
+    def loop(
+        self,
+        formula: Exists | Forall,
+        variable: str,
+        domain: str,
+        counter: str,
+        body: Callable[[], None],
+    ) -> None:
+        """Emit the loop of *formula* over *domain*, whose body *body*
+        writes.
+
+        The body is written first.  When it adds nothing :attr:`unsafe` and
+        the variable's type is set-free, the quantifier is a *leaf*: its
+        domain is ``range(|cons(T)|)``, so the loop variable counts the
+        bindings before it, and nothing in the body can raise.  A leaf
+        counts its bindings, enumerations and the body's leading
+        satisfaction calls where its loop exits; under a budget it stops at
+        the binding the per-binding check would raise at and raises there
+        with the same counters.  Any other quantifier counts each binding,
+        and checks the budget, before its body."""
+        variable_type = formula.variable_type
+        existential = formula.__class__ is Exists
+        budget = self.settings.binding_budget is not None
         unsafe = self.unsafe
         with self.block(f"for {variable} in {domain}:", loop=True):
             first = len(self.out.lines)
-            self.formula(formula.body, {**scope, formula.variable: (variable, variable_type)})
+            body()
             leaf = self.unsafe == unsafe and is_flat(variable_type)
             calls = self.take_calls(first) if leaf else 0
             with self.block("if r:" if existential else "if not r:"):
@@ -762,13 +844,8 @@ class _Compiler(pysource.Emitter):
                     self.tally(counter, variable, calls, variable)
                 self.line(f"return {existential}")
         if leaf:
-            size = self.radix(variable_type)
-            with self.block("else:") if budget else nullcontext():
-                self.tally(counter, size, calls, size)
-                self.line(f"return {not existential}")
+            self.exits(counter, variable, self.radix(variable_type), calls, not existential)
             if budget:
-                self.tally(counter, f"{variable} + 1", calls, variable)
-                self.line("raise _budget_exceeded(_budget)")
                 self.insert(first, [f"if {variable} >= room: break"])
                 self.insert(first - 1, ["room = _budget - _bindings"])
         else:
@@ -777,8 +854,103 @@ class _Compiler(pysource.Emitter):
             if budget:
                 prelude += ["if _bindings > _budget:", "    raise _budget_exceeded(_budget)"]
             self.insert(first, prelude)
-        self.end(previous)
-        return name
+
+    def decided(
+        self,
+        formula: Exists | Forall,
+        variable: str,
+        domain: str,
+        counter: str,
+        calls: int,
+        body: bool,
+    ) -> None:
+        """Emit the loop of *formula* for a body known to be *body* after
+        *calls* satisfaction calls: the loop still draws every binding of
+        *domain* in order, up to its first witness or counterexample, but
+        runs no body, and counts its bindings, enumerations and calls where
+        it exits, as a leaf does (:meth:`loop`).  Its loop variable counts
+        the bindings before it; over a type with sets, the enumeration
+        index does."""
+        existential = formula.__class__ is Exists
+        budget = self.settings.binding_budget is not None
+        if is_flat(formula.variable_type):
+            header = f"for {variable} in {domain}:"
+        else:
+            header = f"for {variable}, _ in enumerate({domain}):"
+        if budget:
+            self.line("room = _budget - _bindings")
+        with self.block(header, loop=True):
+            if budget:
+                self.line(f"if {variable} >= room: break")
+            if body is existential:
+                self.line(f"{variable} += 1")
+                self.tally(counter, variable, calls, variable)
+                self.line(f"return {existential}")
+            elif not budget:
+                self.line("pass")
+        self.exits(counter, variable, self.radix(formula.variable_type), calls, not existential)
+
+    def exits(self, counter: str, variable: str, size: str, calls: int, result: bool) -> None:
+        """Emit the exits of a loop that counts where it exits, after its
+        ``for``: running out of its *size* bindings returns *result*, and
+        under a budget a ``break`` at *variable* raises."""
+        budget = self.settings.binding_budget is not None
+        with self.block("else:") if budget else nullcontext():
+            self.tally(counter, size, calls, size)
+            self.line(f"return {result}")
+        if budget:
+            self.tally(counter, f"{variable} + 1", calls, variable)
+            self.line("raise _budget_exceeded(_budget)")
+
+    def leading(self, formula: Exists | Forall, scope: dict) -> list[Formula] | None:
+        """The formulas from the body of *formula* down to its leading atom,
+        the first atom the body evaluates, when that atom's test can be
+        written once, before the loop: it is on positions, so it cannot
+        raise, it does not mention the bound variable, and one of its
+        values decides the body (:func:`_short_circuit`).  Else ``None``.
+        *scope* binds the bound variable."""
+        path = [formula.body]
+        while path[-1].__class__ in _CONNECTIVES:
+            node = path[-1]
+            path.append(node.operand if node.__class__ is Not else node.left)
+        atom = path[-1]
+        if (
+            not self.on_positions(atom, scope)
+            or formula.variable in atom.free_variables()
+            or min(_short_circuit(path, value)[0] for value in (True, False)) >= 0
+        ):
+            return None
+        return path
+
+    def given(self, path: list[Formula], value: bool, scope: dict) -> None:
+        """Emit the formula ``path[0]`` knowing that its leading atom
+        ``path[-1]`` holds *value*, which does not decide it: the formulas
+        on *path* count their satisfaction calls, the atom writes no test,
+        and the first connective that reads its right operand
+        (:func:`_short_circuit`) is written as that operand alone."""
+        index = _short_circuit(path, value)[0]
+        self.out.pending += len(path)
+        self.formula(path[index].right, scope)
+        for formula in reversed(path[:index]):
+            self.connective(formula, scope)
+
+    def on_positions(self, formula: Formula, scope: dict) -> bool:
+        """Whether *formula* is an atom that :meth:`atom` writes as an int
+        operation on positions."""
+        kind, typed = formula.__class__, self.typed
+        if kind is Equals:
+            left = typed(formula.left, scope)
+            return left is not None and left == typed(formula.right, scope)
+        if kind is Membership:
+            container = typed(formula.container, scope)
+            return (
+                isinstance(container, SetType)
+                and container.element_type == typed(formula.element, scope)
+            )
+        if kind is PredicateAtom:
+            name, schema = formula.predicate_name, self.schema
+            return name in schema and typed(formula.argument, scope) == schema.type_of(name)
+        return False
 
     def tally(self, counter: str, bindings: str, calls: int, runs: str) -> None:
         """Count *bindings* bindings and enumerations of *counter*, and
@@ -790,29 +962,43 @@ class _Compiler(pysource.Emitter):
     # Terms ---------------------------------------------------------------
     def term(self, term: Term, scope: dict) -> tuple[str, ComplexType | None]:
         """A Python expression for *term*, and the type in whose ``cons`` it
-        gives a position: ``None`` when it gives a value instead, or raises."""
+        gives a position (:meth:`typed`): ``None`` when it gives a value
+        instead, or raises."""
         if isinstance(term, VariableTerm):
             binding = scope.get(term.name)
             if binding is None:
                 return f"_raise_unbound({self.constant(term.name)})", None
             return binding
+        type_ = self.typed(term, scope)
         if isinstance(term, Constant):
-            if term.value not in self.positions.index:
+            if type_ is None:
                 self.outside = True
                 return self.constant(term.as_atom()), None
             self.atoms.add(term.value)
-            return self.made_by(_position, term.value), U
+            return self.made_by(_position, term.value), type_
         if isinstance(term, CoordinateTerm):
             binding = scope.get(term.variable_name)
             if binding is None:
                 return f"_raise_unbound({self.constant(term.variable_name)})", None
-            local, type_ = binding
-            index = term.index
-            if isinstance(type_, TupleType) and index <= len(type_.component_types):
-                return self.coordinate(local, type_, index), type_.component_types[index - 1]
-            value = self.decoded(local, type_)
-            return f"_coordinate({value}, {index}, {self.constant(term)})", None
+            local, tuple_type = binding
+            if type_ is not None:
+                return self.coordinate(local, tuple_type, term.index), type_
+            value = self.decoded(local, tuple_type)
+            return f"_coordinate({value}, {term.index}, {self.constant(term)})", None
         raise EvaluationError(f"unknown term class {type(term).__name__}")
+
+    def typed(self, term: Term, scope: dict) -> ComplexType | None:
+        """The type in whose ``cons`` *term* gives a position, or ``None``:
+        what :meth:`term` writes it as, found without writing it."""
+        if isinstance(term, Constant):
+            return U if term.value in self.positions.index else None
+        if isinstance(term, VariableTerm):
+            return scope.get(term.name, (None, None))[1]
+        if isinstance(term, CoordinateTerm):
+            type_ = scope.get(term.variable_name, (None, None))[1]
+            if isinstance(type_, TupleType) and term.index <= len(type_.component_types):
+                return type_.component_types[term.index - 1]
+        return None
 
     def coordinate(self, local: str, type_: TupleType, index: int) -> str:
         """``x.index`` of the position *local* of a tuple type."""

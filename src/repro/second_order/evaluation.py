@@ -42,7 +42,14 @@ bindings before it, so a break at ``v`` adds ``v + 1`` bindings and ``v + 1``
 runs of its body's leading satisfaction calls, and running out adds ``n``.
 Relation loops, and the first-order loops around them, count each
 candidate and binding as they start it, so the counters are exact when the
-budget fires.
+budget fires.  A first-order loop's *leading atom*, the first atom its body
+evaluates, is tested once, before the loop, when it does not mention the
+bound variable and one of its values decides the body: every connective
+above it short-circuits on that value (``∧`` and the antecedent of ``→`` on
+false, ``∨`` on true, ``¬`` on either).  For that value the loop runs no
+body, whatever the body quantifies, and counts where it exits; for the
+other value it runs the body without the atom's test.  Either way every
+binding is still visited, in the same order.
 
 **Spill rule.**  CPython refuses a function that nests more than 20 loops
 and ``try`` blocks, or 100 indentation levels.  A subformula is written as
@@ -59,7 +66,9 @@ formula gives.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from repro.errors import EvaluationError, TypingError
@@ -264,6 +273,48 @@ _RUNTIME = {
     "_relations": subset_bitsets,
 }
 
+#: The connectives a body's leading atom is reached through.
+_CONNECTIVES = (SONot, SOAnd, SOOr, SOImplies)
+
+
+def _leading(formula: SOExists | SOForall) -> list[SOFormula] | None:
+    """The formulas from the body of the first-order quantifier *formula*
+    down to its leading atom, the first atom the body evaluates, when that
+    atom's test can be written once, before the loop: it does not mention
+    the bound variable, and one of its values decides the body
+    (:func:`_short_circuit`).  Else ``None``."""
+    path = [formula.body]
+    while path[-1].__class__ in _CONNECTIVES:
+        node = path[-1]
+        path.append(node.operand if node.__class__ is SONot else node.left)
+    atom = path[-1]
+    if (
+        atom.__class__ not in (SOEquals, SORelationAtom)
+        or formula.variable in atom.free_first_order_variables()
+        or min(_short_circuit(path, value)[0] for value in (True, False)) >= 0
+    ):
+        return None
+    return path
+
+
+def _short_circuit(path: list[SOFormula], value: bool) -> tuple[int, bool]:
+    """Carry the value *value* of the atom ``path[-1]`` up through the
+    connectives on *path*, each the parent of the next and reaching it as
+    its first operand, while they short-circuit on it (``∧`` and ``→`` on
+    false, ``∨`` on true, ``¬`` always): the index of the first connective
+    that reads its right operand and the value it reads first, or ``-1``
+    and the value of ``path[0]`` when none does."""
+    for index in range(len(path) - 2, -1, -1):
+        kind = path[index].__class__
+        if kind is SONot:
+            value = not value
+        elif value == (kind is SOOr):
+            value = kind is not SOAnd
+        else:
+            return index, value
+    return -1, value
+
+
 #: The counter cells of the generated code, and the statistics they mirror.
 _COUNTERS = (
     ("_calls", "satisfaction_calls"),
@@ -281,7 +332,8 @@ class _Compiler(pysource.Emitter):
     (``_bitset``, ``_index``), and returns ``run``.  The counters
     ``_calls``, ``_bindings`` and ``_tried`` are closure cells shared by
     every generated function; a first-order loop counts at its exits where
-    it can (:meth:`first_order`).  Every binder owns one local — ``v<n>``
+    it can (:meth:`loop`), and runs no body where its leading atom decides
+    it (:meth:`first_order`).  Every binder owns one local — ``v<n>``
     for a domain index, ``b<n>`` for a relation bitset — and every
     occurrence is resolved to the local of its innermost binder.  Every
     formula is written as statements that leave its truth value in ``r``,
@@ -322,24 +374,12 @@ class _Compiler(pysource.Emitter):
             return
         kind = formula.__class__
         self.out.pending += 1
-        if kind is SOEquals:
-            left = self.term(formula.left, variables)
-            self.line(f"r = {left} == {self.term(formula.right, variables)}")
-        elif kind is SORelationAtom:
-            relation = self.relation(formula, relations)
-            row, *rest = (self.term(term, variables) for term in formula.terms)
-            for index in rest:
-                row = f"{row if row.isidentifier() else f'({row})'} * _n + {index}"
-            self.line(f"r = {relation} >> {row} & 1")
-        elif kind is SONot:
-            self.formula(formula.operand, variables, relations)
-            self.line("r = not r")
-        elif kind is SOAnd or kind is SOOr or kind is SOImplies:
-            self.formula(formula.left, variables, relations)
-            with self.block("if not r:" if kind is SOOr else "if r:"):
-                self.formula(formula.right, variables, relations)
-            if kind is SOImplies:
-                self.line("else: r = True")
+        if kind is SOEquals or kind is SORelationAtom:
+            self.atom(formula, variables, relations)
+        elif kind is SONot or kind is SOAnd or kind is SOOr or kind is SOImplies:
+            operand = formula.operand if kind is SONot else formula.left
+            self.formula(operand, variables, relations)
+            self.connective(formula, variables, relations)
         elif kind is SOExists or kind is SOForall:
             self.first_order(formula, variables, relations)
         elif kind is SOExistsRelation or kind is SOForallRelation:
@@ -356,19 +396,68 @@ class _Compiler(pysource.Emitter):
         else:
             raise EvaluationError(f"unknown second-order formula class {type(formula).__name__}")
 
+    def connective(self, formula: SOFormula, variables: dict, relations: dict) -> None:
+        """Write the rest of the connective *formula* once its first operand
+        left its value in ``r``."""
+        kind = formula.__class__
+        if kind is SONot:
+            self.line("r = not r")
+            return
+        with self.block("if not r:" if kind is SOOr else "if r:"):
+            self.formula(formula.right, variables, relations)
+        if kind is SOImplies:
+            self.line("else: r = True")
+
+    def atom(self, formula: SOEquals | SORelationAtom, variables: dict, relations: dict) -> None:
+        """Write the test of the atom *formula*, counting no call."""
+        if formula.__class__ is SOEquals:
+            left = self.term(formula.left, variables)
+            self.line(f"r = {left} == {self.term(formula.right, variables)}")
+            return
+        relation = self.relation(formula, relations)
+        row, *rest = (self.term(term, variables) for term in formula.terms)
+        for index in rest:
+            row = f"{row if row.isidentifier() else f'({row})'} * _n + {index}"
+        self.line(f"r = {relation} >> {row} & 1")
+
     def first_order(self, formula: SOExists | SOForall, variables: dict, relations: dict) -> None:
         """Write the loop of a first-order quantifier, which stops at the
-        first witness or counterexample.  The body is written first.  Only
-        the relation budget can raise, so when the body quantifies no
-        relation the loop counts its bindings and its body's leading
-        satisfaction calls where it exits, the loop variable being the
-        number of bindings before it; otherwise it counts each binding
-        before its body."""
+        first witness or counterexample.  When the body has a leading atom
+        that :func:`_leading` finds, its test is written once, before the
+        loop: for a value of that atom which decides the body, the loop
+        runs no body (:meth:`decided`), and for the other one it runs the
+        body without the atom's test (:meth:`given`).  Every other body is
+        written whole (:meth:`loop`)."""
         local, existential = self.fresh("v"), formula.__class__ is SOExists
+        inner = {**variables, formula.variable: local}
+        path = _leading(formula)
+        if path is None:
+            self.loop(local, existential, partial(self.formula, formula.body, inner, relations))
+            return
+        self.atom(path[-1], inner, relations)
+        decided = partial(self.decided, local, existential, len(path))
+        value = _short_circuit(path, True)[0] < 0  # a value that decides the body
+        with self.block("if r:" if value else "if not r:"):
+            decided(_short_circuit(path, value)[1])
+        index, body = _short_circuit(path, not value)
+        with self.block("else:"):
+            if index < 0:
+                decided(body)
+            else:
+                given = partial(self.given, path, not value, inner, relations)
+                self.loop(local, existential, given)
+
+    def loop(self, local: str, existential: bool, body: Callable[[], None]) -> None:
+        """Write a first-order loop whose body *body* writes.  The body is
+        written first.  Only the relation budget can raise, so when the
+        body quantifies no relation the loop counts its bindings and its
+        body's leading satisfaction calls where it exits, the loop variable
+        being the number of bindings before it; otherwise it counts each
+        binding before its body."""
         relation_loops = self.relation_loops
         with self.block(f"for {local} in _d:", loop=True):
             first = len(self.out.lines)
-            self.formula(formula.body, {**variables, formula.variable: local}, relations)
+            body()
             counted = self.relation_loops == relation_loops
             calls = self.take_calls(first) if counted else 0
             with self.block("if r:" if existential else "if not r:"):
@@ -381,10 +470,43 @@ class _Compiler(pysource.Emitter):
             self.insert(first, ["_bindings += 1"])
             self.line(f"else: r = {not existential}")
             return
+        self.runs_out(calls, existential)
+
+    def decided(self, local: str, existential: bool, calls: int, body: bool) -> None:
+        """Write a first-order loop for a body known to be *body* after
+        *calls* satisfaction calls: the loop still draws every binding in
+        order, up to its first witness or counterexample, but runs no body,
+        and counts its bindings and calls where it exits."""
+        with self.block(f"for {local} in _d:", loop=True):
+            if body is existential:
+                self.line(f"{local} += 1")
+                self.line(f"_bindings += {local}")
+                self.calls(calls, local)
+                self.line(f"r = {existential}")
+                self.line("break")
+            else:
+                self.line("pass")
+        self.runs_out(calls, existential)
+
+    def runs_out(self, calls: int, existential: bool) -> None:
+        """Write the ``else`` of a first-order loop that counts where it
+        exits and left out *calls* leading calls of its body."""
         with self.block("else:"):
             self.line("_bindings += _n")
             self.calls(calls, "_n")
             self.line(f"r = {not existential}")
+
+    def given(self, path: list[SOFormula], value: bool, variables: dict, relations: dict) -> None:
+        """Write the formula ``path[0]`` knowing that its leading atom
+        ``path[-1]`` holds *value*, which does not decide it: the formulas
+        on *path* count their satisfaction calls, the atom writes no test,
+        and the first connective that reads its right operand
+        (:func:`_short_circuit`) is written as that operand alone."""
+        index = _short_circuit(path, value)[0]
+        self.out.pending += len(path)
+        self.formula(path[index].right, variables, relations)
+        for formula in reversed(path[:index]):
+            self.connective(formula, variables, relations)
 
     def spill(self, formula: SOFormula, variables: dict, relations: dict) -> None:
         """Write *formula* as a function of its own, called here."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.calculus.builders import PARENT_SCHEMA, PERSON_SCHEMA
 from repro.calculus.evaluation import EvaluationSettings
@@ -34,6 +35,13 @@ if os.environ.get("REPRO_DISABLE_JOIN_ORDERING"):
 if os.environ.get("REPRO_TRACE"):
     set_tracing(True)
 
+# A property that fails prints the @reproduce_failure line that replays its
+# example.  Everything else is the profile already loaded (Hypothesis's own
+# "ci" profile on a CI runner), so example counts, deadlines and
+# randomness are unchanged.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
+
 
 @pytest.fixture
 def parent_db() -> DatabaseInstance:
@@ -58,6 +66,33 @@ def person_db_even() -> DatabaseInstance:
 @pytest.fixture
 def person_db_odd() -> DatabaseInstance:
     return DatabaseInstance.build(PERSON_SCHEMA, PERSON=["p1", "p2", "p3"])
+
+
+@pytest.fixture
+def decided_sources(monkeypatch):
+    """A function that starts recording, for each source the ``_Compiler``
+    of an evaluator module writes, whether it has a loop whose body's
+    leading atom decides it (``_Compiler.decided``), and returns the
+    record: source text -> bool."""
+
+    def record(module) -> dict[str, bool]:
+        sources, deciding = {}, set()
+        decided, program = module._Compiler.decided, module._Compiler.program
+
+        def writing_decided(compiler, *arguments):
+            deciding.add(compiler)
+            return decided(compiler, *arguments)
+
+        def writing(compiler, *arguments):
+            source = program(compiler, *arguments)
+            sources[source] = compiler in deciding
+            return source
+
+        monkeypatch.setattr(module._Compiler, "decided", writing_decided)
+        monkeypatch.setattr(module._Compiler, "program", writing)
+        return sources
+
+    return record
 
 
 @pytest.fixture

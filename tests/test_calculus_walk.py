@@ -88,9 +88,14 @@ class _Walker:
     ``fired`` records where a budget error came from: ``"leaf"`` for a
     binding of a quantifier whose type is set-free and whose body
     quantifies nothing, ``"non-leaf"`` for one of any other quantifier,
-    and ``"output candidates"`` for an output candidate."""
+    and ``"output candidates"`` for an output candidate.  A quantifier
+    binding reads ``"decided leaf"`` or ``"decided non-leaf"`` when its
+    body's leading atom does not mention the bound variable and its value
+    decides the body (:meth:`decided`).  When *visits* is a dict, each
+    binding appends the count of bindings tried with it to the list under
+    its label."""
 
-    def __init__(self, database, universe, settings, statistics):
+    def __init__(self, database, universe, settings, statistics, visits=None):
         self.database = database
         self.universe = universe
         self.settings = settings
@@ -98,6 +103,7 @@ class _Walker:
         self.statistics = statistics
         self.memo = {} if settings.memoize_quantifiers else None
         self.fired = None
+        self.visits = visits
         #: Quantifier id -> its sorted free variables, its enumeration key
         #: and where its bindings fire.
         self.quantifiers = {}
@@ -176,16 +182,50 @@ class _Walker:
         else:
             domain = iter_constructive_domain(type_, self.universe)
         _, key, where = self.quantifiers[id(formula)]
+        if self.decided(formula, assignment):
+            where = f"decided {where}"
         enumerations = statistics.quantifier_enumerations
         enumerations.setdefault(key, 0)
         existential = type(formula) is Exists
         for value in domain:
             statistics.bindings_tried += 1
             enumerations[key] += 1
+            if self.visits is not None:
+                self.visits.setdefault(where, []).append(statistics.bindings_tried)
             self.check(where)
             if bool(self.holds(formula.body, {**assignment, formula.variable: value})) is existential:
                 return existential
         return not existential
+
+    def decided(self, formula, assignment) -> bool:
+        """Whether the body of the quantifier *formula* has a leading atom,
+        the first atom it evaluates, that does not mention the bound
+        variable and whose value under *assignment* decides the body, every
+        connective above it short-circuiting on it.  The evaluator also
+        requires that atom to be on positions, as every atom of the
+        ``semantics`` queries is."""
+        path = [formula.body]
+        while isinstance(path[-1], (Not, And, Or, Implies)):
+            node = path[-1]
+            path.append(node.operand if isinstance(node, Not) else node.left)
+        atom = path[-1]
+        if isinstance(atom, (Exists, Forall)) or formula.variable in atom.free_variables():
+            return False
+        calls = self.statistics.satisfaction_calls
+        try:
+            value = self.holds(atom, assignment)
+        except ReproError:
+            return False
+        finally:
+            self.statistics.satisfaction_calls = calls
+        for node in reversed(path[:-1]):
+            if isinstance(node, Not):
+                value = not value
+            elif value != isinstance(node, Or):
+                return False
+            elif isinstance(node, Implies):
+                value = True
+        return True
 
     def evaluate(self, query) -> Instance:
         """:func:`evaluate_query_detailed`'s answer, with its counters."""
@@ -302,10 +342,12 @@ def test_the_closure_query_matches_the_walk_in_other_modes(mode):
         _check_sentence(query, database, settings, budget)
 
 
-def test_random_expressions_translate_to_the_walked_answers():
+def test_random_expressions_translate_to_the_walked_answers(decided_sources):
     """The Theorem 3.8 translations of
     ``test_random_expressions_translate_to_the_same_answer`` under its
-    50,000-binding budget."""
+    50,000-binding budget; some of their sources test a leading atom
+    before a loop that it decides."""
+    sources = decided_sources(evaluation)
     database = DatabaseInstance.build(PARENT_SCHEMA, PAR=[("a", "b"), ("b", "c"), ("c", 2)])
     settings = EvaluationSettings(binding_budget=50_000)
     agreed = 0
@@ -318,6 +360,7 @@ def test_random_expressions_translate_to_the_walked_answers():
         else:
             agreed += 1
     assert agreed >= 50, agreed
+    assert sum(sources.values()) >= 6, (sum(sources.values()), len(sources))
 
 
 def test_second_order_translations_match_the_walk():
@@ -378,10 +421,40 @@ def test_every_counted_binding_is_a_visited_one(monkeypatch):
     assert visited == sum(statistics.quantifier_enumerations.values()) == 701
 
 
+@pytest.mark.parametrize(
+    ("name", "where"),
+    [("grandparent_chain6", "decided leaf"), ("closure_chain3", "decided non-leaf")],
+)
+def test_budgets_that_fire_in_a_decided_loop_match_the_walk(name, where):
+    """A loop whose body's leading atom decides it runs no body and counts
+    where it exits, also when its body calls a quantifier; under a budget
+    it raises at the binding the walk raises at, with the same counters:
+    grandparent's ``exists y`` with ``PAR(x)`` false, and closure's
+    ``forall yp`` with ``y in x`` false, at their first bindings, in their
+    middle and at their last."""
+    query, database = SEMANTICS[name]
+    sentence = Exists(query.target_variable, query.target_type, query.formula)
+    unbounded = EvaluationSettings(binding_budget=None)
+    universe = evaluation_universe(query, database, unbounded)
+    checks = (
+        (lambda walker: walker.evaluate(query), lambda *arguments: _check(*arguments)[1]),
+        (lambda walker: walker.holds(sentence, {}), _check_sentence),
+    )
+    for walk, check in checks:
+        visits = {}
+        walk(_Walker(database, universe, unbounded, EvaluationStatistics(), visits))
+        counts = visits[where]
+        for count in (counts[0], counts[1], counts[len(counts) // 2], counts[-1]):
+            settings = EvaluationSettings(binding_budget=count - 1)
+            assert check(query, database, settings, (name, count)) == where, (name, count)
+
+
 def test_the_grandparent_inner_quantifier_counts_where_it_exits(monkeypatch):
     """In ``exists x (exists y (...))`` over pairs, the inner quantifier is
     a leaf: only the outer loop counts per binding, and the memo keys are
-    ints, not tuples."""
+    ints, not tuples.  Its body's leading atom ``PAR(x)`` does not mention
+    ``y``: it is tested once per call, before the loops, and when it is
+    false the loop runs no body."""
     from repro.utils import pysource
 
     # Without plans kept from earlier tests, the evaluation writes its source.
@@ -398,8 +471,19 @@ def test_the_grandparent_inner_quantifier_counts_where_it_exits(monkeypatch):
     evaluate_query_detailed(query, database)
     (source,) = sources
     assert source.count("_bindings += 1") == 1
-    assert source.count("_bindings += v") == 2  # a witness, and the budget
+    # A witness and the budget where the body runs, the budget where not.
+    assert source.count("_bindings += v") == 3
     assert "m = (" not in source
+    # The inner quantifier's function takes t and x, and tests PAR(x) once,
+    # at its top level, before its loops.
+    lines = source.splitlines()
+    start = next(n for n, line in enumerate(lines) if line.startswith("    def _q") and "," in line)
+    x = lines[start].rpartition(", ")[2].removesuffix("):")
+    end = next(n for n in range(start + 1, len(lines)) if lines[n].startswith("    def "))
+    inner = lines[start + 1 : end]
+    (test,) = (n for n, line in enumerate(inner) if f"r = {x} in _k" in line)
+    assert inner[test].startswith("        r = ")
+    assert test < min(n for n, line in enumerate(inner) if line.lstrip().startswith("for "))
 
 
 def test_a_formula_that_reaches_a_subformula_twice_keeps_its_own_memo(monkeypatch):

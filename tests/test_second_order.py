@@ -642,11 +642,13 @@ def _sweep_case(seed):
     return database, head, formula, rng.choice((1, 4, 16, 64, 200))
 
 
-def test_random_formulas_match_a_node_by_node_walk():
+def test_random_formulas_match_a_node_by_node_walk(decided_sources):
     """Over a few hundred random formulas, the evaluator gives the walker's
     answers and counters, and raises its budget errors at the same point;
     and every query the calculus evaluates within its binding budget has
-    the same answer after ``so_query_to_calculus``."""
+    the same answer after ``so_query_to_calculus``.  Many of the sources
+    test a leading atom before a first-order loop that it decides."""
+    sources = decided_sources(so_evaluation)
     outcomes = {"sentence": 0, "query": 0, "over relation budget": 0}
     calculus = {"agreed": 0, "over binding budget": 0}
     for seed in range(400):
@@ -687,6 +689,76 @@ def test_random_formulas_match_a_node_by_node_walk():
     assert outcomes["sentence"] >= 150 and outcomes["query"] >= 120, outcomes
     assert outcomes["over relation budget"] >= 40, outcomes
     assert calculus["agreed"] >= 120, calculus
+    assert sum(sources.values()) >= 120, (sum(sources.values()), len(sources))
+
+
+def test_every_counted_first_order_binding_is_a_visited_one(monkeypatch):
+    """The first-order bindings counted are exactly the domain indices the
+    first-order loops draw, plus a query's head bindings: a loop that
+    counts where it exits, or runs no body, counts no binding it did not
+    visit.  Over the three second-order entries of the ``semantics``
+    benchmark, and once with the relation budget firing."""
+    from repro.objects.constructive import subset_bitsets
+    from repro.utils import pysource
+
+    drawn = heads = 0
+
+    class Counting:
+        """``range``, counting the indices drawn from it."""
+
+        def __init__(self, *arguments):
+            self.range = range(*arguments)
+
+        def __iter__(self):
+            nonlocal drawn
+            for index in self.range:
+                drawn += 1
+                yield index
+
+    def head_bindings(domain, repeat):
+        nonlocal heads
+        for binding in product(domain.range, repeat=repeat):
+            heads += 1
+            yield binding
+
+    # A fresh compile cache, so that the generated code's ``range`` counts;
+    # the head loop and the relation loops read the domain uncounted.
+    runtime = {
+        **so_evaluation._RUNTIME,
+        "range": Counting,
+        "_product": head_bindings,
+        "_relations": lambda positions: subset_bitsets(positions.range),
+    }
+    monkeypatch.setattr(so_evaluation, "_RUNTIME", runtime)
+    monkeypatch.setattr(so_evaluation, "_PLANS", {})
+    monkeypatch.setattr(pysource, "_COMPILED", {})
+    cycle = [f"w{index}" for index in range(4)]
+    cycle4 = graph_db(cycle, [(cycle[i], cycle[(i + 1) % 4]) for i in range(4)])
+    chain3 = graph_db("abc", [("a", "b"), ("b", "c")])
+    reach_head, reachability = reachability_query()
+    cases = [
+        ([], even_cardinality_sentence(), person_db(4), None),
+        ([], three_colorability_sentence(), cycle4, None),
+        (reach_head, reachability, chain3, None),
+        (reach_head, reachability, chain3, 100),
+    ]
+    for head, formula, database, budget in cases:
+        drawn = heads = 0
+        statistics = SOEvaluationStatistics()
+        if budget is None:
+            _so_run(head, formula, database, SOEvaluationSettings(), statistics)
+        else:
+            with pytest.raises(EvaluationError, match="relation budget"):
+                settings = SOEvaluationSettings(relation_budget=budget)
+                _so_run(head, formula, database, settings, statistics)
+        assert drawn == statistics.first_order_bindings - heads > 0, (str(formula), budget)
+
+
+def _so_run(head, formula, database, settings, statistics):
+    """Evaluate the query with *head*, or the sentence when it is empty."""
+    if head:
+        return evaluate_query(head, formula, database, settings, statistics)
+    return evaluate_sentence(formula, database, settings, statistics)
 
 
 def test_a_warm_evaluation_writes_no_source(monkeypatch):
